@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +24,7 @@ from .graph import (
     bfs_distances,
     eccentricity_profile,
     girth,
+    is_connected,
     line_graph,
     multi_source_distances,
 )
@@ -209,6 +210,22 @@ def _deterministic_cells(g: Graph, sources) -> tuple[list[int], list[int], list[
     return dist, root, parent
 
 
+def _lower_distances(g: Graph, dist: list[int], source: int) -> None:
+    """Lower ``dist``, a multi-source distance array, in place to the
+    distances from the source set grown by ``source``.  The BFS from
+    ``source`` stops wherever the old distance is already no larger."""
+    dist[source] = 0
+    q = deque([source])
+    adj = g.adj
+    while q:
+        u = q.popleft()
+        du1 = dist[u] + 1
+        for v in adj[u]:
+            if du1 < dist[v]:
+                dist[v] = du1
+                q.append(v)
+
+
 def _path_from_set(g: Graph, sources, target: int) -> list[int]:
     """Deterministic shortest path from the source set to ``target``
     (first element is a source)."""
@@ -281,13 +298,13 @@ def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[
     if not (0 <= a1 < g.n):
         raise ValueError(f"start vertex {a1} out of range")
     members = [a1]
-    while True:
-        dist = multi_source_distances(g, members)
-        if -1 in dist:
-            raise ValueError("graph must be connected")
-        if max(dist) < girth_value:
-            return members
-        members.append(min(v for v in range(g.n) if dist[v] == girth_value))
+    dist = bfs_distances(g, a1)
+    if -1 in dist:
+        raise ValueError("graph must be connected")
+    while max(dist) >= girth_value:
+        members.append(dist.index(girth_value))
+        _lower_distances(g, dist, members[-1])
+    return members
 
 
 def build_spanning_tree_from_packing(
@@ -442,36 +459,14 @@ def _build_matching_tree(g: Graph, members):
 
 
 # ---------------------------------------------------------------------------
-# small-graph helpers for the contracted powers
+# contracted powers
 
-def _power_components(order, adjacency) -> bool:
-    seen = {order[0]}
-    stack = [order[0]]
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(order)
-
-def _power_ecc(order, adjacency) -> dict:
-    ecc = {}
-    for s in order:
-        d = {s: 0}
-        frontier = [s]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for x in frontier:
-                for y in adjacency[x]:
-                    if y not in d:
-                        d[y] = level
-                        nxt.append(y)
-            frontier = nxt
-        ecc[s] = max(d.values())
-    return ecc
+def _contracted_power(anchor_dist, gi: int) -> Graph:
+    """Graph on anchor indices ``0..k-1`` with ``i ~ j`` iff anchors ``i``
+    and ``j`` lie within ``gi`` of each other (``anchor_dist[i][j]``)."""
+    k = len(anchor_dist)
+    return Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
+                                if anchor_dist[i][j] <= gi])
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +533,12 @@ def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
     avec_t = tree_prof.avec
     avec_c_t = sum((c.weights[a] * tree_prof.ecc[a] for a in members), Fraction(0)) / n
 
-    tree_dist = {a: bfs_distances(tree, a) for a in members}
-    power_adj = {a: [b for b in members if b != a and tree_dist[a][b] <= gi]
-                 for a in members}
-    power_connected = _power_components(members, power_adj)
+    tree_dist = [bfs_distances(tree, a) for a in members]
+    power = _contracted_power([[d[b] for b in members] for d in tree_dist], gi)
+    power_connected = is_connected(power)
     if power_connected:
-        pecc = _power_ecc(members, power_adj)
-        avec_c_power = sum((c.weights[a] * pecc[a] for a in members), Fraction(0)) / n
+        pecc = eccentricity_profile(power).ecc
+        avec_c_power = sum((c.weights[a] * e for a, e in zip(members, pecc)), Fraction(0)) / n
     else:
         avec_c_power = None
 
@@ -670,15 +664,14 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
     line, table = line_graph(tree)
     line_id = {e: i for i, e in enumerate(table)}
     mids = [line_id[e] for e in members]
-    line_dist = {e: bfs_distances(line, line_id[e]) for e in members}
-    avec_cbar_l = sum((cbar[e] * max(line_dist[e]) for e in members), Fraction(0)) / n
+    line_dist = [bfs_distances(line, i) for i in mids]
+    avec_cbar_l = sum((cbar[e] * max(d) for e, d in zip(members, line_dist)), Fraction(0)) / n
 
-    power_adj = {e: [f for f in members if f != e and line_dist[e][line_id[f]] <= gi]
-                 for e in members}
-    power_connected = _power_components(members, power_adj)
+    power = _contracted_power([[d[i] for i in mids] for d in line_dist], gi)
+    power_connected = is_connected(power)
     if power_connected:
-        pecc = _power_ecc(members, power_adj)
-        avec_cbar_power = sum((cbar[e] * pecc[e] for e in members), Fraction(0)) / n
+        pecc = eccentricity_profile(power).ecc
+        avec_cbar_power = sum((cbar[e] * x for e, x in zip(members, pecc)), Fraction(0)) / n
     else:
         avec_cbar_power = None
 

@@ -234,16 +234,26 @@ def is_connected(g: Graph) -> bool:
 
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
-    """All-pairs-BFS eccentricities; raises on disconnected input."""
+    """Exact eccentricities of every vertex; raises on disconnected input.
+
+    A BFS from vertex 0 checks connectivity.  Trees (``m == n - 1``) then
+    take the double sweep: with ``a`` farthest from 0 and ``b`` farthest
+    from ``a``, the path ``a..b`` is a diameter and ``ecc(v) =
+    max(d(a, v), d(b, v))``, so two more BFS runs replace n of them.  Every
+    other graph takes the bit-parallel frontier expansion of
+    :func:`_bitset_eccentricities`.
+    """
     if g.n == 0:
         raise ValueError("eccentricity undefined on the empty graph")
     first = bfs_distances(g, 0)
     if UNREACHABLE in first:
         raise DisconnectedGraphError("eccentricity undefined: graph is disconnected")
-    ecc = [0] * g.n
-    ecc[0] = max(first)
-    for v in range(1, g.n):
-        ecc[v] = max(bfs_distances(g, v))
+    if g.m == g.n - 1:
+        from_a = bfs_distances(g, first.index(max(first)))
+        from_b = bfs_distances(g, from_a.index(max(from_a)))
+        ecc = [max(da, db) for da, db in zip(from_a, from_b)]
+    else:
+        ecc = _bitset_eccentricities(g)
     total = sum(ecc)
     return EccentricityProfile(
         ecc=tuple(ecc),
@@ -252,6 +262,40 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         radius=min(ecc),
         diameter=max(ecc),
     )
+
+
+def _bitset_eccentricities(g: Graph) -> list[int]:
+    """Eccentricities of a connected graph by bit-parallel BFS from every
+    vertex at once (Akiba, Iwata and Yoshida, SIGMOD 2013).
+
+    ``reach[v]`` is a Python int whose bit ``u`` is set iff ``d(v, u) <= r``
+    after round ``r``; a round ORs each vertex's set with its neighbours'
+    sets from the round before.  ``ecc(v)`` is the first round at which
+    ``reach[v]`` holds every vertex, and a full vertex leaves the active list
+    (its set stays full, as every later ball is).
+    """
+    n = g.n
+    adj = g.adj
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    ecc = [0] * n
+    active = list(range(n))  # n >= 3 here: trees take the double sweep
+    r = 0
+    while active:
+        r += 1
+        prev = reach.copy()
+        still = []
+        for v in active:
+            acc = prev[v]
+            for u in adj[v]:
+                acc |= prev[u]
+            reach[v] = acc
+            if acc == full:
+                ecc[v] = r
+            else:
+                still.append(v)
+        active = still
+    return ecc
 
 
 def girth(g: Graph) -> int | None:

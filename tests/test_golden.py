@@ -1,0 +1,107 @@
+"""Byte-identity of the deterministic artifacts against pinned SHA-256 digests.
+
+The digests are those the simple reference algorithms (one BFS per vertex
+for the profile, a fresh multi-source BFS per anchor) produce.  A kernel,
+refactor or formatting change that moves one byte of a certificate or of the
+batch report fails here.  The instances are the fixed graphs of acceptance
+criteria 9 and 10 plus two larger generated graphs, each certified plainly
+and with ``use_max_degree``, and criterion 10's batch sweep.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+import eccbounds as eb
+from eccbounds.cli import main as cli_main
+
+INSTANCES = {
+    "petersen": eb.petersen_graph,
+    "heawood": eb.heawood_graph,
+    "K4": lambda: eb.complete_graph(4),
+    "K33": lambda: eb.complete_bipartite(3, 3),
+    "hoffman-singleton": eb.hoffman_singleton_graph,
+    "chain-3-5-4": lambda: eb.chain_graph(3, 5, 4)[0],
+    "chain-3-6-2": lambda: eb.chain_graph(3, 6, 2)[0],
+    "chain-3-6-3": lambda: eb.chain_graph(3, 6, 3)[0],
+    "gen-n50-d3-g5-s77": lambda: eb.random_min_degree_girth(
+        eb.GeneratorConfig(n=50, delta=3, g=5, seed=77)),
+    # larger packings and matchings than the acceptance instances
+    "gen-n300-d3-g5-s1": lambda: eb.random_min_degree_girth(
+        eb.GeneratorConfig(n=300, delta=3, g=5, seed=1)),
+    "gen-n300-d3-g6-s1": lambda: eb.random_min_degree_girth(
+        eb.GeneratorConfig(n=300, delta=3, g=6, seed=1)),
+}
+
+CERT_SHA256 = {
+    "K33/plain":
+        "2650b5c8c5a5fb2f8d93bc90a215a26461747b00bf1716a4e528699c2db397d1",
+    "K33/maxdeg":
+        "b81cbabab39c8c7dd344feeb9678ef65324e6ff289aba16612ed82a59714b8d2",
+    "K4/plain":
+        "baa38033e03f82d1633b25539d43f9cb9b79031872602abda9c0840ffb714cc3",
+    "K4/maxdeg":
+        "2cbfd2d23fe563429f74b24878c5ec3ab7577bb1da5920ee90c51b5da79c492c",
+    "chain-3-5-4/plain":
+        "089e5e10454585735b0cad4232969585edbb51198e13bb80f8128ff8f763df1e",
+    "chain-3-5-4/maxdeg":
+        "df4a52a8745e9938ab41ff58961a8be304f57ad338fdd342be8fd085f3286352",
+    "chain-3-6-2/plain":
+        "5a62d0cd26ab5511b83cd47dffac8dbb590d6b8756335a0f1d6d55fb56e23a60",
+    "chain-3-6-2/maxdeg":
+        "0f154b880e8952654e6c82300a6d57722fe4b4e44346477e51267cf571439f3f",
+    "chain-3-6-3/plain":
+        "43d2df3d6c90bc3055f53edd2e93a4d0112d7f73f1137f6a7d1935e37a28b539",
+    "chain-3-6-3/maxdeg":
+        "d47eff422d63f78b9f18d7adcf110d7d525d507f9f94cf92d8a3f41f9d7e8ccd",
+    "gen-n300-d3-g5-s1/plain":
+        "d4bd7e2c985844570b4bd7e398f45f37d7faf5d2f5078ba7d703849e167e4b54",
+    "gen-n300-d3-g5-s1/maxdeg":
+        "add07a821770adf06dde7d774817e79ceaaf97ead0e1f7ffd77474bd7d6eb57d",
+    "gen-n300-d3-g6-s1/plain":
+        "edc9cf403d1e4da1bcee0e4f3a2a3329c1457cae34386ef6c47db644ed02f9d0",
+    "gen-n300-d3-g6-s1/maxdeg":
+        "07c74b1126f8c70c66604b5aaf6936c5baed136a883920187d0e2b4c063b7547",
+    "gen-n50-d3-g5-s77/plain":
+        "359281f43fba091e9fb19c69242a06733f704b65917c12fe198827ab48ed17aa",
+    "gen-n50-d3-g5-s77/maxdeg":
+        "0b9271219748b8cb106c0291a1bda47937632548a7ccf9204c29ce3fcbb8959e",
+    "heawood/plain":
+        "9bb9ed186585ea67101b06fed82f8de09a9ce1a9655cab75a9662f0fd236e499",
+    "heawood/maxdeg":
+        "60eb7607deba5a473f5fe06aa639186931ae066d9b356ab35222be6911748fbc",
+    "hoffman-singleton/plain":
+        "683ed6039f4881f63b2b45507ee27a929fed581610ffe1dd16da08a77094fab3",
+    "hoffman-singleton/maxdeg":
+        "4b5307bd614a9ee98f7c4a75525ae2a8e7430c91bed1dd9c7892580463ea0d71",
+    "petersen/plain":
+        "0fc1514bd7cfe220f9bf7a2a1ee8edbf1e1ddab0fbc6f5e7334674d789e46468",
+    "petersen/maxdeg":
+        "53640e13f944fb535efebe885e0c4ca716bb08cc7f0a299a6df143c6ee62723c",
+}
+
+BATCH_ARGS = ["batch", "--delta", "3", "--g", "5", "--n", "40", "--count", "6", "--seed", "7"]
+BATCH_CSV_SHA256 = "c36916d38b51fb49a00e77f9520620c39ce397dd8aba157f1a00ce9a6db26b52"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cert_json(name: str, use_max_degree: bool) -> str:
+    g = INSTANCES[name]()
+    certify = eb.certify_odd if eb.girth(g) % 2 else eb.certify_even
+    return certify(g, use_max_degree=use_max_degree).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+@pytest.mark.parametrize("use_max_degree", [False, True], ids=["plain", "maxdeg"])
+def test_certificate_json_digest(name, use_max_degree):
+    key = f"{name}/{'maxdeg' if use_max_degree else 'plain'}"
+    assert _sha256(_cert_json(name, use_max_degree).encode()) == CERT_SHA256[key]
+
+
+def test_batch_report_digest(tmp_path):
+    assert cli_main(BATCH_ARGS + ["--out", str(tmp_path)]) == 0
+    assert _sha256((tmp_path / "report.csv").read_bytes()) == BATCH_CSV_SHA256
