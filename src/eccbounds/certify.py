@@ -9,6 +9,12 @@ intermediate inequality and every structural property is recomputed in exact
 rationals and recorded.  A certificate whose steps fail is emitted with the
 failure visible, never suppressed, so the pipeline doubles as a falsification
 harness.
+
+The anchors (packing members or matching edges) are found, and their
+discovery paths replayed, on one distance array to the anchors so far that
+is lowered in place as each anchor joins.  Checks that only compare
+distances against a radius run BFS truncated at that radius, which gives
+the same verdict as a full BFS on every connected input.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import (
+    UNREACHABLE,
     Graph,
     WeightFunction,
     bfs_distances,
@@ -226,17 +233,84 @@ def _lower_distances(g: Graph, dist: list[int], source: int) -> None:
                 q.append(v)
 
 
-def _path_from_set(g: Graph, sources, target: int) -> list[int]:
-    """Deterministic shortest path from the source set to ``target``
-    (first element is a source)."""
-    _, _, parent = _deterministic_cells(g, sources)
+def _replay_path(g: Graph, dist: list[int], target: int) -> list[int]:
+    """The path :func:`_deterministic_cells` would give from the sources of
+    ``dist`` (the vertices at distance 0) to ``target``, first element a
+    source.
+
+    Only the shortest-path DAG below ``target`` is walked, layer by layer
+    toward the sources, so long paths need no recursion.  Each DAG vertex's
+    root is the lowest source on a shortest path to it; the path then steps
+    from ``target`` to the lowest-id neighbour one closer with the same root.
+    """
+    adj = g.adj
+    layers = [[target]]
+    seen = {target}
+    for d in range(dist[target] - 1, -1, -1):
+        below = []
+        for v in layers[-1]:
+            for u in adj[v]:
+                if dist[u] == d and u not in seen:
+                    seen.add(u)
+                    below.append(u)
+        layers.append(below)
+    root = {s: s for s in layers[-1]}
+    for layer in reversed(layers[:-1]):
+        for v in layer:
+            d = dist[v] - 1
+            root[v] = min(root[u] for u in adj[v] if dist[u] == d)
     path = [target]
     v = target
-    while parent[v] != -1:
-        v = parent[v]
+    while dist[v]:
+        d, r = dist[v] - 1, root[v]
+        v = next(u for u in adj[v] if dist[u] == d and root[u] == r)
         path.append(v)
     path.reverse()
     return path
+
+
+def _replayed_connectors(g: Graph, groups) -> list[tuple[int, int]] | None:
+    """Middle edges of the anchors' discovery paths.
+
+    ``groups`` lists each anchor's vertices in discovery order.  Anchor
+    ``i``'s path runs from the anchors before it to its nearest vertex
+    (lowest id on ties), replayed on one distance array that is lowered as
+    each anchor joins.  ``None`` when an anchor touches an earlier one.
+    """
+    if len(groups) < 2:
+        return []
+    dist = multi_source_distances(g, groups[0])
+    if UNREACHABLE in dist:
+        raise ValueError("graph must be connected")
+    connectors = []
+    for group in groups[1:]:
+        target = min(group, key=lambda x: (dist[x], x))
+        t = dist[target]
+        if t == 0:
+            return None
+        path = _replay_path(g, dist, target)
+        connectors.append((path[t // 2], path[t // 2 + 1]))
+        for x in group:
+            _lower_distances(g, dist, x)
+    return connectors
+
+
+def _ball(g: Graph, source: int, radius: int) -> dict[int, int]:
+    """Distances from ``source`` to the vertices within ``radius`` of it."""
+    dist = {source: 0}
+    frontier = [source]
+    adj = g.adj
+    for d in range(1, radius + 1):
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        if not reached:
+            break
+        frontier = reached
+    return dist
 
 
 class _UnionFind:
@@ -314,9 +388,10 @@ def build_spanning_tree_from_packing(
 
     Cells come from a deterministic multi-source BFS; the cells are then
     joined by the middle edges of the packing's discovery paths (replayed
-    deterministically), falling back to a quotient-graph spanning tree when
-    those edges do not stitch the cells into a tree.  The result is verified,
-    not assumed: spanning shape and distance preservation failures raise.
+    deterministically on one incrementally lowered distance array), falling
+    back to a quotient-graph spanning tree when those edges do not stitch
+    the cells into a tree.  The result is verified, not assumed: spanning
+    shape and distance preservation failures raise.
 
     Returns ``(tree, parent, assignment, connectors)`` where ``parent`` holds
     each vertex's tree parent toward its cell root (-1 on members) and
@@ -327,17 +402,10 @@ def build_spanning_tree_from_packing(
         raise ValueError("packing must be a nonempty list of distinct vertices")
     dist, root, parent = _deterministic_cells(g, members)
 
-    connectors: list[tuple[int, int]] = []
-    for i in range(1, len(members)):
-        path = _path_from_set(g, members[:i], members[i])
-        t = len(path) - 1
-        if t == 0:
-            connectors = []
-            break
-        connectors.append((path[t // 2], path[t // 2 + 1]))
+    connectors = _replayed_connectors(g, [(a,) for a in members])
 
     def quotient_ok(conns) -> bool:
-        if len(conns) != len(members) - 1:
+        if conns is None or len(conns) != len(members) - 1:
             return False
         uf = _UnionFind(members)
         return all(root[x] != root[y] and uf.union(root[x], root[y]) for x, y in conns)
@@ -375,10 +443,6 @@ def weight_function(tree: Graph, members, assignment) -> WeightFunction:
 # ---------------------------------------------------------------------------
 # even pipeline: spaced matching
 
-def _edge_set_distance(dist: list[int], e: tuple[int, int]) -> int:
-    return min(dist[e[0]], dist[e[1]])
-
-
 def build_spaced_matching(g: Graph, girth_value: int,
                           start_edge: tuple[int, int] | None = None) -> list[tuple[int, int]]:
     """Greedy matching with pairwise edge-distance >= ``girth_value - 1``.
@@ -387,9 +451,12 @@ def build_spaced_matching(g: Graph, girth_value: int,
     from ``start_edge`` (default: the lexicographically least edge) and,
     while any edge sits at distance ``girth_value - 1`` or more from the
     matched vertex set, adds the lexicographically least edge at distance
-    exactly ``girth_value - 1``.  On exit every edge is within
+    exactly ``girth_value - 1`` (one exists along a shortest path toward
+    any far edge, so a single scan finds it).  On exit every edge is within
     ``girth_value - 2``.
     """
+    if girth_value < 2:
+        raise ValueError("girth parameter must be at least 2")
     if not g.edges:
         raise ValueError("graph has no edges")
     if start_edge is None:
@@ -401,14 +468,16 @@ def build_spaced_matching(g: Graph, girth_value: int,
             raise ValueError(f"start edge {start_edge} not in graph")
     members = [e1]
     spacing = girth_value - 1
+    dist = multi_source_distances(g, e1)
+    if UNREACHABLE in dist:
+        raise ValueError("graph must be connected")
     while True:
-        vm = {x for e in members for x in e}
-        dist = multi_source_distances(g, vm)
-        if -1 in dist:
-            raise ValueError("graph must be connected")
-        if max(_edge_set_distance(dist, e) for e in g.edges) < spacing:
+        e = next((e for e in g.edges if min(dist[e[0]], dist[e[1]]) == spacing), None)
+        if e is None:
             return members
-        members.append(min(e for e in g.edges if _edge_set_distance(dist, e) == spacing))
+        members.append(e)
+        _lower_distances(g, dist, e[0])
+        _lower_distances(g, dist, e[1])
 
 
 def _build_matching_tree(g: Graph, members):
@@ -419,29 +488,11 @@ def _build_matching_tree(g: Graph, members):
         member_of[u] = idx
         member_of[v] = idx
 
-    connectors: list[tuple[int, int]] = []
-    replay_failed = False
-    for i in range(1, len(members)):
-        prefix_vm = sorted({x for e in members[:i] for x in e})
-        pdist, _, pparent = _deterministic_cells(g, prefix_vm)
-        u, v = members[i]
-        target = u if (pdist[u], u) <= (pdist[v], v) else v
-        if pdist[target] == 0:
-            replay_failed = True
-            break
-        path = [target]
-        x = target
-        while pparent[x] != -1:
-            x = pparent[x]
-            path.append(x)
-        path.reverse()
-        t = len(path) - 1
-        connectors.append((path[t // 2], path[t // 2 + 1]))
-
+    connectors = _replayed_connectors(g, members)
     cell_of = [member_of[root[v]] for v in range(g.n)]
 
     def quotient_ok(conns) -> bool:
-        if replay_failed or len(conns) != len(members) - 1:
+        if conns is None or len(conns) != len(members) - 1:
             return False
         uf = _UnionFind(range(len(members)))
         return all(cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y])
@@ -461,30 +512,49 @@ def _build_matching_tree(g: Graph, members):
 # ---------------------------------------------------------------------------
 # contracted powers
 
-def _contracted_power(anchor_dist, gi: int) -> Graph:
+def _contracted_power(g: Graph, anchors, radius: int) -> Graph:
     """Graph on anchor indices ``0..k-1`` with ``i ~ j`` iff anchors ``i``
-    and ``j`` lie within ``gi`` of each other (``anchor_dist[i][j]``)."""
-    k = len(anchor_dist)
-    return Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
-                                if anchor_dist[i][j] <= gi])
+    and ``j`` lie within ``radius`` of each other in ``g``."""
+    index = {a: i for i, a in enumerate(anchors)}
+    pairs = []
+    for i, a in enumerate(anchors):
+        for b in _ball(g, a, radius):
+            j = index.get(b)
+            if j is not None and j > i:
+                pairs.append((i, j))
+    return Graph.from_edges(len(anchors), pairs)
 
 
 # ---------------------------------------------------------------------------
 # certifiers
 
-def _admission(g: Graph, want_odd: bool) -> tuple:
+def _admission(g: Graph, gi: int | None, want_odd: bool) -> tuple:
     prof = eccentricity_profile(g)  # raises on disconnected input
     delta = g.min_degree()
     if delta < 3:
         raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")
-    gi = girth(g)
     if gi is None:
         raise NotCertifiableError("acyclic graph: no girth to certify against")
     if want_odd and gi % 2 == 0:
         raise ValueError(f"girth {gi} is even; use certify_even")
     if not want_odd and gi % 2 == 1:
         raise ValueError(f"girth {gi} is odd; use certify_odd")
-    return prof, delta, g.max_degree(), gi
+    return prof, delta, g.max_degree()
+
+
+def certify(g: Graph, use_max_degree: bool = False) -> PackingCertificate | MatchingCertificate:
+    """Certify the girth bound that matches the girth's parity.
+
+    The girth is measured once and handed to the odd (packing) or even
+    (matching) pipeline.  A forest raises :class:`NotCertifiableError`
+    before anything else is checked.
+    """
+    gi = girth(g)
+    if gi is None:
+        raise NotCertifiableError("graph is acyclic: nothing to certify")
+    if gi % 2:
+        return _certify_odd(g, gi, use_max_degree)
+    return _certify_even(g, gi, use_max_degree)
 
 
 def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
@@ -494,7 +564,11 @@ def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
     and the sharper bound (constants K1, K2) is certified; otherwise the
     packing starts at vertex 0 and the uniform bound (constant K) is used.
     """
-    prof, delta, Delta, gi = _admission(g, want_odd=True)
+    return _certify_odd(g, girth(g), use_max_degree)
+
+
+def _certify_odd(g: Graph, gi: int | None, use_max_degree: bool) -> PackingCertificate:
+    prof, delta, Delta = _admission(g, gi, want_odd=True)
     n = g.n
 
     if use_max_degree:
@@ -533,8 +607,7 @@ def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
     avec_t = tree_prof.avec
     avec_c_t = sum((c.weights[a] * tree_prof.ecc[a] for a in members), Fraction(0)) / n
 
-    tree_dist = [bfs_distances(tree, a) for a in members]
-    power = _contracted_power([[d[b] for b in members] for d in tree_dist], gi)
+    power = _contracted_power(tree, members, gi)
     power_connected = is_connected(power)
     if power_connected:
         pecc = eccentricity_profile(power).ecc
@@ -576,14 +649,22 @@ def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
 
 def _packing_checks(g, members, assignment, c, gi, constants, tree,
                     power_connected, use_max_degree):
+    """Structural checks of an odd certificate, ``g`` connected.
+
+    Spacing compares member distances against ``gi`` and the assignment
+    check compares them against ``msd``, so BFS from each member stops at
+    ``max(gi - 1, max(msd))``: a vertex beyond it is farther than both.
+    """
     n = g.n
-    member_dist = {a: bfs_distances(g, a) for a in members}
-    spacing_ok = all(member_dist[a][b] >= gi
-                     for i, a in enumerate(members) for b in members[i + 1:])
     msd = multi_source_distances(g, members)
+    radius = max(gi - 1, max(msd))
+    far = radius + 1  # stands in for every distance beyond the radius
+    member_ball = {a: _ball(g, a, radius) for a in members}
+    spacing_ok = all(member_ball[a].get(b, far) >= gi
+                     for i, a in enumerate(members) for b in members[i + 1:])
     coverage_ok = max(msd) <= gi - 1
-    assign_ok = all(assignment[v] in member_dist
-                    and member_dist[assignment[v]][v] == msd[v] for v in range(n))
+    assign_ok = all(assignment[v] in member_ball
+                    and member_ball[assignment[v]].get(v, far) == msd[v] for v in range(n))
     conserve_ok = c.total == n
     if use_max_degree:
         k1, k2 = constants["K1"], constants["K2"]
@@ -622,7 +703,22 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
     maximum-degree vertex and the sharper bound (constants L1, L2) is
     certified; otherwise the uniform bound (constant L) is used.
     """
-    prof, delta, Delta, gi = _admission(g, want_odd=False)
+    return _certify_even(g, girth(g), use_max_degree)
+
+
+def _line_eccentricity(tree_ecc, e: tuple[int, int]) -> int:
+    """Eccentricity of the tree edge ``e = uv`` in the tree's line graph.
+
+    Removing ``e`` leaves two sides of heights ``a`` (from ``u``) and ``b``
+    (from ``v``); the edge's line-graph eccentricity is ``max(a, b)``, while
+    ``ecc(u) = max(a, b + 1)`` and ``ecc(v) = max(b, a + 1)``.
+    """
+    eu, ev = tree_ecc[e[0]], tree_ecc[e[1]]
+    return min(eu, ev) - (eu == ev)
+
+
+def _certify_even(g: Graph, gi: int | None, use_max_degree: bool) -> MatchingCertificate:
+    prof, delta, Delta = _admission(g, gi, want_odd=False)
     n = g.n
 
     if use_max_degree:
@@ -661,13 +757,12 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
     avec_t = tree_prof.avec
     avec_c_t = sum((c.weights[u] * tree_prof.ecc[u] for u in vm), Fraction(0)) / n
 
+    avec_cbar_l = sum((cbar[e] * _line_eccentricity(tree_prof.ecc, e) for e in members),
+                      Fraction(0)) / n
+
     line, table = line_graph(tree)
     line_id = {e: i for i, e in enumerate(table)}
-    mids = [line_id[e] for e in members]
-    line_dist = [bfs_distances(line, i) for i in mids]
-    avec_cbar_l = sum((cbar[e] * max(d) for e, d in zip(members, line_dist)), Fraction(0)) / n
-
-    power = _contracted_power([[d[i] for i in mids] for d in line_dist], gi)
+    power = _contracted_power(line, [line_id[e] for e in members], gi)
     power_connected = is_connected(power)
     if power_connected:
         pecc = eccentricity_profile(power).ecc
@@ -711,15 +806,22 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
 
 def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
                      tree, power_connected, use_max_degree):
+    """Structural checks of an even certificate, ``g`` connected.
+
+    As in :func:`_packing_checks`, BFS from each matched vertex stops at
+    ``max(gi - 2, max(msd))``, past which no check can tell distances apart.
+    """
     n = g.n
     disjoint_ok = len(vm) == 2 * len(members)
-    vert_dist = {u: bfs_distances(g, u) for u in vm}
+    radius = max(gi - 2, max(msd))
+    far = radius + 1  # stands in for every distance beyond the radius
+    vert_ball = {u: _ball(g, u, radius) for u in vm}
     spacing_ok = all(
-        min(vert_dist[x][y] for x in e for y in f) >= gi - 1
+        min(vert_ball[x].get(y, far) for x in e for y in f) >= gi - 1
         for i, e in enumerate(members) for f in members[i + 1:])
     coverage_ok = all(min(msd[x], msd[y]) <= gi - 2 for x, y in g.edges)
-    assign_ok = all(assignment[v] in vert_dist
-                    and vert_dist[assignment[v]][v] == msd[v] for v in range(n))
+    assign_ok = all(assignment[v] in vert_ball
+                    and vert_ball[assignment[v]].get(v, far) == msd[v] for v in range(n))
     conserve_ok = (sum((c.weights[u] for u in vm), Fraction(0)) == n
                    and sum(cbar.values(), Fraction(0)) == n)
     if use_max_degree:

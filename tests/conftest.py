@@ -8,11 +8,19 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction as F
 
 import pytest
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth
+from eccbounds.certify import (
+    StructuralCheck,
+    _deterministic_cells,
+    _fallback_connectors,
+    _UnionFind,
+    _verify_tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +65,173 @@ def girth_oracle(g: eb.Graph):
             if best is None or c < best:
                 best = c
     return best
+
+
+# ---------------------------------------------------------------------------
+# certificate oracles: the per-prefix and full-BFS forms that the incremental
+# anchor machinery in eccbounds.certify replaces, kept as references
+
+def prefix_connectors_oracle(g: eb.Graph, groups):
+    """Middle edges of the anchors' discovery paths, each replayed with a
+    fresh cell decomposition of every earlier anchor's vertices; ``None``
+    when an anchor touches an earlier one."""
+    connectors = []
+    for i in range(1, len(groups)):
+        prefix = sorted({x for group in groups[:i] for x in group})
+        dist, _, parent = _deterministic_cells(g, prefix)
+        target = min(groups[i], key=lambda x: (dist[x], x))
+        if dist[target] == 0:
+            return None
+        path = [target]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        path.reverse()
+        t = len(path) - 1
+        connectors.append((path[t // 2], path[t // 2 + 1]))
+    return connectors
+
+
+def _stitched_tree(g, anchors, cells, cell_of, dist, parent, connectors, extra_edges=()):
+    """Parent edges, anchor edges and replayed connectors, or the Kruskal
+    fallback when the connectors do not form a quotient spanning tree."""
+    uf = _UnionFind(cells)
+    if not (connectors is not None and len(connectors) == len(cells) - 1
+            and all(cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y])
+                    for x, y in connectors)):
+        connectors = _fallback_connectors(g, cell_of, dist, cells)
+    edges = [(v, parent[v]) for v in range(g.n) if parent[v] != -1]
+    edges.extend(extra_edges)
+    edges.extend(connectors)
+    tree = eb.Graph.from_edges(g.n, edges)
+    _verify_tree(g, tree, anchors, dist)
+    return tree, tuple(connectors)
+
+
+def packing_tree_oracle(g: eb.Graph, members):
+    """``build_spanning_tree_from_packing`` with the per-prefix replay."""
+    members = list(members)
+    dist, root, parent = _deterministic_cells(g, members)
+    replayed = prefix_connectors_oracle(g, [(a,) for a in members])
+    tree, connectors = _stitched_tree(g, members, members, root, dist, parent, replayed)
+    return tree, tuple(parent), tuple(root), connectors
+
+
+def matching_tree_oracle(g: eb.Graph, members):
+    """``_build_matching_tree`` with the per-prefix replay."""
+    vm = sorted({x for e in members for x in e})
+    dist, root, parent = _deterministic_cells(g, vm)
+    member_of = {x: i for i, e in enumerate(members) for x in e}
+    cell_of = [member_of[root[v]] for v in range(g.n)]
+    replayed = prefix_connectors_oracle(g, members)
+    tree, connectors = _stitched_tree(g, vm, list(range(len(members))), cell_of, dist,
+                                      parent, replayed, extra_edges=members)
+    return tree, tuple(parent), tuple(root), connectors, vm, dist
+
+
+def spaced_matching_oracle(g: eb.Graph, girth_value: int, start_edge=None):
+    """``build_spaced_matching`` with a fresh multi-source BFS per member and
+    a max-then-min pair of scans."""
+    members = [start_edge or g.edges[0]]
+    while True:
+        dist = eb.multi_source_distances(g, {x for e in members for x in e})
+        far = [min(dist[u], dist[v]) for u, v in g.edges]
+        if max(far) < girth_value - 1:
+            return members
+        members.append(min(e for e, d in zip(g.edges, far) if d == girth_value - 1))
+
+
+def packing_checks_oracle(g, members, assignment, c, gi, constants, tree,
+                          power_connected, use_max_degree):
+    """``_packing_checks`` with one full BFS per member."""
+    n = g.n
+    member_dist = {a: eb.bfs_distances(g, a) for a in members}
+    spacing_ok = all(member_dist[a][b] >= gi
+                     for i, a in enumerate(members) for b in members[i + 1:])
+    msd = eb.multi_source_distances(g, members)
+    assign_ok = all(assignment[v] in member_dist
+                    and member_dist[assignment[v]][v] == msd[v] for v in range(n))
+    if use_max_degree:
+        k1, k2 = constants["K1"], constants["K2"]
+        hub = members[0]
+        cells_ok = (c.weights[hub] >= k2
+                    and all(c.weights[a] >= k1 for a in members if a != hub))
+        extra = (
+            StructuralCheck("hub_weight>=K2", c.weights[hub] >= k2,
+                            f"c({hub})={c.weights[hub]}, K2={k2}"),
+            StructuralCheck("packing_size<=(n-K2)/K1+1",
+                            len(members) <= F(n - k2, k1) + 1, f"|A|={len(members)}"),
+        )
+    else:
+        cells_ok = all(c.weights[a] >= constants["K"] for a in members)
+        extra = ()
+    return (
+        StructuralCheck("packing_spacing>=g", spacing_ok),
+        StructuralCheck("packing_coverage<=g-1", max(msd) <= gi - 1, f"max dist {max(msd)}"),
+        StructuralCheck("assignment_nearest_member", assign_ok),
+        StructuralCheck("weight_conservation", c.total == n, f"total={c.total}, n={n}"),
+        StructuralCheck("cell_lower_bounds", cells_ok),
+        StructuralCheck("tree_spanning",
+                        tree.m == n - 1 and -1 not in eb.bfs_distances(tree, 0)),
+        StructuralCheck("distance_preservation",
+                        eb.multi_source_distances(tree, members) == msd),
+        StructuralCheck("tree_power_connected", power_connected),
+    ) + extra
+
+
+def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constants,
+                           tree, power_connected, use_max_degree):
+    """``_matching_checks`` with one full BFS per matched vertex."""
+    n = g.n
+    vert_dist = {u: eb.bfs_distances(g, u) for u in vm}
+    spacing_ok = all(
+        min(vert_dist[x][y] for x in e for y in f) >= gi - 1
+        for i, e in enumerate(members) for f in members[i + 1:])
+    assign_ok = all(assignment[v] in vert_dist
+                    and vert_dist[assignment[v]][v] == msd[v] for v in range(n))
+    conserve_ok = (sum((c.weights[u] for u in vm), F(0)) == n
+                   and sum(cbar.values(), F(0)) == n)
+    if use_max_degree:
+        l1, l2 = constants["L1"], constants["L2"]
+        hub = members[0]
+        edge_ok = (cbar[hub] >= l1 + l2
+                   and all(cbar[e] >= 2 * l1 for e in members if e != hub))
+        extra = (
+            StructuralCheck("hub_edge_weight>=L1+L2", cbar[hub] >= l1 + l2,
+                            f"cbar={cbar[hub]}, L1+L2={l1 + l2}"),
+            StructuralCheck("matching_size<=(n-L2+L1)/(2L1)",
+                            len(members) <= F(n - l2 + l1, 2 * l1), f"|M|={len(members)}"),
+        )
+    else:
+        edge_ok = all(cbar[e] >= constants["L"] for e in members)
+        extra = ()
+    return (
+        StructuralCheck("matching_disjoint", len(vm) == 2 * len(members)),
+        StructuralCheck("matching_spacing>=g-1", spacing_ok),
+        StructuralCheck("matching_coverage<=g-2",
+                        all(min(msd[x], msd[y]) <= gi - 2 for x, y in g.edges)),
+        StructuralCheck("assignment_nearest_matched_vertex", assign_ok),
+        StructuralCheck("weight_conservation", conserve_ok),
+        StructuralCheck("edge_weight_lower_bounds", edge_ok),
+        StructuralCheck("tree_spanning",
+                        tree.m == n - 1 and -1 not in eb.bfs_distances(tree, 0)),
+        StructuralCheck("tree_contains_matching", all(tree.has_edge(u, v) for u, v in members)),
+        StructuralCheck("distance_preservation", eb.multi_source_distances(tree, vm) == msd),
+        StructuralCheck("line_power_connected", power_connected),
+    ) + extra
+
+
+def line_ecc_oracle(tree: eb.Graph) -> dict:
+    """Eccentricity of every tree edge in the line graph, one BFS each."""
+    line, table = eb.line_graph(tree)
+    return {e: max(eb.bfs_distances(line, i)) for i, e in enumerate(table)}
+
+
+def contracted_power_oracle(g: eb.Graph, anchors, radius: int) -> eb.Graph:
+    """Anchor-index graph from one full BFS per anchor."""
+    dist = [eb.bfs_distances(g, a) for a in anchors]
+    k = len(anchors)
+    return eb.Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
+                                   if dist[i][anchors[j]] <= radius])
 
 
 def random_connected(rng: random.Random, n: int, extra_edges: int = 0) -> eb.Graph:

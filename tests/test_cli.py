@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -130,12 +131,33 @@ def test_certify_low_degree_exits_3(tmp_path, capsys):
     p = tmp_path / "c6.el"
     p.write_text(eb.emit_edge_list(eb.cycle_graph(6)))
     assert main(["certify", str(p), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "minimum degree 2 below 3: not certifiable\n"
 
 
 def test_certify_acyclic_exits_3(tmp_path, capsys):
     p = tmp_path / "p4.el"
     p.write_text(eb.emit_edge_list(eb.path_graph(4)))
     assert main(["certify", str(p), "--out", str(tmp_path)]) == 3
+
+
+def test_certify_measures_girth_once(petersen_file, k33_file, tmp_path, monkeypatch):
+    calls = []
+    real = eb.girth
+    counting = lambda g: calls.append(g) or real(g)  # noqa: E731
+    for module in ("eccbounds.cli", "eccbounds.certify"):
+        monkeypatch.setattr(sys.modules[module], "girth", counting)
+    for argv in ([str(petersen_file)], [str(k33_file), "--maxdeg"]):
+        calls.clear()
+        assert main(["certify", *argv, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+
+def test_certify_disconnected_forest_exits_3_before_connectivity(tmp_path, capsys):
+    p = tmp_path / "forest.el"
+    p.write_text("5 2\n0 1\n2 3\n")
+    assert main(["certify", str(p), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "graph is acyclic: nothing to certify\n"
+    assert not list(tmp_path.glob("*.cert.json"))
 
 
 def test_certify_deterministic_bytes(petersen_file, tmp_path):

@@ -1,11 +1,14 @@
 """Byte-identity of the deterministic artifacts against pinned SHA-256 digests.
 
-The digests are those the simple reference algorithms (one BFS per vertex
-for the profile, a fresh multi-source BFS per anchor) produce.  A kernel,
-refactor or formatting change that moves one byte of a certificate or of the
-batch report fails here.  The instances are the fixed graphs of acceptance
-criteria 9 and 10 plus two larger generated graphs, each certified plainly
-and with ``use_max_degree``, and criterion 10's batch sweep.
+The digests were taken before the code they guard was optimised: with one
+BFS per vertex for the profile, and with a fresh multi-source BFS per
+prefix of the anchor list and one full BFS per anchor in the checks.  A
+kernel, refactor or formatting change that moves one byte of a certificate
+or of the batch report fails here.  The instances are the fixed graphs of acceptance
+criteria 9 and 10 plus generated graphs of n=50, 300 and 1000 (the last
+with 39 to 57 anchors, so long discovery-path replays are pinned), each
+certified plainly and with ``use_max_degree``, and criterion 10's batch
+sweep.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import hashlib
 import pytest
 
 import eccbounds as eb
+from eccbounds.certify import certify
 from eccbounds.cli import main as cli_main
 
 INSTANCES = {
@@ -32,6 +36,11 @@ INSTANCES = {
         eb.GeneratorConfig(n=300, delta=3, g=5, seed=1)),
     "gen-n300-d3-g6-s1": lambda: eb.random_min_degree_girth(
         eb.GeneratorConfig(n=300, delta=3, g=6, seed=1)),
+    # benchmark scale: 57 packing members and 39 matching edges
+    "gen-n1000-d3-g5-s1": lambda: eb.random_min_degree_girth(
+        eb.GeneratorConfig(n=1000, delta=3, g=5, seed=1)),
+    "gen-n1000-d3-g6-s1": lambda: eb.random_min_degree_girth(
+        eb.GeneratorConfig(n=1000, delta=3, g=6, seed=1)),
 }
 
 CERT_SHA256 = {
@@ -63,6 +72,14 @@ CERT_SHA256 = {
         "edc9cf403d1e4da1bcee0e4f3a2a3329c1457cae34386ef6c47db644ed02f9d0",
     "gen-n300-d3-g6-s1/maxdeg":
         "07c74b1126f8c70c66604b5aaf6936c5baed136a883920187d0e2b4c063b7547",
+    "gen-n1000-d3-g5-s1/plain":
+        "660a437109707ee1ffa7955c7b87465aa5bb55a042bdc9d1fa1c19031fce2688",
+    "gen-n1000-d3-g5-s1/maxdeg":
+        "5e6605a69e9e924f39c4b7b97d268eb56502d2b736e7603be0248a02fc274d99",
+    "gen-n1000-d3-g6-s1/plain":
+        "4a6b98948e90060b745321bc0fc24aa63419029b8f2d27c72e7f17c913e3909a",
+    "gen-n1000-d3-g6-s1/maxdeg":
+        "1b1720d09f62d286d7ad15561b7d9f59ffb49a5b8fa0fafbe2512716ba834551",
     "gen-n50-d3-g5-s77/plain":
         "359281f43fba091e9fb19c69242a06733f704b65917c12fe198827ab48ed17aa",
     "gen-n50-d3-g5-s77/maxdeg":
@@ -90,9 +107,7 @@ def _sha256(data: bytes) -> str:
 
 
 def _cert_json(name: str, use_max_degree: bool) -> str:
-    g = INSTANCES[name]()
-    certify = eb.certify_odd if eb.girth(g) % 2 else eb.certify_even
-    return certify(g, use_max_degree=use_max_degree).to_json()
+    return certify(INSTANCES[name](), use_max_degree=use_max_degree).to_json()
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
