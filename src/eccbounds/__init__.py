@@ -6,12 +6,15 @@ from .bounds import (
     BoundId,
     BoundResult,
     GraphParams,
+    Measured,
     bound_legacy,
     bound_thm_girth,
     bound_thm_girth_maxdeg,
     evaluate_all,
     girth6_reduction_forms,
     lower_bound_chain,
+    measure,
+    moore_order,
     moore_order_even,
     moore_order_odd,
 )
@@ -44,7 +47,6 @@ from .generators import (
     emit_edge_list,
     heawood_graph,
     hoffman_singleton_graph,
-    named,
     path_graph,
     petersen_graph,
     projective_plane_incidence,
@@ -60,13 +62,11 @@ from .graph import (
     bfs_distances,
     eccentricity_profile,
     girth,
-    induced_subgraph,
     is_connected,
     line_graph,
     multi_source_distances,
     parse_edge_list,
     path_avec_closed_form,
-    power_graph,
     weighted_avec,
 )
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .graph import Graph, eccentricity_profile, girth
+from .graph import EccentricityProfile, Graph, eccentricity_profile, girth
 
 
 class BoundId(str, Enum):
@@ -74,6 +74,21 @@ class GraphParams:
     @staticmethod
     def measure(g: Graph) -> "GraphParams":
         return GraphParams(n=g.n, delta=g.min_degree(), Delta=g.max_degree(), g=girth(g))
+
+
+@dataclass(frozen=True)
+class Measured:
+    """A graph with its profile and parameters, measured once for every consumer."""
+
+    graph: Graph
+    profile: EccentricityProfile
+    params: GraphParams
+
+
+def measure(g: Graph) -> Measured:
+    """Profile ``g``, which raises on disconnected input, then measure its parameters."""
+    profile = eccentricity_profile(g)
+    return Measured(graph=g, profile=profile, params=GraphParams.measure(g))
 
 
 @dataclass(frozen=True)
@@ -145,6 +160,35 @@ def moore_order_even(delta: int, g: int) -> int:
     return 2 * _geom_block(delta, g // 2)
 
 
+def moore_order(delta: int, g: int) -> int:
+    """The Moore order of the girth's parity: ``K`` (odd) or ``L`` (even)."""
+    return moore_order_odd(delta, g) if g % 2 else moore_order_even(delta, g)
+
+
+def maxdeg_constants(delta: int, Delta: int, g: int) -> dict[str, int]:
+    """Constants of the max-degree bound: ``K1, K2`` (odd ``g``) or ``L1, L2``.
+
+    ``K1`` counts a ball of radius ``(g-1)/2`` whose vertices all have
+    degree ``delta`` and ``K2`` the same ball around a vertex of degree
+    ``Delta``; ``L1`` and ``L2`` count one side of an edge's ball of radius
+    ``(g-2)/2`` the same two ways.
+    """
+    if g % 2:
+        block = _geom_block(delta, (g - 1) // 2)
+        return {"K1": 1 + delta * block, "K2": 1 + Delta * block}
+    block = _geom_block(delta, (g - 2) // 2)
+    return {"L1": 1 + (delta - 1) * block, "L2": 1 + (Delta - 1) * block}
+
+
+def maxdeg_bound_value(n: int, g: int, c1: int, c2: int) -> Fraction:
+    """The max-degree closed form at ``(K1, K2)`` or ``(L1, L2)`` without the
+    ``n > K2`` gate: a Moore graph's certificate, where ``n == K2``, states it."""
+    spread = 1 + Fraction(c2 - c1, 3 * n)
+    if g % 2:
+        return Fraction(3 * g, 4) * Fraction(n - c2, c1) * spread + (3 * g - 2)
+    return Fraction(3 * g, 4) * Fraction(n - c2, 2 * c1) * spread + Fraction(21 * g - 16, 8)
+
+
 def bound_thm_girth(p: GraphParams) -> BoundResult:
     """Girth-parameterized upper bound ``(3g/4) * ceil(n/K) + 3g/2 - 2``.
 
@@ -157,15 +201,11 @@ def bound_thm_girth(p: GraphParams) -> BoundResult:
     bound = BoundId.THM_GIRTH_ODD if p.g % 2 == 1 else BoundId.THM_GIRTH_EVEN
     if p.delta < 3:
         return _not_applicable(bound, "minimum degree delta >= 3 required")
-    if p.g % 2 == 1:
-        order = moore_order_odd(p.delta, p.g)
-        name = "K"
-    else:
-        order = moore_order_even(p.delta, p.g)
-        name = "L"
+    order = moore_order(p.delta, p.g)
     c = _ceil_div(p.n, order)
     value = Fraction(3 * p.g * c + 6 * p.g - 8, 4)
-    return BoundResult(bound=bound, value=value, constants={name: Fraction(order)})
+    return BoundResult(bound=bound, value=value,
+                       constants={"K" if p.g % 2 else "L": Fraction(order)})
 
 
 def bound_thm_girth_maxdeg(p: GraphParams) -> BoundResult:
@@ -178,35 +218,19 @@ def bound_thm_girth_maxdeg(p: GraphParams) -> BoundResult:
     """
     if p.g is None:
         return _not_applicable(BoundId.THM_GIRTH_MAXDEG_ODD, "girth undefined (forest)")
-    odd = p.g % 2 == 1
-    bound = BoundId.THM_GIRTH_MAXDEG_ODD if odd else BoundId.THM_GIRTH_MAXDEG_EVEN
+    bound = BoundId.THM_GIRTH_MAXDEG_ODD if p.g % 2 == 1 else BoundId.THM_GIRTH_MAXDEG_EVEN
     if p.Delta is None:
         return _not_applicable(bound, "maximum degree not provided")
     if p.delta < 3:
         return _not_applicable(bound, "minimum degree delta >= 3 required")
-    n, g, delta, Delta = p.n, p.g, p.delta, p.Delta
-    if odd:
-        block = _geom_block(delta, (g - 1) // 2)
-        k1 = 1 + delta * block
-        k2 = 1 + Delta * block
-        constants = {"K1": Fraction(k1), "K2": Fraction(k2)}
-        if n <= k2:
-            return BoundResult(
-                bound=bound, value=None, constants=constants, applicable=False,
-                reason=f"order n={n} must exceed K2={k2}")
-        value = (Fraction(3 * g, 4) * Fraction(n - k2, k1)
-                 * (1 + Fraction(k2 - k1, 3 * n)) + (3 * g - 2))
-    else:
-        l1 = _geom_block(delta, g // 2)
-        l2 = Delta + (Delta - 1) * ((delta - 1) ** ((g - 2) // 2) - (delta - 1)) // (delta - 2)
-        constants = {"L1": Fraction(l1), "L2": Fraction(l2)}
-        if n <= l2:
-            return BoundResult(
-                bound=bound, value=None, constants=constants, applicable=False,
-                reason=f"order n={n} must exceed L2={l2}")
-        value = (Fraction(3 * g, 4) * Fraction(n - l2, 2 * l1)
-                 * (1 + Fraction(l2 - l1, 3 * n)) + Fraction(21 * g - 16, 8))
-    return BoundResult(bound=bound, value=value, constants=constants)
+    (name1, c1), (name2, c2) = maxdeg_constants(p.delta, p.Delta, p.g).items()
+    constants = {name1: Fraction(c1), name2: Fraction(c2)}
+    if p.n <= c2:
+        return BoundResult(
+            bound=bound, value=None, constants=constants, applicable=False,
+            reason=f"order n={p.n} must exceed {name2}={c2}")
+    return BoundResult(bound=bound, value=maxdeg_bound_value(p.n, p.g, c1, c2),
+                       constants=constants)
 
 
 def _eps(d1: int, d2: int) -> int:
@@ -294,12 +318,8 @@ def lower_bound_chain(p: GraphParams, k: int) -> Fraction:
         raise ValueError("girth required")
     if k < 1:
         raise ValueError("copy count must be positive")
-    if p.g % 2 == 1:
-        order = moore_order_odd(p.delta, p.g)
-        tail = Fraction(1, 2)
-    else:
-        order = moore_order_even(p.delta, p.g)
-        tail = Fraction(3, 2)
+    order = moore_order(p.delta, p.g)
+    tail = Fraction(1, 2) if p.g % 2 else Fraction(3, 2)
     if p.n != k * order:
         raise ValueError(f"order n={p.n} is not {k} copies of the Moore order {order}")
     return Fraction(3 * p.g * p.n, 4 * order) - p.g + tail
@@ -321,29 +341,34 @@ def girth6_reduction_forms(p: GraphParams) -> tuple[Fraction, Fraction]:
     return middle, right
 
 
-def evaluate_all(g: Graph) -> list[BoundResult]:
-    """Measure (n, delta, Delta, girth) and evaluate every upper bound.
+# the girth bounds come in parity pairs: an evaluator answers with the id of
+# the girth's parity, and the other id of its pair is reported not applicable
+_GIRTH_BOUND_EVALUATORS = {
+    BoundId.THM_GIRTH_ODD: (bound_thm_girth, "odd"),
+    BoundId.THM_GIRTH_EVEN: (bound_thm_girth, "even"),
+    BoundId.THM_GIRTH_MAXDEG_ODD: (bound_thm_girth_maxdeg, "odd"),
+    BoundId.THM_GIRTH_MAXDEG_EVEN: (bound_thm_girth_maxdeg, "even"),
+}
 
+
+def evaluate_all(g: Graph | Measured) -> list[BoundResult]:
+    """Evaluate every upper bound at the measured (n, delta, Delta, girth).
+
+    A :class:`Graph` is measured first; a :class:`Measured` is used as is.
     Each result carries ``satisfied = (avec <= value)`` when applicable, so a
     corpus report is self-contained.
     """
-    prof = eccentricity_profile(g)  # raises on disconnected input
-    p = GraphParams.measure(g)
+    m = g if isinstance(g, Measured) else measure(g)
+    p = m.params
     results: list[BoundResult] = []
     for bid in UPPER_BOUND_IDS:
-        if bid in (BoundId.THM_GIRTH_ODD, BoundId.THM_GIRTH_EVEN):
-            r = bound_thm_girth(p)
+        if bid in _GIRTH_BOUND_EVALUATORS:
+            evaluator, parity = _GIRTH_BOUND_EVALUATORS[bid]
+            r = evaluator(p)
             if r.bound is not bid:
-                parity = "odd" if bid is BoundId.THM_GIRTH_ODD else "even"
-                r = _not_applicable(bid, f"girth is not {parity}"
-                                    if p.g is not None else "girth undefined (forest)")
-        elif bid in (BoundId.THM_GIRTH_MAXDEG_ODD, BoundId.THM_GIRTH_MAXDEG_EVEN):
-            r = bound_thm_girth_maxdeg(p)
-            if r.bound is not bid:
-                parity = "odd" if bid is BoundId.THM_GIRTH_MAXDEG_ODD else "even"
                 r = _not_applicable(bid, f"girth is not {parity}"
                                     if p.g is not None else "girth undefined (forest)")
         else:
             r = bound_legacy(p, bid)
-        results.append(r.with_avec(prof.avec))
+        results.append(r.with_avec(m.profile.avec))
     return results

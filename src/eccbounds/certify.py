@@ -1,20 +1,20 @@
 """Constructive certificates for the girth-parameterized eccentricity bounds.
 
-Each certifier runs the full pipeline behind the corresponding bound on a
-concrete graph: build the spaced packing (odd girth) or spaced matching
-(even girth), grow a spanning tree that preserves distances to it, move the
-vertex weights onto the packing, contract through the tree power, and compare
-against the path extremal value.  Nothing is taken on faith: every
-intermediate inequality and every structural property is recomputed in exact
-rationals and recorded.  A certificate whose steps fail is emitted with the
-failure visible, never suppressed, so the pipeline doubles as a falsification
-harness.
+One pipeline with two kinds of anchor, a spaced packing (odd girth) or a
+spaced matching (even girth), replays the argument behind both bounds on a
+concrete graph: grow a spanning tree that preserves distances to the
+anchors, move the vertex weights onto the anchors, contract through a power
+of the tree (odd) or of its line graph (even), and compare against the path
+extremal value.  Every intermediate inequality and structural property is
+recomputed in exact rationals and recorded; a certificate whose steps fail
+is emitted with the failure visible, so the pipeline doubles as a
+falsification harness.
 
-The anchors (packing members or matching edges) are found, and their
-discovery paths replayed, on one distance array to the anchors so far that
-is lowered in place as each anchor joins.  Checks that only compare
-distances against a radius run BFS truncated at that radius, which gives
-the same verdict as a full BFS on every connected input.
+The anchors are found, and their discovery paths replayed, on one distance
+array to the anchors so far that is lowered in place as each anchor joins.
+Checks that only compare distances against a radius run BFS truncated at
+that radius, which gives the same verdict as a full BFS on every connected
+input.
 """
 from __future__ import annotations
 
@@ -24,8 +24,17 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import (
+    BoundId,
+    GraphParams,
+    Measured,
+    bound_thm_girth,
+    maxdeg_bound_value,
+    maxdeg_constants,
+)
 from .graph import (
     UNREACHABLE,
+    EccentricityProfile,
     Graph,
     WeightFunction,
     bfs_distances,
@@ -77,21 +86,14 @@ def _step(name: str, lhs, rhs, equality: bool = False) -> ChainStep:
     return ChainStep(name, lhs, rhs, holds, equality)
 
 
-def _frac_map(d: dict) -> dict:
-    return {str(k): str(v) for k, v in d.items()}
-
-
 @dataclass(frozen=True)
-class PackingCertificate:
-    """Odd-girth certificate: packing, tree, weights, and the verified chain."""
+class _Certificate:
+    """The fields, verdict and JSON keys both kinds of certificate share."""
 
-    members: tuple[int, ...]              # the packing, in discovery order
     tree: Graph
-    tree_parent: tuple[int, ...]          # -1 on packing members
+    tree_parent: tuple[int, ...]          # -1 on anchor vertices
     connector_edges: tuple[tuple[int, int], ...]
-    assignment: tuple[int, ...]           # vertex -> nearest member
-    weights: WeightFunction
-    normalized_weights: WeightFunction
+    assignment: tuple[int, ...]           # vertex -> nearest anchor vertex
     use_max_degree: bool
     girth_value: int
     constants: dict[str, int]
@@ -106,22 +108,37 @@ class PackingCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "variant": "odd",
             "useMaxDeg": self.use_max_degree,
             "girth": self.girth_value,
             "boundId": self.bound_id,
-            "A": list(self.members),
             "treeEdges": [[u, v] for u, v in self.tree.edges],
             "connectorEdges": [[u, v] for u, v in self.connector_edges],
             "assignment": {str(v): a for v, a in enumerate(self.assignment)},
-            "weights": {str(a): str(self.weights.weights[a]) for a in self.members},
-            "normalizedWeights": {str(a): str(self.normalized_weights.weights[a])
-                                  for a in self.members},
-            "constants": _frac_map(self.constants),
+            "constants": {k: str(v) for k, v in self.constants.items()},
             "chain": {k: (str(v) if v is not None else None) for k, v in self.chain.items()},
             "steps": [s.to_json_dict() for s in self.steps],
             "checks": [c.to_json_dict() for c in self.checks],
             "allStepsHold": self.all_steps_hold,
+        }
+
+    # no to_json here: the benchmark's tracer reads each class's own __dict__["to_json"]
+
+
+@dataclass(frozen=True)
+class PackingCertificate(_Certificate):
+    """Odd-girth certificate: packing, tree, weights, and the verified chain."""
+
+    members: tuple[int, ...]              # the packing, in discovery order
+    weights: WeightFunction
+    normalized_weights: WeightFunction
+
+    def to_json_dict(self) -> dict:
+        return super().to_json_dict() | {
+            "variant": "odd",
+            "A": list(self.members),
+            "weights": {str(a): str(self.weights.weights[a]) for a in self.members},
+            "normalizedWeights": {str(a): str(self.normalized_weights.weights[a])
+                                  for a in self.members},
         }
 
     def to_json(self) -> str:
@@ -129,42 +146,21 @@ class PackingCertificate:
 
 
 @dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(_Certificate):
     """Even-girth certificate: spaced matching, tree, line-graph weights, chain."""
 
     members: tuple[tuple[int, int], ...]  # matching edges, discovery order
     matched_vertices: tuple[int, ...]
-    tree: Graph
-    tree_parent: tuple[int, ...]
-    connector_edges: tuple[tuple[int, int], ...]
-    assignment: tuple[int, ...]
     vertex_weights: WeightFunction
     edge_weights: dict[tuple[int, int], Fraction]
     normalized_edge_weights: dict[tuple[int, int], Fraction]
     line: Graph
     line_table: tuple[tuple[int, int], ...]
-    use_max_degree: bool
-    girth_value: int
-    constants: dict[str, int]
-    chain: dict[str, Fraction | None]
-    steps: tuple[ChainStep, ...]
-    checks: tuple[StructuralCheck, ...]
-    bound_id: str
-
-    @property
-    def all_steps_hold(self) -> bool:
-        return all(s.holds for s in self.steps) and all(c.ok for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
+        return super().to_json_dict() | {
             "variant": "even",
-            "useMaxDeg": self.use_max_degree,
-            "girth": self.girth_value,
-            "boundId": self.bound_id,
             "M": [[u, v] for u, v in self.members],
-            "treeEdges": [[u, v] for u, v in self.tree.edges],
-            "connectorEdges": [[u, v] for u, v in self.connector_edges],
-            "assignment": {str(v): a for v, a in enumerate(self.assignment)},
             "weights": {str(u): str(self.vertex_weights.weights[u])
                         for u in self.matched_vertices},
             "edgeWeights": {f"{u}-{v}": str(w) for (u, v), w in self.edge_weights.items()},
@@ -172,11 +168,6 @@ class MatchingCertificate:
                                       for (u, v), w in self.normalized_edge_weights.items()},
             "lineGraph": self.line.to_json_dict(),
             "lineTable": [[u, v] for u, v in self.line_table],
-            "constants": _frac_map(self.constants),
-            "chain": {k: (str(v) if v is not None else None) for k, v in self.chain.items()},
-            "steps": [s.to_json_dict() for s in self.steps],
-            "checks": [c.to_json_dict() for c in self.checks],
-            "allStepsHold": self.all_steps_hold,
         }
 
     def to_json(self) -> str:
@@ -355,7 +346,7 @@ def _fallback_connectors(g: Graph, cell_of: list[int], depth: list[int],
 
 
 # ---------------------------------------------------------------------------
-# odd pipeline: spaced packing
+# anchors: spaced packing (odd girth), spaced matching (even girth)
 
 def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[int]:
     """Greedy maximal set of vertices pairwise at distance >= ``girth_value``.
@@ -380,68 +371,6 @@ def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[
         _lower_distances(g, dist, members[-1])
     return members
 
-
-def build_spanning_tree_from_packing(
-    g: Graph, members
-) -> tuple[Graph, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Spanning tree preserving every vertex's distance to the packing.
-
-    Cells come from a deterministic multi-source BFS; the cells are then
-    joined by the middle edges of the packing's discovery paths (replayed
-    deterministically on one incrementally lowered distance array), falling
-    back to a quotient-graph spanning tree when those edges do not stitch
-    the cells into a tree.  The result is verified, not assumed: spanning
-    shape and distance preservation failures raise.
-
-    Returns ``(tree, parent, assignment, connectors)`` where ``parent`` holds
-    each vertex's tree parent toward its cell root (-1 on members) and
-    ``assignment`` maps each vertex to its cell root.
-    """
-    members = list(members)
-    if not members or len(set(members)) != len(members):
-        raise ValueError("packing must be a nonempty list of distinct vertices")
-    dist, root, parent = _deterministic_cells(g, members)
-
-    connectors = _replayed_connectors(g, [(a,) for a in members])
-
-    def quotient_ok(conns) -> bool:
-        if conns is None or len(conns) != len(members) - 1:
-            return False
-        uf = _UnionFind(members)
-        return all(root[x] != root[y] and uf.union(root[x], root[y]) for x, y in conns)
-
-    if not quotient_ok(connectors):
-        connectors = _fallback_connectors(g, root, dist, members)
-
-    edges = [(v, parent[v]) for v in range(g.n) if parent[v] != -1]
-    edges.extend(connectors)
-    tree = Graph.from_edges(g.n, edges)
-    _verify_tree(g, tree, members, dist)
-    return tree, tuple(parent), tuple(root), tuple(connectors)
-
-
-def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
-    if tree.m != g.n - 1:
-        raise RuntimeError("construction invariant violated: not a spanning tree")
-    td = multi_source_distances(tree, anchor_vertices)
-    if -1 in td:
-        raise RuntimeError("construction invariant violated: tree is disconnected")
-    if td != dist_in_g:
-        raise RuntimeError("construction invariant violated: distances to the "
-                           "anchor set are not preserved")
-
-
-def weight_function(tree: Graph, members, assignment) -> WeightFunction:
-    """Cell-size weights: ``c(u)`` counts the vertices assigned to ``u``."""
-    counts = Counter(assignment)
-    vals = [Fraction(0)] * tree.n
-    for u in members:
-        vals[u] = Fraction(counts.get(u, 0))
-    return WeightFunction(tuple(vals))
-
-
-# ---------------------------------------------------------------------------
-# even pipeline: spaced matching
 
 def build_spaced_matching(g: Graph, girth_value: int,
                           start_edge: tuple[int, int] | None = None) -> list[tuple[int, int]]:
@@ -480,33 +409,73 @@ def build_spaced_matching(g: Graph, girth_value: int,
         _lower_distances(g, dist, e[1])
 
 
-def _build_matching_tree(g: Graph, members):
-    vm = sorted({x for e in members for x in e})
-    dist, root, parent = _deterministic_cells(g, vm)
-    member_of = {}
-    for idx, (u, v) in enumerate(members):
-        member_of[u] = idx
-        member_of[v] = idx
+# ---------------------------------------------------------------------------
+# distance-preserving spanning tree and cell weights
 
-    connectors = _replayed_connectors(g, members)
-    cell_of = [member_of[root[v]] for v in range(g.n)]
+def _anchor_tree(g: Graph, groups):
+    """Spanning tree preserving every vertex's distance to the anchors.
 
-    def quotient_ok(conns) -> bool:
-        if conns is None or len(conns) != len(members) - 1:
-            return False
-        uf = _UnionFind(range(len(members)))
-        return all(cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y])
-                   for x, y in conns)
+    ``groups`` lists each anchor's vertices in discovery order: ``(a,)`` per
+    packing member, ``(u, v)`` per matching edge, whose edge joins the tree.
+    Cells, labelled by anchor index, come from a deterministic multi-source
+    BFS; the middle edges of the replayed discovery paths join them, or a
+    quotient-graph spanning tree when those do not stitch the cells into a
+    tree.  Spanning shape and distance preservation are verified, not assumed.
 
-    if not quotient_ok(connectors):
-        connectors = _fallback_connectors(g, cell_of, dist, list(range(len(members))))
+    Returns ``(tree, parent, assignment, connectors, vertices, dist)``:
+    tree parents toward the cell roots (-1 on anchor vertices), cell roots,
+    the sorted anchor vertices and every vertex's distance to them.
+    """
+    vertices = sorted({x for group in groups for x in group})
+    dist, root, parent = _deterministic_cells(g, vertices)
+    anchor_of = {x: i for i, group in enumerate(groups) for x in group}
+    cell_of = [anchor_of[root[v]] for v in range(g.n)]
+    cells = range(len(groups))
+
+    connectors = _replayed_connectors(g, groups)
+    uf = _UnionFind(cells)
+    stitched = connectors is not None and all(
+        cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y]) for x, y in connectors)
+    if not stitched:
+        connectors = _fallback_connectors(g, cell_of, dist, cells)
 
     edges = [(v, parent[v]) for v in range(g.n) if parent[v] != -1]
-    edges.extend(members)
+    edges.extend(group for group in groups if len(group) == 2)
     edges.extend(connectors)
     tree = Graph.from_edges(g.n, edges)
-    _verify_tree(g, tree, vm, dist)
-    return tree, tuple(parent), tuple(root), tuple(connectors), vm, dist
+    _verify_tree(g, tree, vertices, dist)
+    return tree, tuple(parent), tuple(root), tuple(connectors), vertices, dist
+
+
+def build_spanning_tree_from_packing(
+    g: Graph, members
+) -> tuple[Graph, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Spanning tree preserving every vertex's distance to the packing:
+    ``(tree, parent, assignment, connectors)`` of :func:`_anchor_tree`."""
+    members = list(members)
+    if not members or len(set(members)) != len(members):
+        raise ValueError("packing must be a nonempty list of distinct vertices")
+    return _anchor_tree(g, [(a,) for a in members])[:4]
+
+
+def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
+    if tree.m != g.n - 1:
+        raise RuntimeError("construction invariant violated: not a spanning tree")
+    td = multi_source_distances(tree, anchor_vertices)
+    if -1 in td:
+        raise RuntimeError("construction invariant violated: tree is disconnected")
+    if td != dist_in_g:
+        raise RuntimeError("construction invariant violated: distances to the "
+                           "anchor set are not preserved")
+
+
+def weight_function(tree: Graph, members, assignment) -> WeightFunction:
+    """Cell-size weights: ``c(u)`` counts the vertices assigned to ``u``."""
+    counts = Counter(assignment)
+    vals = [Fraction(0)] * tree.n
+    for u in members:
+        vals[u] = Fraction(counts.get(u, 0))
+    return WeightFunction(tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -525,36 +494,35 @@ def _contracted_power(g: Graph, anchors, radius: int) -> Graph:
     return Graph.from_edges(len(anchors), pairs)
 
 
+def _line_eccentricity(tree_ecc, e: tuple[int, int]) -> int:
+    """Eccentricity of the tree edge ``e = uv`` in the tree's line graph.
+
+    Removing ``e`` leaves two sides of heights ``a`` (from ``u``) and ``b``
+    (from ``v``); the edge's line-graph eccentricity is ``max(a, b)``, while
+    ``ecc(u) = max(a, b + 1)`` and ``ecc(v) = max(b, a + 1)``.
+    """
+    eu, ev = tree_ecc[e[0]], tree_ecc[e[1]]
+    return min(eu, ev) - (eu == ev)
+
+
 # ---------------------------------------------------------------------------
 # certifiers
 
-def _admission(g: Graph, gi: int | None, want_odd: bool) -> tuple:
-    prof = eccentricity_profile(g)  # raises on disconnected input
-    delta = g.min_degree()
-    if delta < 3:
-        raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")
-    if gi is None:
-        raise NotCertifiableError("acyclic graph: no girth to certify against")
-    if want_odd and gi % 2 == 0:
-        raise ValueError(f"girth {gi} is even; use certify_even")
-    if not want_odd and gi % 2 == 1:
-        raise ValueError(f"girth {gi} is odd; use certify_odd")
-    return prof, delta, g.max_degree()
-
-
-def certify(g: Graph, use_max_degree: bool = False) -> PackingCertificate | MatchingCertificate:
+def certify(g: Graph | Measured,
+            use_max_degree: bool = False) -> PackingCertificate | MatchingCertificate:
     """Certify the girth bound that matches the girth's parity.
 
-    The girth is measured once and handed to the odd (packing) or even
-    (matching) pipeline.  A forest raises :class:`NotCertifiableError`
-    before anything else is checked.
+    A :class:`Graph` has its girth measured once, before its profile; a
+    :class:`Measured` graph is not measured again.  A forest raises
+    :class:`NotCertifiableError` before anything else is checked.
     """
-    gi = girth(g)
+    if isinstance(g, Measured):
+        g, gi, profile = g.graph, g.params.g, g.profile
+    else:
+        gi, profile = girth(g), None
     if gi is None:
         raise NotCertifiableError("graph is acyclic: nothing to certify")
-    if gi % 2:
-        return _certify_odd(g, gi, use_max_degree)
-    return _certify_even(g, gi, use_max_degree)
+    return _certify(g, gi, profile, use_max_degree)
 
 
 def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
@@ -564,88 +532,139 @@ def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
     and the sharper bound (constants K1, K2) is certified; otherwise the
     packing starts at vertex 0 and the uniform bound (constant K) is used.
     """
-    return _certify_odd(g, girth(g), use_max_degree)
+    return _certify(g, girth(g), None, use_max_degree, want_odd=True)
 
 
-def _certify_odd(g: Graph, gi: int | None, use_max_degree: bool) -> PackingCertificate:
-    prof, delta, Delta = _admission(g, gi, want_odd=True)
+def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
+    """Run the even-girth pipeline (matching, line graph) and verify it.
+
+    With ``use_max_degree`` the matching is seeded at an edge incident to a
+    maximum-degree vertex and the sharper bound (constants L1, L2) is
+    certified; otherwise the uniform bound (constant L) is used.
+    """
+    return _certify(g, girth(g), None, use_max_degree, want_odd=False)
+
+
+def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
+             use_max_degree: bool, want_odd: bool | None = None):
+    """The pipeline of both girth bounds, branching on the girth's parity only
+    for the anchors, the host of the contracted power and the certificate
+    class.  ``profile`` is measured here when ``None``; ``want_odd`` rejects
+    a girth of the other parity."""
+    if profile is None:
+        profile = eccentricity_profile(g)  # raises on disconnected input
+    delta, Delta = g.min_degree(), g.max_degree()
+    if delta < 3:
+        raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")
+    if gi is None:
+        raise NotCertifiableError("acyclic graph: no girth to certify against")
+    odd = gi % 2 == 1
+    parity = "odd" if odd else "even"
+    if want_odd is not None and want_odd != odd:
+        raise ValueError(f"girth {gi} is {parity}; use certify_{parity}")
     n = g.n
 
-    if use_max_degree:
-        start = min(v for v in range(n) if g.degree(v) == Delta)
+    # anchors: members spaced g apart (odd), or edges spaced g - 1 apart (even)
+    hub = min(v for v in range(n) if g.degree(v) == Delta) if use_max_degree else None
+    if odd:
+        members = build_packing(g, gi, start=hub)
+        groups = [(a,) for a in members]
     else:
-        start = 0
-    members = build_packing(g, gi, start=start)
-    tree, parent, assignment, connectors = build_spanning_tree_from_packing(g, members)
-    c = weight_function(tree, members, assignment)
+        e1 = None if hub is None else min(tuple(sorted((hub, w))) for w in g.adj[hub])
+        members = build_spaced_matching(g, gi, start_edge=e1)
+        groups = members
+    tree, parent, assignment, connectors, vertices, msd = _anchor_tree(g, groups)
+    c = weight_function(tree, vertices, assignment)
+    weights = [sum(c.weights[x] for x in group) for group in groups]  # c, or cbar on edges
 
-    block = ((delta - 1) ** ((gi - 1) // 2) - 1) // (delta - 2)
     if use_max_degree:
-        k1 = 1 + delta * block
-        k2 = 1 + Delta * block
-        constants = {"K1": k1, "K2": k2}
-        nprime = Fraction(n - k2, k1) + 1
-        q = Fraction(n - k2, k1)
-        power_bound = Fraction(3, 4) * q * (1 + Fraction(k2 - k1, 3 * n)) + 1
-        final_bound = Fraction(3 * gi, 4) * q * (1 + Fraction(k2 - k1, 3 * n)) + (3 * gi - 2)
-        norm = {a: c.weights[a] / k1 for a in members}
-        norm[members[0]] = (c.weights[members[0]] - k2 + k1) / k1
-        bound_id = "ThmGirthMaxDegOdd"
+        constants = maxdeg_constants(delta, Delta, gi)
+        c1, c2 = constants.values()
+        unit = c1 if odd else 2 * c1
+        q = Fraction(n - c2, unit)
+        nprime = q + (1 if odd else Fraction(1, 2))
+        power_bound = (Fraction(3, 4) * q * (1 + Fraction(c2 - c1, 3 * n))
+                       + (1 if odd else Fraction(5, 8)))
+        final_bound = maxdeg_bound_value(n, gi, c1, c2)
+        bound_id = BoundId.THM_GIRTH_MAXDEG_ODD if odd else BoundId.THM_GIRTH_MAXDEG_EVEN
     else:
-        k = 1 + delta * block
-        constants = {"K": k}
-        nprime = Fraction(n, k)
+        plain = bound_thm_girth(GraphParams(n=n, delta=delta, Delta=Delta, g=gi))
+        constants = {name: int(order) for name, order in plain.constants.items()}  # K or L
+        (unit,) = constants.values()
+        nprime = Fraction(n, unit)
         power_bound = Fraction(3 * math.ceil(nprime), 4) - Fraction(1, 2)
-        final_bound = Fraction(3 * gi * math.ceil(nprime) + 6 * gi - 8, 4)
-        norm = {a: c.weights[a] / k for a in members}
-        bound_id = "ThmGirthOdd"
-    c_norm = WeightFunction.from_map(n, norm)
+        final_bound = plain.value
+        bound_id = plain.bound
+    norm = [w / unit for w in weights]
+    if use_max_degree:  # the hub's anchor carries the excess K2 - K1 (L2 - L1)
+        norm[0] = (weights[0] - c2 + c1) / unit
 
-    # chain values
     tree_prof = eccentricity_profile(tree)
-    avec_g = prof.avec
-    avec_t = tree_prof.avec
-    avec_c_t = sum((c.weights[a] * tree_prof.ecc[a] for a in members), Fraction(0)) / n
+    avec_g, avec_t = profile.avec, tree_prof.avec
+    avec_c_t = sum((c.weights[u] * tree_prof.ecc[u] for u in vertices), Fraction(0)) / n
 
-    power = _contracted_power(tree, members, gi)
+    # the contracted power lives on T (odd), or on its line graph L(T) (even),
+    # whose vertex for an anchor edge e has eccentricity ecc_L(T)(e)
+    if odd:
+        host, host_anchors, line, table = tree, members, None, None
+        avec_host = avec_c_t
+    else:
+        line, table = line_graph(tree)
+        line_id = {e: i for i, e in enumerate(table)}
+        host, host_anchors = line, [line_id[e] for e in members]
+        avec_host = sum((w * _line_eccentricity(tree_prof.ecc, e)
+                         for w, e in zip(weights, members)), Fraction(0)) / n
+    power = _contracted_power(host, host_anchors, gi)
     power_connected = is_connected(power)
     if power_connected:
         pecc = eccentricity_profile(power).ecc
-        avec_c_power = sum((c.weights[a] * e for a, e in zip(members, pecc)), Fraction(0)) / n
+        avec_power = sum((w * x for w, x in zip(weights, pecc)), Fraction(0)) / n
     else:
-        avec_c_power = None
+        avec_power = None
 
-    steps = (
+    host_key, power_key = ("avecC_T", "avecC_power") if odd else ("avecCbar_L", "avecCbar_power")
+    cover = 1 if odd else 2  # every vertex lies within g - cover of an anchor vertex
+    steps = [
         _step("avecG<=avecT", avec_g, avec_t),
-        _step("avecT<=avecC_T+(g-1)", avec_t,
-              avec_c_t + (gi - 1)),
-        _step("avecC_T<=g*avecC_power+(g-1)", avec_c_t,
-              gi * avec_c_power + (gi - 1) if avec_c_power is not None else None),
-        _step("avecC_power<=powerBound", avec_c_power, power_bound),
+        _step(f"avecT<=avecC_T+(g-{cover})", avec_t, avec_c_t + (gi - cover)),
+    ]
+    if not odd:
+        steps.append(_step("avecC_T<=avecCbar_L+1", avec_c_t, avec_host + 1))
+    steps += [
+        _step(f"{host_key}<=g*{power_key}+(g-1)", avec_host,
+              gi * avec_power + (gi - 1) if avec_power is not None else None),
+        _step(f"{power_key}<=powerBound", avec_power, power_bound),
         _step("finalBound==g*powerBound+2(g-1)", final_bound,
               gi * power_bound + 2 * (gi - 1), equality=True),
         _step("avecG<=finalBound", avec_g, final_bound),
-    )
+    ]
 
-    checks = _packing_checks(g, members, assignment, c, gi, constants,
-                             tree, power_connected, use_max_degree)
+    chain = {"avecG": avec_g, "avecT": avec_t, "avecC_T": avec_c_t}
+    if not odd:
+        chain["avecCbar_L"] = avec_host
+    chain.update({power_key: avec_power, "Nprime": nprime, "finalBound": final_bound})
 
-    chain = {
-        "avecG": avec_g,
-        "avecT": avec_t,
-        "avecC_T": avec_c_t,
-        "avecC_power": avec_c_power,
-        "Nprime": nprime,
-        "finalBound": final_bound,
-    }
-    return PackingCertificate(
-        members=tuple(members), tree=tree, tree_parent=parent,
-        connector_edges=connectors, assignment=assignment, weights=c,
-        normalized_weights=c_norm, use_max_degree=use_max_degree,
-        girth_value=gi, constants=constants, chain=chain, steps=steps,
-        checks=checks, bound_id=bound_id,
-    )
+    common = dict(tree=tree, tree_parent=parent, connector_edges=connectors,
+                  assignment=assignment, use_max_degree=use_max_degree, girth_value=gi,
+                  constants=constants, chain=chain, steps=tuple(steps), bound_id=bound_id.value)
+    if odd:
+        checks = _packing_checks(g, members, assignment, c, gi, constants,
+                                 tree, power_connected, use_max_degree)
+        return PackingCertificate(
+            members=tuple(members), weights=c,
+            normalized_weights=WeightFunction.from_map(n, dict(zip(members, norm))),
+            checks=checks, **common)
+    cbar = dict(zip(members, weights))
+    checks = _matching_checks(g, members, vertices, msd, assignment, c, cbar, gi,
+                              constants, tree, power_connected, use_max_degree)
+    return MatchingCertificate(
+        members=tuple(members), matched_vertices=tuple(vertices), vertex_weights=c,
+        edge_weights=cbar, normalized_edge_weights=dict(zip(members, norm)),
+        line=line, line_table=table, checks=checks, **common)
 
+
+# ---------------------------------------------------------------------------
+# structural checks: the packing and the matching lemmas
 
 def _packing_checks(g, members, assignment, c, gi, constants, tree,
                     power_connected, use_max_degree):
@@ -694,114 +713,6 @@ def _packing_checks(g, members, assignment, c, gi, constants, tree,
         StructuralCheck("distance_preservation", pres_ok),
         StructuralCheck("tree_power_connected", power_connected),
     ) + extra
-
-
-def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
-    """Run the even-girth pipeline (matching, line graph) and verify it.
-
-    With ``use_max_degree`` the matching is seeded at an edge incident to a
-    maximum-degree vertex and the sharper bound (constants L1, L2) is
-    certified; otherwise the uniform bound (constant L) is used.
-    """
-    return _certify_even(g, girth(g), use_max_degree)
-
-
-def _line_eccentricity(tree_ecc, e: tuple[int, int]) -> int:
-    """Eccentricity of the tree edge ``e = uv`` in the tree's line graph.
-
-    Removing ``e`` leaves two sides of heights ``a`` (from ``u``) and ``b``
-    (from ``v``); the edge's line-graph eccentricity is ``max(a, b)``, while
-    ``ecc(u) = max(a, b + 1)`` and ``ecc(v) = max(b, a + 1)``.
-    """
-    eu, ev = tree_ecc[e[0]], tree_ecc[e[1]]
-    return min(eu, ev) - (eu == ev)
-
-
-def _certify_even(g: Graph, gi: int | None, use_max_degree: bool) -> MatchingCertificate:
-    prof, delta, Delta = _admission(g, gi, want_odd=False)
-    n = g.n
-
-    if use_max_degree:
-        v1 = min(v for v in range(n) if g.degree(v) == Delta)
-        e1 = min(tuple(sorted((v1, w))) for w in g.adj[v1])
-    else:
-        e1 = None
-    members = build_spaced_matching(g, gi, start_edge=e1)
-    tree, parent, assignment, connectors, vm, msd = _build_matching_tree(g, members)
-    c = weight_function(tree, vm, assignment)
-    cbar = {e: c.weights[e[0]] + c.weights[e[1]] for e in members}
-
-    l1 = ((delta - 1) ** (gi // 2) - 1) // (delta - 2)
-    if use_max_degree:
-        l2 = Delta + (Delta - 1) * ((delta - 1) ** ((gi - 2) // 2) - (delta - 1)) // (delta - 2)
-        constants = {"L1": l1, "L2": l2}
-        qq = Fraction(n - l2, 2 * l1)
-        nprime = qq + Fraction(1, 2)
-        power_bound = Fraction(3, 4) * qq * (1 + Fraction(l2 - l1, 3 * n)) + Fraction(5, 8)
-        final_bound = (Fraction(3 * gi, 4) * qq * (1 + Fraction(l2 - l1, 3 * n))
-                       + Fraction(21 * gi - 16, 8))
-        norm = {e: cbar[e] / (2 * l1) for e in members}
-        norm[members[0]] = (cbar[members[0]] - l2 + l1) / (2 * l1)
-        bound_id = "ThmGirthMaxDegEven"
-    else:
-        ll = 2 * l1
-        constants = {"L": ll}
-        nprime = Fraction(n, ll)
-        power_bound = Fraction(3 * math.ceil(nprime), 4) - Fraction(1, 2)
-        final_bound = Fraction(3 * gi * math.ceil(nprime) + 6 * gi - 8, 4)
-        norm = {e: cbar[e] / ll for e in members}
-        bound_id = "ThmGirthEven"
-
-    tree_prof = eccentricity_profile(tree)
-    avec_g = prof.avec
-    avec_t = tree_prof.avec
-    avec_c_t = sum((c.weights[u] * tree_prof.ecc[u] for u in vm), Fraction(0)) / n
-
-    avec_cbar_l = sum((cbar[e] * _line_eccentricity(tree_prof.ecc, e) for e in members),
-                      Fraction(0)) / n
-
-    line, table = line_graph(tree)
-    line_id = {e: i for i, e in enumerate(table)}
-    power = _contracted_power(line, [line_id[e] for e in members], gi)
-    power_connected = is_connected(power)
-    if power_connected:
-        pecc = eccentricity_profile(power).ecc
-        avec_cbar_power = sum((cbar[e] * x for e, x in zip(members, pecc)), Fraction(0)) / n
-    else:
-        avec_cbar_power = None
-
-    steps = (
-        _step("avecG<=avecT", avec_g, avec_t),
-        _step("avecT<=avecC_T+(g-2)", avec_t, avec_c_t + (gi - 2)),
-        _step("avecC_T<=avecCbar_L+1", avec_c_t, avec_cbar_l + 1),
-        _step("avecCbar_L<=g*avecCbar_power+(g-1)", avec_cbar_l,
-              gi * avec_cbar_power + (gi - 1) if avec_cbar_power is not None else None),
-        _step("avecCbar_power<=powerBound", avec_cbar_power, power_bound),
-        _step("finalBound==g*powerBound+2(g-1)", final_bound,
-              gi * power_bound + 2 * (gi - 1), equality=True),
-        _step("avecG<=finalBound", avec_g, final_bound),
-    )
-
-    checks = _matching_checks(g, members, vm, msd, assignment, c, cbar, gi,
-                              constants, tree, power_connected, use_max_degree)
-
-    chain = {
-        "avecG": avec_g,
-        "avecT": avec_t,
-        "avecC_T": avec_c_t,
-        "avecCbar_L": avec_cbar_l,
-        "avecCbar_power": avec_cbar_power,
-        "Nprime": nprime,
-        "finalBound": final_bound,
-    }
-    return MatchingCertificate(
-        members=tuple(members), matched_vertices=tuple(vm), tree=tree,
-        tree_parent=parent, connector_edges=connectors, assignment=assignment,
-        vertex_weights=c, edge_weights=cbar, normalized_edge_weights=norm,
-        line=line, line_table=table, use_max_degree=use_max_degree,
-        girth_value=gi, constants=constants, chain=chain, steps=steps,
-        checks=checks, bound_id=bound_id,
-    )
 
 
 def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,

@@ -8,18 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
-from .bounds import UPPER_BOUND_IDS, evaluate_all
+from .bounds import UPPER_BOUND_IDS, evaluate_all, measure
 from .certify import NotCertifiableError, certify
 # certify_odd and certify_even stay importable from here: the benchmark's
 # tracer (perfbench/spans.py) looks both names up in this module
 from .certify import certify_even, certify_odd  # noqa: F401
-from .extremal import chain_graph, sharpness_rows_to_csv, sharpness_report
+from .extremal import _dec, chain_graph, sharpness_rows_to_csv, sharpness_report
 from .generators import GenerationFailure, GeneratorConfig, emit_edge_list, random_min_degree_girth
 from .graph import (
     DisconnectedGraphError,
@@ -49,20 +46,8 @@ def _read_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
 
 
-def _dec(x: Fraction) -> str:
-    return f"{float(x):.6f}"
-
-
 def _girth_str(g_val) -> str:
     return "acyclic" if g_val is None else str(g_val)
-
-
-def _threads() -> int:
-    raw = os.environ.get("ECCB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +174,22 @@ def _batch_sources(args):
 def _batch_row(graph_id: str, item) -> dict:
     if isinstance(item, GenerationFailure):
         return {"graphId": graph_id, "status": "generation-failure"}
-    g = item
-    prof = eccentricity_profile(g)
-    gi = girth(g)
-    results = {r.bound.value: r for r in evaluate_all(g)}
+    m = measure(item)  # once per row: the bounds and the certificate reuse it
+    p, avec = m.params, m.profile.avec
+    results = {r.bound.value: r for r in evaluate_all(m)}
     cert_ok = ""
-    if gi is not None and g.min_degree() >= 3:
-        cert = certify(g)
+    if p.g is not None and p.delta >= 3:
+        cert = certify(m)
         cert_ok = "true" if cert.all_steps_hold else "false"
     return {
         "graphId": graph_id,
         "status": "ok",
-        "n": g.n,
-        "minDeg": g.min_degree(),
-        "maxDeg": g.max_degree(),
-        "girth": _girth_str(gi),
-        "avec": str(prof.avec),
-        "avecDecimal": _dec(prof.avec),
+        "n": p.n,
+        "minDeg": p.delta,
+        "maxDeg": p.Delta,
+        "girth": _girth_str(p.g),
+        "avec": str(avec),
+        "avecDecimal": _dec(avec),
         "bounds": results,
         "certificateOk": cert_ok,
     }
@@ -233,13 +217,7 @@ def _batch_csv(rows) -> str:
 
 
 def cmd_batch(args) -> int:
-    sources = list(_batch_sources(args))
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: _batch_row(*s), sources))
-    else:
-        rows = [_batch_row(gid, item) for gid, item in sources]
+    rows = [_batch_row(gid, item) for gid, item in _batch_sources(args)]
     rows.sort(key=lambda r: r["graphId"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

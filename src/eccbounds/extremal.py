@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import GraphParams, bound_thm_girth, lower_bound_chain, moore_order_even, moore_order_odd
+from .bounds import GraphParams, bound_thm_girth, lower_bound_chain, moore_order
 from .graph import Graph, eccentricity_profile, girth
 from .generators import (
     complete_bipartite,
@@ -45,14 +45,6 @@ class ChainSpec:
     deleted_edges: tuple[tuple[int, int], ...]
 
 
-def _moore_order(delta: int, g: int) -> int:
-    if delta == 2:
-        return g
-    if g % 2 == 1:
-        return moore_order_odd(delta, g)
-    return moore_order_even(delta, g)
-
-
 _PLANE_ORDERS = (2, 3, 4, 5, 7, 8)
 
 
@@ -84,7 +76,7 @@ def moore_catalog(delta: int, g: int) -> tuple[Graph, MooreSpec] | None:
         graph, source = projective_plane_incidence(q), f"ProjectivePlaneIncidence({q})"
     if graph is None:
         return None
-    order = _moore_order(delta, g)
+    order = g if delta == 2 else moore_order(delta, g)  # a cycle for delta=2
     spec = MooreSpec(delta=delta, g=g, order=order,
                      diameter=(g - 1) // 2 if g % 2 == 1 else g // 2,
                      source=source)
@@ -174,6 +166,7 @@ def sharpness_report(delta: int, g: int, k_range) -> list[SharpnessRow]:
 
 
 def _dec(x: Fraction) -> str:
+    """Six-decimal rendering of an exact value, for reports and console lines."""
     return f"{float(x):.6f}"
 
 

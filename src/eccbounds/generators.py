@@ -171,25 +171,6 @@ def projective_plane_incidence(q: int) -> Graph:
     return Graph.from_edges(2 * count, pairs)
 
 
-_NAMED = {
-    "path": lambda a=None, b=None: path_graph(a),
-    "cycle": lambda a=None, b=None: cycle_graph(a),
-    "complete": lambda a=None, b=None: complete_graph(a),
-    "complete_bipartite": lambda a=None, b=None: complete_bipartite(a, b),
-    "petersen": lambda a=None, b=None: petersen_graph(),
-    "heawood": lambda a=None, b=None: heawood_graph(),
-    "hoffman_singleton": lambda a=None, b=None: hoffman_singleton_graph(),
-}
-
-
-def named(name: str, a: int | None = None, b: int | None = None) -> Graph:
-    """Dispatch on a graph family name; sizes go in ``a`` (and ``b``)."""
-    key = name.lower()
-    if key not in _NAMED:
-        raise ValueError(f"unknown named graph {name!r}; choose from {sorted(_NAMED)}")
-    return _NAMED[key](a, b)
-
-
 # ---------------------------------------------------------------------------
 # randomized generation with degree and girth constraints
 

@@ -356,33 +356,6 @@ def weighted_avec(g: Graph, c: WeightFunction) -> Fraction:
     return acc / total_weight
 
 
-def power_graph(g: Graph, k: int) -> Graph:
-    """Graph on the same vertices with ``u ~ v`` iff ``1 <= d(u,v) <= k``."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    if k == 1:
-        return g
-    pairs: list[tuple[int, int]] = []
-    adj = g.adj
-    for s in range(g.n):
-        # BFS truncated at depth k
-        dist = [UNREACHABLE] * g.n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            if du == k:
-                continue
-            for v in adj[u]:
-                if dist[v] == UNREACHABLE:
-                    dist[v] = du + 1
-                    q.append(v)
-                    if v > s:
-                        pairs.append((s, v))
-    return Graph.from_edges(g.n, pairs)
-
-
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph plus the edge-id to vertex-pair table.
 
@@ -400,19 +373,3 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
                 pairs.append((ids[i], ids[j]))
     # distinct edges share at most one endpoint, so no pair repeats
     return Graph.from_edges(len(g.edges), pairs), g.edges
-
-
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``vertices``, relabeled ``0..|S|-1``.
-
-    Returns the subgraph and the mapping tuple: new id ``i`` corresponds to
-    old id ``mapping[i]`` (old ids in increasing order).
-    """
-    mapping = tuple(sorted(set(vertices)))
-    if not mapping:
-        raise ValueError("vertex set must be nonempty")
-    if mapping[0] < 0 or mapping[-1] >= g.n:
-        raise ValueError("vertex set out of range")
-    inv = {old: new for new, old in enumerate(mapping)}
-    pairs = [(inv[u], inv[v]) for u, v in g.edges if u in inv and v in inv]
-    return Graph.from_edges(len(mapping), pairs), mapping

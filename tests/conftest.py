@@ -117,7 +117,7 @@ def packing_tree_oracle(g: eb.Graph, members):
 
 
 def matching_tree_oracle(g: eb.Graph, members):
-    """``_build_matching_tree`` with the per-prefix replay."""
+    """``_anchor_tree`` on a matching, with the per-prefix replay."""
     vm = sorted({x for e in members for x in e})
     dist, root, parent = _deterministic_cells(g, vm)
     member_of = {x: i for i, e in enumerate(members) for x in e}
@@ -232,6 +232,26 @@ def contracted_power_oracle(g: eb.Graph, anchors, radius: int) -> eb.Graph:
     k = len(anchors)
     return eb.Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
                                    if dist[i][anchors[j]] <= radius])
+
+
+# ---------------------------------------------------------------------------
+# Moore-order oracles: the inline formulas that certify.py and the bound
+# evaluators wrote out before eccbounds.bounds held them in one place
+
+def moore_order_oracle(d: int, g: int) -> int:
+    """``K`` for odd ``g``, ``L`` for even ``g``."""
+    if g % 2:
+        return 1 + d * (((d - 1) ** ((g - 1) // 2) - 1) // (d - 2))
+    return 2 * (((d - 1) ** (g // 2) - 1) // (d - 2))
+
+
+def maxdeg_constants_oracle(d: int, D: int, g: int) -> dict:
+    """``K1, K2`` for odd ``g``, ``L1, L2`` for even ``g``."""
+    if g % 2:
+        block = ((d - 1) ** ((g - 1) // 2) - 1) // (d - 2)
+        return {"K1": 1 + d * block, "K2": 1 + D * block}
+    return {"L1": ((d - 1) ** (g // 2) - 1) // (d - 2),
+            "L2": D + (D - 1) * ((d - 1) ** ((g - 2) // 2) - (d - 1)) // (d - 2)}
 
 
 def random_connected(rng: random.Random, n: int, extra_edges: int = 0) -> eb.Graph:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.certify import (
-    _build_matching_tree,
+    _anchor_tree,
     _contracted_power,
     _line_eccentricity,
     _matching_checks,
@@ -83,7 +83,7 @@ def test_matching_tree_matches_prefix_replay_oracle():
     for _ in range(trials):
         g = _random_graph(rng)
         members = _random_matching(rng, g)
-        got = _build_matching_tree(g, members)
+        got = _anchor_tree(g, members)
         assert got == matching_tree_oracle(g, members)
         fallbacks += _fell_back(g, members, got[3])
     assert 0 < fallbacks < trials
@@ -98,7 +98,7 @@ def test_packings_and_matchings_of_the_pipeline_match_oracles():
             assert eb.build_spanning_tree_from_packing(g, A) == packing_tree_oracle(g, A)
             M = eb.build_spaced_matching(g, gv)
             assert M == spaced_matching_oracle(g, gv)
-            assert _build_matching_tree(g, M) == matching_tree_oracle(g, M)
+            assert _anchor_tree(g, M) == matching_tree_oracle(g, M)
 
 
 def test_replay_at_chain_distances():
@@ -121,7 +121,7 @@ def test_tree_builders_reject_disconnected_input():
     with pytest.raises(ValueError, match="connected"):
         eb.build_spanning_tree_from_packing(g, [0, 3])
     with pytest.raises(ValueError, match="connected"):
-        _build_matching_tree(g, [(0, 1), (3, 4)])
+        _anchor_tree(g, [(0, 1), (3, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def _packing_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool
 
 def _matching_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool):
     members = _random_matching(rng, g)
-    tree, _, assignment, _, vm, msd = _build_matching_tree(g, members)
+    tree, _, assignment, _, vm, msd = _anchor_tree(g, members)
     assignment = list(assignment)
     if rng.random() < 0.5:
         for _ in range(rng.randint(1, 3)):
@@ -315,7 +315,7 @@ def test_property_incremental_machinery_equals_oracles(case):
     g, members, gi, rng = case
     assert eb.build_spanning_tree_from_packing(g, members) == packing_tree_oracle(g, members)
     matching = _random_matching(rng, g)
-    assert _build_matching_tree(g, matching) == matching_tree_oracle(g, matching)
+    assert _anchor_tree(g, matching) == matching_tree_oracle(g, matching)
     if gi >= 2:
         assert eb.build_spaced_matching(g, gi) == spaced_matching_oracle(g, gi)
     md = rng.random() < 0.5

@@ -16,9 +16,14 @@ from eccbounds.bounds import (
     evaluate_all,
     girth6_reduction_forms,
     lower_bound_chain,
+    maxdeg_bound_value,
+    maxdeg_constants,
+    measure,
+    moore_order,
     moore_order_even,
     moore_order_odd,
 )
+from conftest import maxdeg_constants_oracle, moore_order_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +59,21 @@ def test_moore_orders_always_integral():
                 assert isinstance(moore_order_odd(delta, g), int)
             else:
                 assert isinstance(moore_order_even(delta, g), int)
+
+
+def test_moore_order_and_maxdeg_constants_equal_the_inline_formulas():
+    for delta in range(3, 13):
+        for g in range(3, 13):
+            assert moore_order(delta, g) == moore_order_oracle(delta, g), (delta, g)
+            for Delta in range(delta, delta + 5):
+                assert maxdeg_constants(delta, Delta, g) == \
+                    maxdeg_constants_oracle(delta, Delta, g), (delta, Delta, g)
+
+
+def test_moore_order_rejects_delta_below_three():
+    for g in (3, 4, 5, 6):
+        with pytest.raises(ValueError, match="singular"):
+            moore_order(2, g)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +137,22 @@ def test_maxdeg_matches_plain_bound_shape_when_delta_equals_Delta():
     r = bound_thm_girth_maxdeg(p)
     k = moore_order_odd(3, 5)
     assert r.value == F(15, 4) * F(200 - k, k) + 13
+
+
+@pytest.mark.parametrize("graph, final_bound", [
+    (eb.petersen_graph(), 13), (eb.complete_graph(4), 7), (eb.hoffman_singleton_graph(), 13),
+], ids=["petersen", "K4", "hoffman-singleton"])
+def test_moore_graph_certificate_states_the_ungated_maxdeg_form(graph, final_bound):
+    # n == K2 on an odd Moore graph: the evaluator declines, the certificate
+    # still carries the closed form at K1 = K2 = n
+    p = measure(graph).params
+    r = bound_thm_girth_maxdeg(p)
+    assert not r.applicable and "exceed K2" in r.reason
+    k1, k2 = maxdeg_constants(p.delta, p.Delta, p.g).values()
+    assert k1 == k2 == p.n
+    cert = eb.certify_odd(graph, use_max_degree=True)
+    assert cert.all_steps_hold
+    assert cert.chain["finalBound"] == maxdeg_bound_value(p.n, p.g, k1, k2) == final_bound
 
 
 def test_maxdeg_monotone_in_Delta():

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 
 import pytest
 
 import eccbounds as eb
-from eccbounds.cli import main
+from eccbounds.cli import _batch_row, main
 
 
 @pytest.fixture()
@@ -246,13 +247,22 @@ def test_batch_generation_failures_strict(tmp_path, capsys):
     assert main(args + ["--strict"]) == 4
 
 
-def test_batch_thread_env_keeps_row_order(tmp_path, monkeypatch):
-    d1, d2 = tmp_path / "seq", tmp_path / "par"
-    args = ["batch", "--delta", "3", "--g", "5", "--n", "30", "--count", "6", "--seed", "11"]
-    assert main(args + ["--out", str(d1)]) == 0
-    monkeypatch.setenv("ECCB_THREADS", "4")
-    assert main(args + ["--out", str(d2)]) == 0
-    assert (d1 / "report.csv").read_bytes() == (d2 / "report.csv").read_bytes()
+@pytest.mark.parametrize("graph", [eb.petersen_graph(), eb.heawood_graph()],
+                         ids=["odd", "even"])
+def test_batch_row_measures_its_graph_once(graph, monkeypatch):
+    calls = Counter()
+    for module in ("eccbounds.cli", "eccbounds.bounds", "eccbounds.certify"):
+        for name in ("eccentricity_profile", "girth"):
+            real = getattr(sys.modules[module], name)
+
+            def counted(h, _real=real, _name=name):
+                calls[_name] += h is graph
+                return _real(h)
+
+            monkeypatch.setattr(sys.modules[module], name, counted)
+    row = _batch_row("g", graph)
+    assert row["certificateOk"] == "true"
+    assert calls["eccentricity_profile"] == 1 and calls["girth"] == 1
 
 
 def test_compute_stdin(monkeypatch, capsys):

@@ -54,16 +54,6 @@ def test_projective_plane_rejects_non_prime_power():
         eb.projective_plane_incidence(6)
 
 
-def test_named_dispatcher():
-    assert eb.named("path", 5).edges == eb.path_graph(5).edges
-    assert eb.named("complete_bipartite", 2, 3).n == 5
-    assert eb.named("Petersen").m == 15
-    with pytest.raises(ValueError, match="unknown named graph"):
-        eb.named("mcgee")
-    with pytest.raises(ValueError):
-        eb.named("cycle", 2)
-
-
 # ---------------------------------------------------------------------------
 # randomized generation
 

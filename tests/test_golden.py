@@ -17,6 +17,7 @@ import hashlib
 import pytest
 
 import eccbounds as eb
+from eccbounds.bounds import evaluate_all, measure
 from eccbounds.certify import certify
 from eccbounds.cli import main as cli_main
 
@@ -115,6 +116,17 @@ def _cert_json(name: str, use_max_degree: bool) -> str:
 def test_certificate_json_digest(name, use_max_degree):
     key = f"{name}/{'maxdeg' if use_max_degree else 'plain'}"
     assert _sha256(_cert_json(name, use_max_degree).encode()) == CERT_SHA256[key]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_measured_graph_gives_the_same_artifacts(name):
+    g = INSTANCES[name]()
+    m = measure(g)
+    assert [r.to_json_dict() for r in evaluate_all(m)] == \
+        [r.to_json_dict() for r in evaluate_all(g)]
+    for use_max_degree in (False, True):
+        key = f"{name}/{'maxdeg' if use_max_degree else 'plain'}"
+        assert _sha256(certify(m, use_max_degree).to_json().encode()) == CERT_SHA256[key]
 
 
 def test_batch_report_digest(tmp_path):

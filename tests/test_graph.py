@@ -1,4 +1,4 @@
-"""Graph core: parsing, distances, eccentricity, girth, powers, weights."""
+"""Graph core: parsing, distances, eccentricity, girth, line graphs, weights."""
 from __future__ import annotations
 
 import random
@@ -259,30 +259,7 @@ def test_weighted_path_comparison_property():
 
 
 # ---------------------------------------------------------------------------
-# power graphs, line graphs, induced subgraphs
-
-def test_power_one_is_identity():
-    g = eb.petersen_graph()
-    assert eb.power_graph(g, 1).edges == g.edges
-
-
-def test_power_p4_squared():
-    assert eb.power_graph(eb.path_graph(4), 2).edges == \
-        ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
-
-
-def test_power_c5_squared_complete():
-    assert eb.power_graph(eb.cycle_graph(5), 2).edges == eb.complete_graph(5).edges
-
-
-def test_power_at_diameter_is_complete():
-    for name, g in named_small():
-        if g.n < 2:
-            continue
-        prof = eb.eccentricity_profile(g)
-        powered = eb.power_graph(g, prof.diameter)
-        assert powered.m == g.n * (g.n - 1) // 2, name
-
+# line graphs
 
 def test_line_graph_small_cases():
     lp3, _ = eb.line_graph(eb.path_graph(3))
@@ -298,29 +275,6 @@ def test_line_graph_vertex_count():
     for name, g in named_small():
         lg, table = eb.line_graph(g)
         assert lg.n == g.m and table == g.edges, name
-
-
-def test_induced_full_set_is_identity():
-    g = eb.petersen_graph()
-    sub, mapping = eb.induced_subgraph(g, range(10))
-    assert sub.edges == g.edges and mapping == tuple(range(10))
-
-
-def test_induced_triangle_from_k4():
-    sub, mapping = eb.induced_subgraph(eb.complete_graph(4), [0, 2, 3])
-    assert sub.edges == ((0, 1), (0, 2), (1, 2)) and mapping == (0, 2, 3)
-
-
-def test_induced_petersen_five_cycle():
-    # an outer 5-cycle of the Kneser labeling
-    sub, _ = eb.induced_subgraph(eb.petersen_graph(), [0, 3, 4, 7, 9])
-    assert sub.m == 5 and all(sub.degree(v) == 2 for v in range(5))
-    assert eb.girth(sub) == 5
-
-
-def test_induced_empty_set_rejected():
-    with pytest.raises(ValueError):
-        eb.induced_subgraph(eb.path_graph(3), [])
 
 
 # ---------------------------------------------------------------------------
