@@ -342,7 +342,8 @@ def girth6_reduction_forms(p: GraphParams) -> tuple[Fraction, Fraction]:
 
 
 # the girth bounds come in parity pairs: an evaluator answers with the id of
-# the girth's parity, and the other id of its pair is reported not applicable
+# the girth's parity, and the other id of its pair is reported not applicable;
+# evaluate_all calls each evaluator once for both ids
 _GIRTH_BOUND_EVALUATORS = {
     BoundId.THM_GIRTH_ODD: (bound_thm_girth, "odd"),
     BoundId.THM_GIRTH_EVEN: (bound_thm_girth, "even"),
@@ -361,10 +362,13 @@ def evaluate_all(g: Graph | Measured) -> list[BoundResult]:
     m = g if isinstance(g, Measured) else measure(g)
     p = m.params
     results: list[BoundResult] = []
+    answers: dict = {}
     for bid in UPPER_BOUND_IDS:
         if bid in _GIRTH_BOUND_EVALUATORS:
             evaluator, parity = _GIRTH_BOUND_EVALUATORS[bid]
-            r = evaluator(p)
+            if evaluator not in answers:
+                answers[evaluator] = evaluator(p)
+            r = answers[evaluator]
             if r.bound is not bid:
                 r = _not_applicable(bid, f"girth is not {parity}"
                                     if p.g is not None else "girth undefined (forest)")

@@ -15,7 +15,6 @@ from .generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    heawood_graph,
     hoffman_singleton_graph,
     petersen_graph,
     projective_plane_incidence,

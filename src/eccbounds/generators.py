@@ -8,10 +8,11 @@ value with its attempt statistics instead of a silently wrong graph.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, bfs_distances, girth, is_connected
+from .graph import Graph, girth, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -225,51 +226,95 @@ def _ball(adj, u, radius) -> set[int]:
     return seen
 
 
+def _pick_outside(rng: random.Random, pool, ball: set[int]):
+    """``rng.choice`` over the members of the sorted ``pool`` (a list or a
+    range) outside ``ball``.
+
+    Draws exactly what ``rng.choice([v for v in pool if v not in ball])``
+    draws -- ``Random.choice`` takes ``_randbelow(len(seq))`` whatever the
+    sequence is -- but touches only the ball: the index into the filtered
+    list is stepped past the sorted pool positions of the ball's members.
+    ``None`` (and no draw) when every pool member is in the ball.
+    """
+    skip = []
+    for x in ball:
+        i = bisect_left(pool, x)
+        # a ball vertex outside the pool must not claim a member's slot
+        if i < len(pool) and pool[i] == x:
+            skip.append(i)
+    skip.sort()
+    size = len(pool) - len(skip)
+    if not size:
+        return None
+    j = rng.choice(range(size))
+    for i in skip:
+        if i > j:
+            break
+        j += 1
+    return pool[j]
+
+
 def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
     """Connected graph with min degree >= delta and girth >= g, or a failure.
 
     Incremental girth-guarded edge addition: repeatedly pick a random vertex
-    still short of ``delta``, collect its eligible partners (also short of
-    ``delta``, non-adjacent, and at distance at least ``g - 1`` so no short
-    cycle closes), and add one at random.  Stagnation triggers a restart with
-    a fresh seed-derived stream.  Once degrees are satisfied the components
-    are bridged (bridges lie on no cycle, so the girth floor survives); the
+    of least degree among those still short of ``delta``, draw a partner
+    among the other deficient vertices at distance at least ``g - 1`` from it
+    (so no short cycle closes; any vertex at that distance once no deficient
+    one is left), and add the edge.  Stagnation triggers a restart with a
+    fresh seed-derived stream.  Once degrees are satisfied the components are
+    bridged (bridges lie on no cycle, so the girth floor survives); the
     output is then re-verified from scratch.
+
+    An attempt costs O(ball), the girth-guard ball around ``u``, not O(n):
+    the deficient vertices are kept in one sorted list per degree below
+    ``delta`` and one sorted list of all of them, updated with ``bisect`` as
+    edges land, and the partner comes from :func:`_pick_outside`.  Each draw
+    is ``rng.choice`` over a sequence of the same length and order as the
+    filtered lists it replaces, so a seed gives the same graph, or the same
+    failure, draw for draw as the O(n)-per-attempt formulation.
     """
     if cfg.delta < 2 or cfg.g < 3 or cfg.n < cfg.delta + 1:
         raise ValueError("need delta >= 2, g >= 3, n >= delta + 1")
     n, delta, floor = cfg.n, cfg.delta, cfg.g - 1
     budget = cfg.attempts_budget()
     total_attempts = 0
+    everyone = range(n)
 
     for restart in range(cfg.max_restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
         adj: list[set[int]] = [set() for _ in range(n)]
+        deficient = list(everyone)
+        by_deg = [deficient.copy()] + [[] for _ in range(delta - 1)]
         attempts = 0
         stalls = 0
         wedged = False
-        while True:
-            deficient = [v for v in range(n) if len(adj[v]) < delta]
-            if not deficient:
-                break
+        while deficient:
             if attempts >= budget or stalls > 25:
                 wedged = True
                 break
             attempts += 1
             # keep the degree distribution flat: fill the neediest vertices first
-            lowest = min(len(adj[v]) for v in deficient)
-            u = rng.choice([v for v in deficient if len(adj[v]) == lowest])
+            u = rng.choice(next(bucket for bucket in by_deg if bucket))
             near = _ball(adj, u, floor - 1)  # adding an edge into this set closes a short cycle
-            eligible = [v for v in deficient if v not in near]
-            if not eligible:
+            v = _pick_outside(rng, deficient, near)
+            if v is None:
                 # endgame relaxation: a partner that already met its quota
                 # only gains degree, and the distance guard still holds
-                eligible = [v for v in range(n) if v not in near]
-            if not eligible:
+                v = _pick_outside(rng, everyone, near)
+            if v is None:
                 stalls += 1
                 continue
             stalls = 0
-            v = rng.choice(eligible)
+            for x in (u, v):
+                d = len(adj[x])
+                if d < delta:
+                    bucket = by_deg[d]
+                    del bucket[bisect_left(bucket, x)]
+                    if d + 1 < delta:
+                        insort(by_deg[d + 1], x)
+                    else:
+                        del deficient[bisect_left(deficient, x)]
             adj[u].add(v)
             adj[v].add(u)
         total_attempts += attempts

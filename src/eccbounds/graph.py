@@ -301,32 +301,48 @@ def _bitset_eccentricities(g: Graph) -> list[int]:
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or ``None`` for a forest.
 
-    Per-root BFS: a non-tree edge seen from root ``r`` closes a walk of
-    length ``dist[u] + dist[v] + 1`` that contains a cycle no longer than
-    itself, and for a root on a shortest cycle one such walk has exactly the
-    girth's length.  Overall O(n*m).
+    Per-root BFS restricted to the vertices above the root (Itai and Rodeh,
+    *Finding a minimum circuit in a graph*, SIAM J. Comput. 1978): the BFS
+    from ``r`` skips every neighbour ``v < r``.  A non-tree edge seen from
+    ``r`` closes a walk of length ``dist[u] + dist[v] + 1`` that contains a
+    cycle no longer than itself, so every value found is an upper bound.  A
+    shortest cycle lies in the subgraph above its least vertex ``r``, and the
+    BFS from ``r`` there finds a walk of exactly its length.  A root with at
+    most one neighbour above it lies on no cycle of its subgraph and is
+    skipped.  One ``dist``/``parent`` pair serves every root: only the
+    vertices a root's BFS reached are reset.  Overall O(n*m).
     """
     best: int | None = None
     adj = g.adj
+    dist = [UNREACHABLE] * g.n
+    parent = [-1] * g.n
     for root in range(g.n):
-        dist = [UNREACHABLE] * g.n
-        parent = [-1] * g.n
+        around = adj[root]
+        if len(around) < 2 or around[-2] < root:
+            continue
         dist[root] = 0
-        q = deque([root])
-        while q:
-            u = q.popleft()
+        parent[root] = -1
+        reached = [root]  # also the BFS queue, read from ``head``
+        head = 0
+        while head < len(reached):
+            u = reached[head]
+            head += 1
             du = dist[u]
             if best is not None and 2 * du >= best:
                 break  # any cycle found below is >= 2*du + 1
             for v in adj[u]:
+                if v < root:
+                    continue
                 if dist[v] == UNREACHABLE:
                     dist[v] = du + 1
                     parent[v] = u
-                    q.append(v)
+                    reached.append(v)
                 elif parent[u] != v and parent[v] != u:
                     c = du + dist[v] + 1
                     if best is None or c < best:
                         best = c
+        for x in reached:
+            dist[x] = UNREACHABLE
     return best
 
 

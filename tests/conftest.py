@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
 import eccbounds as eb
-from eccbounds.bounds import GraphParams, bound_thm_girth
+from eccbounds.bounds import GraphParams
 from eccbounds.certify import (
     StructuralCheck,
     _deterministic_cells,
@@ -65,6 +66,122 @@ def girth_oracle(g: eb.Graph):
             if best is None or c < best:
                 best = c
     return best
+
+
+def girth_per_root_oracle(g: eb.Graph):
+    """Per-root BFS over the whole graph with fresh arrays for every root:
+    the form ``eb.girth`` had before its search was restricted to the
+    vertices above each root."""
+    best = None
+    adj = g.adj
+    for root in range(g.n):
+        dist = [eb.UNREACHABLE] * g.n
+        parent = [-1] * g.n
+        dist[root] = 0
+        q = deque([root])
+        while q:
+            u = q.popleft()
+            du = dist[u]
+            if best is not None and 2 * du >= best:
+                break  # any cycle found below is >= 2*du + 1
+            for v in adj[u]:
+                if dist[v] == eb.UNREACHABLE:
+                    dist[v] = du + 1
+                    parent[v] = u
+                    q.append(v)
+                elif parent[u] != v and parent[v] != u:
+                    c = du + dist[v] + 1
+                    if best is None or c < best:
+                        best = c
+    return best
+
+
+# ---------------------------------------------------------------------------
+# generator oracle: the O(n)-per-attempt form of random_min_degree_girth,
+# which rebuilds the deficient and eligible lists on every attempt
+
+def _ball_oracle(adj, u, radius):
+    seen = {u}
+    frontier = [u]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
+
+
+def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig):
+    """The generator as it was before its bucketed bookkeeping, draw for
+    draw; the output is re-verified with ``girth_per_root_oracle``."""
+    if cfg.delta < 2 or cfg.g < 3 or cfg.n < cfg.delta + 1:
+        raise ValueError("need delta >= 2, g >= 3, n >= delta + 1")
+    n, delta, floor = cfg.n, cfg.delta, cfg.g - 1
+    budget = cfg.attempts_budget()
+    total_attempts = 0
+
+    for restart in range(cfg.max_restarts):
+        rng = random.Random(f"{cfg.seed}:{restart}")
+        adj: list[set[int]] = [set() for _ in range(n)]
+        attempts = 0
+        stalls = 0
+        wedged = False
+        while True:
+            deficient = [v for v in range(n) if len(adj[v]) < delta]
+            if not deficient:
+                break
+            if attempts >= budget or stalls > 25:
+                wedged = True
+                break
+            attempts += 1
+            lowest = min(len(adj[v]) for v in deficient)
+            u = rng.choice([v for v in deficient if len(adj[v]) == lowest])
+            near = _ball_oracle(adj, u, floor - 1)
+            eligible = [v for v in deficient if v not in near]
+            if not eligible:
+                eligible = [v for v in range(n) if v not in near]
+            if not eligible:
+                stalls += 1
+                continue
+            stalls = 0
+            v = rng.choice(eligible)
+            adj[u].add(v)
+            adj[v].add(u)
+        total_attempts += attempts
+        if wedged:
+            continue
+
+        comp = [-1] * n
+        for s in range(n):
+            if comp[s] != -1:
+                continue
+            comp[s] = s
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if comp[y] == -1:
+                        comp[y] = s
+                        stack.append(y)
+        roots = sorted(set(comp))
+        for r in roots[1:]:
+            adj[roots[0]].add(r)
+            adj[r].add(roots[0])
+
+        g_out = eb.Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        measured = girth_per_root_oracle(g_out)
+        if (eb.is_connected(g_out) and g_out.min_degree() >= delta
+                and (measured is None or measured >= cfg.g)):
+            return g_out
+
+    return eb.GenerationFailure(config=cfg, restarts=cfg.max_restarts,
+                                attempts=total_attempts,
+                                reason="edge-addition search stagnated in every restart")
 
 
 # ---------------------------------------------------------------------------

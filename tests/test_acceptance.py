@@ -12,8 +12,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 import eccbounds as eb
 from eccbounds.bounds import (
     BoundId,

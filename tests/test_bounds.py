@@ -276,6 +276,25 @@ def test_evaluate_all_petersen():
     assert all(r.satisfied for r in results.values() if r.applicable)
 
 
+def test_evaluate_all_calls_each_girth_evaluator_once(monkeypatch):
+    import eccbounds.bounds as bounds
+
+    calls = {}
+
+    def counted(f):
+        def wrapper(p):
+            calls[f.__name__] = calls.get(f.__name__, 0) + 1
+            return f(p)
+        return wrapper
+
+    wrapped = {f: counted(f) for f in (bound_thm_girth, bound_thm_girth_maxdeg)}
+    monkeypatch.setattr(bounds, "_GIRTH_BOUND_EVALUATORS", {
+        bid: (wrapped[f], parity)
+        for bid, (f, parity) in bounds._GIRTH_BOUND_EVALUATORS.items()})
+    evaluate_all(eb.petersen_graph())
+    assert calls == {"bound_thm_girth": 1, "bound_thm_girth_maxdeg": 1}
+
+
 def test_evaluate_all_k4():
     results = {r.bound: r for r in evaluate_all(eb.complete_graph(4))}
     assert results[BoundId.EQ1].applicable and results[BoundId.EQ1].satisfied

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eccbounds as eb
+from conftest import random_min_degree_girth_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +93,28 @@ def test_random_forced_k33():
         assert isinstance(out, eb.Graph)
         assert out.m == 9 and eb.girth(out) == 4
         assert out.min_degree() == out.max_degree() == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(8, 120), delta=st.integers(2, 5), g=st.integers(3, 7),
+       seed=st.integers(0, 10**6), max_restarts=st.integers(1, 3))
+def test_property_generator_equals_oracle(n, delta, g, seed, max_restarts):
+    # the bucketed bookkeeping draws exactly what the O(n)-per-attempt form
+    # draws, so graphs and failures (with their attempt counts) agree
+    cfg = eb.GeneratorConfig(n=n, delta=delta, g=g, seed=seed, max_restarts=max_restarts)
+    assert eb.random_min_degree_girth(cfg) == random_min_degree_girth_oracle(cfg)
+
+
+def test_generator_equals_oracle_on_failures_and_large_orders():
+    configs = [(4, 3, 4, 1, 3), (8, 3, 5, 2, 2), (12, 4, 5, 3, 2), (40, 5, 6, 4, 1),
+               (300, 3, 5, 5, 50), (300, 3, 7, 6, 50), (500, 4, 5, 7, 50)]
+    failures = 0
+    for n, delta, g, seed, max_restarts in configs:
+        cfg = eb.GeneratorConfig(n=n, delta=delta, g=g, seed=seed, max_restarts=max_restarts)
+        out = eb.random_min_degree_girth(cfg)
+        assert out == random_min_degree_girth_oracle(cfg)
+        failures += isinstance(out, eb.GenerationFailure)
+    assert failures >= 3
 
 
 def test_generator_config_validation():

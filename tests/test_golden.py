@@ -8,7 +8,9 @@ or of the batch report fails here.  The instances are the fixed graphs of accept
 criteria 9 and 10 plus generated graphs of n=50, 300 and 1000 (the last
 with 39 to 57 anchors, so long discovery-path replays are pinned), each
 certified plainly and with ``use_max_degree``, and criterion 10's batch
-sweep.
+sweep.  The generator-corpus digest (edge lists, or the failure's attempt
+statistics) was taken while the generator still rebuilt its candidate lists
+over all n vertices on every attempt.
 """
 from __future__ import annotations
 
@@ -99,6 +101,28 @@ CERT_SHA256 = {
         "53640e13f944fb535efebe885e0c4ca716bb08cc7f0a299a6df143c6ee62723c",
 }
 
+
+def _generator_corpus():
+    """62 configurations, 13 of them failures, n from 4 to 1000."""
+    out = []
+    seed = 0
+    for n in (10, 16, 30, 60, 120):
+        for delta, g in ((2, 5), (3, 3), (3, 4), (3, 5), (3, 6),
+                         (4, 4), (4, 5), (5, 3), (5, 5), (2, 7)):
+            seed += 1
+            out.append(eb.GeneratorConfig(n=n, delta=delta, g=g, seed=seed, max_restarts=4))
+    for n, delta, g, seed in ((300, 3, 5, 101), (300, 4, 5, 102), (300, 3, 7, 103),
+                              (500, 3, 6, 104), (1000, 3, 5, 105), (1000, 3, 6, 106),
+                              (1000, 4, 5, 107), (1000, 2, 7, 108)):
+        out.append(eb.GeneratorConfig(n=n, delta=delta, g=g, seed=seed))
+    # infeasible or tight: every restart fails
+    for n, delta, g, seed in ((4, 3, 4, 201), (8, 3, 5, 202), (12, 4, 5, 203), (40, 5, 6, 204)):
+        out.append(eb.GeneratorConfig(n=n, delta=delta, g=g, seed=seed, max_restarts=3))
+    return out
+
+
+GENERATOR_CORPUS_SHA256 = "2d95abaaff859869cb7d1b927646aec49f60bda00f98b912b428eb48a8eec6d1"
+
 BATCH_ARGS = ["batch", "--delta", "3", "--g", "5", "--n", "40", "--count", "6", "--seed", "7"]
 BATCH_CSV_SHA256 = "c36916d38b51fb49a00e77f9520620c39ce397dd8aba157f1a00ce9a6db26b52"
 
@@ -132,3 +156,17 @@ def test_measured_graph_gives_the_same_artifacts(name):
 def test_batch_report_digest(tmp_path):
     assert cli_main(BATCH_ARGS + ["--out", str(tmp_path)]) == 0
     assert _sha256((tmp_path / "report.csv").read_bytes()) == BATCH_CSV_SHA256
+
+
+def test_generator_corpus_digest():
+    entries = []
+    for cfg in _generator_corpus():
+        out = eb.random_min_degree_girth(cfg)
+        entries.append(f"n={cfg.n} delta={cfg.delta} g={cfg.g} seed={cfg.seed} "
+                       f"restarts={cfg.max_restarts}\n")
+        if isinstance(out, eb.GenerationFailure):
+            entries.append(f"failure restarts={out.restarts} attempts={out.attempts} "
+                           f"reason={out.reason}\n")
+        else:
+            entries.append(eb.emit_edge_list(out, cfg))
+    assert _sha256("".join(entries).encode()) == GENERATOR_CORPUS_SHA256

@@ -5,9 +5,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eccbounds as eb
-from conftest import floyd_warshall, girth_oracle, named_small, random_connected
+from conftest import (
+    floyd_warshall,
+    girth_oracle,
+    girth_per_root_oracle,
+    named_small,
+    random_connected,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +195,57 @@ def test_girth_matches_oracle_medium():
         graphs.append(out)
     for g in graphs:
         assert eb.girth(g) == girth_oracle(g)
+
+
+@st.composite
+def any_graphs(draw):
+    """Simple graphs of up to 24 vertices: forests, disconnected graphs and
+    isolated vertices included."""
+    n = draw(st.integers(1, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return eb.Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs())
+def test_property_girth_equals_oracles(g):
+    want = girth_oracle(g)
+    assert eb.girth(g) == want
+    assert girth_per_root_oracle(g) == want
+
+
+def test_girth_matches_per_root_oracle_large():
+    # generated graphs up to n=1000 and Moore chains, whose shortest cycles
+    # sit at every kind of least vertex
+    graphs = [eb.chain_graph(3, 5, k)[0] for k in (1, 4, 9)]
+    graphs += [eb.chain_graph(3, 6, k)[0] for k in (1, 4, 9)]
+    for n, d, gf, seed in [(1000, 3, 5, 1), (1000, 3, 6, 1), (300, 4, 5, 2), (200, 2, 7, 3)]:
+        out = eb.random_min_degree_girth(eb.GeneratorConfig(n=n, delta=d, g=gf, seed=seed))
+        assert isinstance(out, eb.Graph)
+        graphs.append(out)
+    for g in graphs:
+        assert eb.girth(g) == girth_per_root_oracle(g)
+
+
+def test_networkx_girth():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    graphs = [g for _, g in named_small()]
+    graphs += [eb.chain_graph(3, 5, 3)[0], eb.chain_graph(3, 6, 3)[0],
+               eb.hoffman_singleton_graph(), eb.projective_plane_incidence(3)]
+    graphs += [random_connected(rng, rng.randint(2, 80), extra_edges=rng.randint(0, 40))
+               for _ in range(30)]
+    # forests and disconnected graphs: nx.girth reports inf where girth is None
+    for _ in range(20):
+        pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(rng.randint(0, 40))]
+        graphs.append(eb.Graph.from_edges(30, [(u, v) for u, v in pairs if u != v]))
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        want = nx.girth(h)
+        assert eb.girth(g) == (None if want == float("inf") else want)
 
 
 # ---------------------------------------------------------------------------
