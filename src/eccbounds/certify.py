@@ -10,11 +10,14 @@ recomputed in exact rationals and recorded; a certificate whose steps fail
 is emitted with the failure visible, so the pipeline doubles as a
 falsification harness.
 
-The anchors are found, and their discovery paths replayed, on one distance
-array to the anchors so far that is lowered in place as each anchor joins.
-Checks that only compare distances against a radius run BFS truncated at
-that radius, which gives the same verdict as a full BFS on every connected
-input.
+One grower finds the anchors of all three kinds (packing members, matching
+edges, or a given list) on one distance array to the anchors so far.  Before
+an anchor's vertices lower the array, its discovery path is replayed on the
+same array and the path's middle edge is recorded as a connector of the
+tree, so the tree builder rebuilds nothing.  Cell weights are integer
+counts; fractions appear only where the chain divides.  Checks that only
+compare distances against a radius run BFS truncated at that radius, which
+gives the same verdict as a full BFS on every connected input.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .graph import (
     EccentricityProfile,
     Graph,
     WeightFunction,
+    ball,
     bfs_distances,
     eccentricity_profile,
     girth,
@@ -152,7 +156,7 @@ class MatchingCertificate(_Certificate):
     members: tuple[tuple[int, int], ...]  # matching edges, discovery order
     matched_vertices: tuple[int, ...]
     vertex_weights: WeightFunction
-    edge_weights: dict[tuple[int, int], Fraction]
+    edge_weights: dict[tuple[int, int], int]
     normalized_edge_weights: dict[tuple[int, int], Fraction]
     line: Graph
     line_table: tuple[tuple[int, int], ...]
@@ -260,50 +264,6 @@ def _replay_path(g: Graph, dist: list[int], target: int) -> list[int]:
     return path
 
 
-def _replayed_connectors(g: Graph, groups) -> list[tuple[int, int]] | None:
-    """Middle edges of the anchors' discovery paths.
-
-    ``groups`` lists each anchor's vertices in discovery order.  Anchor
-    ``i``'s path runs from the anchors before it to its nearest vertex
-    (lowest id on ties), replayed on one distance array that is lowered as
-    each anchor joins.  ``None`` when an anchor touches an earlier one.
-    """
-    if len(groups) < 2:
-        return []
-    dist = multi_source_distances(g, groups[0])
-    if UNREACHABLE in dist:
-        raise ValueError("graph must be connected")
-    connectors = []
-    for group in groups[1:]:
-        target = min(group, key=lambda x: (dist[x], x))
-        t = dist[target]
-        if t == 0:
-            return None
-        path = _replay_path(g, dist, target)
-        connectors.append((path[t // 2], path[t // 2 + 1]))
-        for x in group:
-            _lower_distances(g, dist, x)
-    return connectors
-
-
-def _ball(g: Graph, source: int, radius: int) -> dict[int, int]:
-    """Distances from ``source`` to the vertices within ``radius`` of it."""
-    dist = {source: 0}
-    frontier = [source]
-    adj = g.adj
-    for d in range(1, radius + 1):
-        reached = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = d
-                    reached.append(v)
-        if not reached:
-            break
-        frontier = reached
-    return dist
-
-
 class _UnionFind:
     def __init__(self, items):
         self.up = {x: x for x in items}
@@ -346,15 +306,59 @@ def _fallback_connectors(g: Graph, cell_of: list[int], depth: list[int],
 
 
 # ---------------------------------------------------------------------------
-# anchors: spaced packing (odd girth), spaced matching (even girth)
+# anchors: one grower, three pick rules
+
+def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int, int]] | None]:
+    """Anchors grown from the vertex group ``first`` on one distance array.
+
+    ``pick(dist)`` gives the next anchor's vertices from the distances to
+    the anchors so far, or ``None`` to stop.  Before they lower the array,
+    the anchor's discovery path, from the anchors before it to its nearest
+    vertex (lowest id on ties), is replayed on it by :func:`_replay_path`,
+    and the path's middle edge is recorded as a connector of the tree.
+    Returns ``(groups, connectors)``, with ``connectors`` ``None`` once an
+    anchor touches an earlier one.
+    """
+    dist = multi_source_distances(g, first)
+    if UNREACHABLE in dist:
+        raise ValueError("graph must be connected")
+    groups, connectors = [tuple(first)], []
+    while (group := pick(dist)) is not None:
+        if connectors is not None:
+            target = min(group, key=lambda x: (dist[x], x))
+            t = dist[target]
+            if t:
+                path = _replay_path(g, dist, target)
+                connectors.append((path[t // 2], path[t // 2 + 1]))
+            else:
+                connectors = None
+        groups.append(group)
+        for x in group:
+            _lower_distances(g, dist, x)
+    return groups, connectors
+
+
+def _spaced_vertex(girth_value: int):
+    """Packing pick rule: the lowest vertex at distance ``girth_value``, one
+    of which lies on a shortest path toward any farther vertex."""
+    return lambda dist: (dist.index(girth_value),) if girth_value in dist else None
+
+
+def _spaced_edge(g: Graph, girth_value: int):
+    """Matching pick rule: the first edge of ``g.edges`` at edge distance
+    ``girth_value - 1``, one of which lies on a shortest path toward any
+    farther edge."""
+    spacing = girth_value - 1
+    return lambda dist: next(
+        (e for e in g.edges if min(dist[e[0]], dist[e[1]]) == spacing), None)
+
 
 def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[int]:
     """Greedy maximal set of vertices pairwise at distance >= ``girth_value``.
 
     Starts from ``start`` (default: vertex 0) and, while some vertex is at
     distance ``girth_value`` or more from the set, adds the lowest-id vertex
-    at distance exactly ``girth_value`` (one exists along a shortest path
-    toward any far vertex).  On exit every vertex is within
+    at distance exactly ``girth_value``.  On exit every vertex is within
     ``girth_value - 1`` of the set.
     """
     if girth_value < 1:
@@ -362,14 +366,8 @@ def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[
     a1 = 0 if start is None else start
     if not (0 <= a1 < g.n):
         raise ValueError(f"start vertex {a1} out of range")
-    members = [a1]
-    dist = bfs_distances(g, a1)
-    if -1 in dist:
-        raise ValueError("graph must be connected")
-    while max(dist) >= girth_value:
-        members.append(dist.index(girth_value))
-        _lower_distances(g, dist, members[-1])
-    return members
+    groups, _ = _grow(g, (a1,), _spaced_vertex(girth_value))
+    return [a for (a,) in groups]
 
 
 def build_spaced_matching(g: Graph, girth_value: int,
@@ -380,8 +378,7 @@ def build_spaced_matching(g: Graph, girth_value: int,
     from ``start_edge`` (default: the lexicographically least edge) and,
     while any edge sits at distance ``girth_value - 1`` or more from the
     matched vertex set, adds the lexicographically least edge at distance
-    exactly ``girth_value - 1`` (one exists along a shortest path toward
-    any far edge, so a single scan finds it).  On exit every edge is within
+    exactly ``girth_value - 1``.  On exit every edge is within
     ``girth_value - 2``.
     """
     if girth_value < 2:
@@ -395,32 +392,23 @@ def build_spaced_matching(g: Graph, girth_value: int,
         e1 = (u, v) if u < v else (v, u)
         if not g.has_edge(*e1):
             raise ValueError(f"start edge {start_edge} not in graph")
-    members = [e1]
-    spacing = girth_value - 1
-    dist = multi_source_distances(g, e1)
-    if UNREACHABLE in dist:
-        raise ValueError("graph must be connected")
-    while True:
-        e = next((e for e in g.edges if min(dist[e[0]], dist[e[1]]) == spacing), None)
-        if e is None:
-            return members
-        members.append(e)
-        _lower_distances(g, dist, e[0])
-        _lower_distances(g, dist, e[1])
+    groups, _ = _grow(g, e1, _spaced_edge(g, girth_value))
+    return groups
 
 
 # ---------------------------------------------------------------------------
 # distance-preserving spanning tree and cell weights
 
-def _anchor_tree(g: Graph, groups):
+def _anchor_tree(g: Graph, groups, connectors):
     """Spanning tree preserving every vertex's distance to the anchors.
 
     ``groups`` lists each anchor's vertices in discovery order: ``(a,)`` per
     packing member, ``(u, v)`` per matching edge, whose edge joins the tree.
     Cells, labelled by anchor index, come from a deterministic multi-source
-    BFS; the middle edges of the replayed discovery paths join them, or a
-    quotient-graph spanning tree when those do not stitch the cells into a
-    tree.  Spanning shape and distance preservation are verified, not assumed.
+    BFS; the ``connectors`` that :func:`_grow` recorded join them, or a
+    quotient-graph spanning tree when those are ``None`` or do not stitch
+    the cells into a tree.  Spanning shape and distance preservation are
+    verified, not assumed.
 
     Returns ``(tree, parent, assignment, connectors, vertices, dist)``:
     tree parents toward the cell roots (-1 on anchor vertices), cell roots,
@@ -432,7 +420,6 @@ def _anchor_tree(g: Graph, groups):
     cell_of = [anchor_of[root[v]] for v in range(g.n)]
     cells = range(len(groups))
 
-    connectors = _replayed_connectors(g, groups)
     uf = _UnionFind(cells)
     stitched = connectors is not None and all(
         cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y]) for x, y in connectors)
@@ -455,7 +442,10 @@ def build_spanning_tree_from_packing(
     members = list(members)
     if not members or len(set(members)) != len(members):
         raise ValueError("packing must be a nonempty list of distinct vertices")
-    return _anchor_tree(g, [(a,) for a in members])[:4]
+    groups = [(a,) for a in members]
+    rest = iter(groups[1:])
+    _, connectors = _grow(g, groups[0], lambda dist: next(rest, None))
+    return _anchor_tree(g, groups, connectors)[:4]
 
 
 def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
@@ -472,9 +462,9 @@ def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
 def weight_function(tree: Graph, members, assignment) -> WeightFunction:
     """Cell-size weights: ``c(u)`` counts the vertices assigned to ``u``."""
     counts = Counter(assignment)
-    vals = [Fraction(0)] * tree.n
+    vals = [0] * tree.n
     for u in members:
-        vals[u] = Fraction(counts.get(u, 0))
+        vals[u] = counts[u]
     return WeightFunction(tuple(vals))
 
 
@@ -487,7 +477,7 @@ def _contracted_power(g: Graph, anchors, radius: int) -> Graph:
     index = {a: i for i, a in enumerate(anchors)}
     pairs = []
     for i, a in enumerate(anchors):
-        for b in _ball(g, a, radius):
+        for b in ball(g.adj, a, radius):
             j = index.get(b)
             if j is not None and j > i:
                 pairs.append((i, j))
@@ -567,13 +557,13 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
     # anchors: members spaced g apart (odd), or edges spaced g - 1 apart (even)
     hub = min(v for v in range(n) if g.degree(v) == Delta) if use_max_degree else None
     if odd:
-        members = build_packing(g, gi, start=hub)
-        groups = [(a,) for a in members]
+        groups, connectors = _grow(g, (0 if hub is None else hub,), _spaced_vertex(gi))
+        members = [a for (a,) in groups]
     else:
-        e1 = None if hub is None else min(tuple(sorted((hub, w))) for w in g.adj[hub])
-        members = build_spaced_matching(g, gi, start_edge=e1)
-        groups = members
-    tree, parent, assignment, connectors, vertices, msd = _anchor_tree(g, groups)
+        e1 = g.edges[0] if hub is None else min(tuple(sorted((hub, w))) for w in g.adj[hub])
+        groups, connectors = _grow(g, e1, _spaced_edge(g, gi))
+        members = groups
+    tree, parent, assignment, connectors, vertices, msd = _anchor_tree(g, groups, connectors)
     c = weight_function(tree, vertices, assignment)
     weights = [sum(c.weights[x] for x in group) for group in groups]  # c, or cbar on edges
 
@@ -595,13 +585,13 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
         power_bound = Fraction(3 * math.ceil(nprime), 4) - Fraction(1, 2)
         final_bound = plain.value
         bound_id = plain.bound
-    norm = [w / unit for w in weights]
+    norm = [Fraction(w, unit) for w in weights]
     if use_max_degree:  # the hub's anchor carries the excess K2 - K1 (L2 - L1)
-        norm[0] = (weights[0] - c2 + c1) / unit
+        norm[0] = Fraction(weights[0] - c2 + c1, unit)
 
     tree_prof = eccentricity_profile(tree)
     avec_g, avec_t = profile.avec, tree_prof.avec
-    avec_c_t = sum((c.weights[u] * tree_prof.ecc[u] for u in vertices), Fraction(0)) / n
+    avec_c_t = Fraction(sum(c.weights[u] * tree_prof.ecc[u] for u in vertices), n)
 
     # the contracted power lives on T (odd), or on its line graph L(T) (even),
     # whose vertex for an anchor edge e has eccentricity ecc_L(T)(e)
@@ -612,13 +602,13 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
         line, table = line_graph(tree)
         line_id = {e: i for i, e in enumerate(table)}
         host, host_anchors = line, [line_id[e] for e in members]
-        avec_host = sum((w * _line_eccentricity(tree_prof.ecc, e)
-                         for w, e in zip(weights, members)), Fraction(0)) / n
+        avec_host = Fraction(sum(w * _line_eccentricity(tree_prof.ecc, e)
+                                 for w, e in zip(weights, members)), n)
     power = _contracted_power(host, host_anchors, gi)
     power_connected = is_connected(power)
     if power_connected:
         pecc = eccentricity_profile(power).ecc
-        avec_power = sum((w * x for w, x in zip(weights, pecc)), Fraction(0)) / n
+        avec_power = Fraction(sum(w * x for w, x in zip(weights, pecc)), n)
     else:
         avec_power = None
 
@@ -648,7 +638,7 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
                   assignment=assignment, use_max_degree=use_max_degree, girth_value=gi,
                   constants=constants, chain=chain, steps=tuple(steps), bound_id=bound_id.value)
     if odd:
-        checks = _packing_checks(g, members, assignment, c, gi, constants,
+        checks = _packing_checks(g, members, msd, assignment, c, gi, constants,
                                  tree, power_connected, use_max_degree)
         return PackingCertificate(
             members=tuple(members), weights=c,
@@ -666,19 +656,19 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
 # ---------------------------------------------------------------------------
 # structural checks: the packing and the matching lemmas
 
-def _packing_checks(g, members, assignment, c, gi, constants, tree,
+def _packing_checks(g, members, msd, assignment, c, gi, constants, tree,
                     power_connected, use_max_degree):
-    """Structural checks of an odd certificate, ``g`` connected.
+    """Structural checks of an odd certificate, ``g`` connected; ``msd`` is
+    every vertex's distance to the members.
 
     Spacing compares member distances against ``gi`` and the assignment
     check compares them against ``msd``, so BFS from each member stops at
     ``max(gi - 1, max(msd))``: a vertex beyond it is farther than both.
     """
     n = g.n
-    msd = multi_source_distances(g, members)
     radius = max(gi - 1, max(msd))
     far = radius + 1  # stands in for every distance beyond the radius
-    member_ball = {a: _ball(g, a, radius) for a in members}
+    member_ball = {a: ball(g.adj, a, radius) for a in members}
     spacing_ok = all(member_ball[a].get(b, far) >= gi
                      for i, a in enumerate(members) for b in members[i + 1:])
     coverage_ok = max(msd) <= gi - 1
@@ -726,15 +716,14 @@ def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
     disjoint_ok = len(vm) == 2 * len(members)
     radius = max(gi - 2, max(msd))
     far = radius + 1  # stands in for every distance beyond the radius
-    vert_ball = {u: _ball(g, u, radius) for u in vm}
+    vert_ball = {u: ball(g.adj, u, radius) for u in vm}
     spacing_ok = all(
         min(vert_ball[x].get(y, far) for x in e for y in f) >= gi - 1
         for i, e in enumerate(members) for f in members[i + 1:])
     coverage_ok = all(min(msd[x], msd[y]) <= gi - 2 for x, y in g.edges)
     assign_ok = all(assignment[v] in vert_ball
                     and vert_ball[assignment[v]].get(v, far) == msd[v] for v in range(n))
-    conserve_ok = (sum((c.weights[u] for u in vm), Fraction(0)) == n
-                   and sum(cbar.values(), Fraction(0)) == n)
+    conserve_ok = sum(c.weights[u] for u in vm) == n and sum(cbar.values()) == n
     if use_max_degree:
         l1, l2 = constants["L1"], constants["L2"]
         hub = members[0]

@@ -12,7 +12,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, girth, is_connected
+from .graph import Graph, ball, girth, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -209,35 +209,18 @@ class GenerationFailure:
     reason: str
 
 
-def _ball(adj, u, radius) -> set[int]:
-    """Vertices within ``radius`` hops of ``u`` in the adjacency-set graph."""
-    seen = {u}
-    frontier = [u]
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
-
-
-def _pick_outside(rng: random.Random, pool, ball: set[int]):
+def _pick_outside(rng: random.Random, pool, near):
     """``rng.choice`` over the members of the sorted ``pool`` (a list or a
-    range) outside ``ball``.
+    range) outside ``near``, the girth-guard ball (only its keys are read).
 
-    Draws exactly what ``rng.choice([v for v in pool if v not in ball])``
+    Draws exactly what ``rng.choice([v for v in pool if v not in near])``
     draws -- ``Random.choice`` takes ``_randbelow(len(seq))`` whatever the
     sequence is -- but touches only the ball: the index into the filtered
     list is stepped past the sorted pool positions of the ball's members.
     ``None`` (and no draw) when every pool member is in the ball.
     """
     skip = []
-    for x in ball:
+    for x in near:
         i = bisect_left(pool, x)
         # a ball vertex outside the pool must not claim a member's slot
         if i < len(pool) and pool[i] == x:
@@ -296,7 +279,7 @@ def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
             attempts += 1
             # keep the degree distribution flat: fill the neediest vertices first
             u = rng.choice(next(bucket for bucket in by_deg if bucket))
-            near = _ball(adj, u, floor - 1)  # adding an edge into this set closes a short cycle
+            near = ball(adj, u, floor - 1)  # adding an edge into this set closes a short cycle
             v = _pick_outside(rng, deficient, near)
             if v is None:
                 # endgame relaxation: a partner that already met its quota

@@ -109,17 +109,18 @@ class EccentricityProfile:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Nonnegative rational weights indexed by vertex id."""
+    """Nonnegative exact weights (ints or :class:`Fraction` values) indexed
+    by vertex id."""
 
-    weights: tuple[Fraction, ...]
+    weights: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
 
     @property
-    def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+    def total(self) -> int | Fraction:
+        return sum(self.weights)
 
     @staticmethod
     def uniform(n: int) -> "WeightFunction":
@@ -129,9 +130,9 @@ class WeightFunction:
     def from_map(n: int, mapping) -> "WeightFunction":
         """Dense weight vector from a ``vertex -> weight`` mapping; missing
         vertices get weight 0."""
-        vals = [Fraction(0)] * n
+        vals = [0] * n
         for v, w in mapping.items():
-            vals[v] = Fraction(w)
+            vals[v] = w
         return WeightFunction(tuple(vals))
 
 
@@ -224,6 +225,24 @@ def multi_source_distances(g: Graph, sources) -> list[int]:
             if dist[v] == UNREACHABLE:
                 dist[v] = du1
                 q.append(v)
+    return dist
+
+
+def ball(adj, source: int, radius: int) -> dict[int, int]:
+    """Distances from ``source`` to the vertices within ``radius`` hops of it,
+    over the adjacency lists (or sets) ``adj``: a BFS truncated at ``radius``."""
+    dist = {source: 0}
+    frontier = [source]
+    for d in range(1, radius + 1):
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        if not reached:
+            break
+        frontier = reached
     return dist
 
 

@@ -18,10 +18,10 @@ import eccbounds as eb
 from eccbounds.certify import (
     _anchor_tree,
     _contracted_power,
+    _grow,
     _line_eccentricity,
     _matching_checks,
     _packing_checks,
-    _replayed_connectors,
     certify,
 )
 from conftest import (
@@ -55,6 +55,23 @@ def _random_matching(rng: random.Random, g: eb.Graph) -> list[tuple[int, int]]:
     return matching[:rng.randint(1, len(matching))]
 
 
+def _replayed(g: eb.Graph, groups):
+    """Connectors the grower records for anchors taken from a list, in order."""
+    rest = iter(groups[1:])
+    return _grow(g, groups[0], lambda dist: next(rest, None))[1]
+
+
+def _tree(g: eb.Graph, groups):
+    return _anchor_tree(g, groups, _replayed(g, groups))
+
+
+def _with_msd(case):
+    """A ``packing_checks_oracle`` case with the members' distances inserted
+    where ``_packing_checks`` takes them."""
+    g, members, *rest = case
+    return (g, members, eb.multi_source_distances(g, members), *rest)
+
+
 def _fell_back(g, groups, connectors) -> bool:
     return tuple(prefix_connectors_oracle(g, groups) or ()) != connectors
 
@@ -83,7 +100,7 @@ def test_matching_tree_matches_prefix_replay_oracle():
     for _ in range(trials):
         g = _random_graph(rng)
         members = _random_matching(rng, g)
-        got = _anchor_tree(g, members)
+        got = _tree(g, members)
         assert got == matching_tree_oracle(g, members)
         fallbacks += _fell_back(g, members, got[3])
     assert 0 < fallbacks < trials
@@ -98,7 +115,7 @@ def test_packings_and_matchings_of_the_pipeline_match_oracles():
             assert eb.build_spanning_tree_from_packing(g, A) == packing_tree_oracle(g, A)
             M = eb.build_spaced_matching(g, gv)
             assert M == spaced_matching_oracle(g, gv)
-            assert _anchor_tree(g, M) == matching_tree_oracle(g, M)
+            assert _tree(g, M) == matching_tree_oracle(g, M)
 
 
 def test_replay_at_chain_distances():
@@ -106,13 +123,13 @@ def test_replay_at_chain_distances():
     g, _ = eb.chain_graph(3, 5, 80)
     ends = [0, g.n - 1, g.n // 2]
     groups = [(a,) for a in ends]
-    assert _replayed_connectors(g, groups) == prefix_connectors_oracle(g, groups)
+    assert _replayed(g, groups) == prefix_connectors_oracle(g, groups)
 
 
 def test_replay_stops_when_an_anchor_touches_an_earlier_one():
     g = eb.petersen_graph()
     groups = [(0, 1), (1, 2)]
-    assert _replayed_connectors(g, groups) is None
+    assert _replayed(g, groups) is None
     assert prefix_connectors_oracle(g, groups) is None
 
 
@@ -121,7 +138,7 @@ def test_tree_builders_reject_disconnected_input():
     with pytest.raises(ValueError, match="connected"):
         eb.build_spanning_tree_from_packing(g, [0, 3])
     with pytest.raises(ValueError, match="connected"):
-        _anchor_tree(g, [(0, 1), (3, 4)])
+        _tree(g, [(0, 1), (3, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +179,7 @@ def _packing_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool
 
 def _matching_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool):
     members = _random_matching(rng, g)
-    tree, _, assignment, _, vm, msd = _anchor_tree(g, members)
+    tree, _, assignment, _, vm, msd = _tree(g, members)
     assignment = list(assignment)
     if rng.random() < 0.5:
         for _ in range(rng.randint(1, 3)):
@@ -185,7 +202,7 @@ def test_packing_checks_match_full_bfs_oracle():
     for _ in range(300):
         g = _random_graph(rng)
         case = _packing_case(rng, g, rng.randint(-2, 10), rng.random() < 0.5)
-        got = _packing_checks(*case)
+        got = _packing_checks(*_with_msd(case))
         assert got == packing_checks_oracle(*case)
         failing += not all(check.ok for check in got[:3])
     assert failing > 100  # spacing, coverage or assignment failed on these
@@ -208,7 +225,7 @@ def test_checks_on_non_maximal_packing():
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, [0, 6])
     c = eb.weight_function(tree, [0, 6], assignment)
     case = (g, [0, 6], assignment, c, 3, {"K": 3}, tree, True, False)
-    got = _packing_checks(*case)
+    got = _packing_checks(*_with_msd(case))
     assert got == packing_checks_oracle(*case)
     by_name = {check.name: check for check in got}
     assert by_name["packing_spacing>=g"].ok
@@ -315,12 +332,12 @@ def test_property_incremental_machinery_equals_oracles(case):
     g, members, gi, rng = case
     assert eb.build_spanning_tree_from_packing(g, members) == packing_tree_oracle(g, members)
     matching = _random_matching(rng, g)
-    assert _anchor_tree(g, matching) == matching_tree_oracle(g, matching)
+    assert _tree(g, matching) == matching_tree_oracle(g, matching)
     if gi >= 2:
         assert eb.build_spaced_matching(g, gi) == spaced_matching_oracle(g, gi)
     md = rng.random() < 0.5
     pcase = _packing_case(rng, g, gi, md)
-    assert _packing_checks(*pcase) == packing_checks_oracle(*pcase)
+    assert _packing_checks(*_with_msd(pcase)) == packing_checks_oracle(*pcase)
     mcase = _matching_case(rng, g, gi, md)
     assert _matching_checks(*mcase) == matching_checks_oracle(*mcase)
     radius = max(gi, 0)

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth, bound_thm_girth_maxdeg
-from conftest import random_connected
+from eccbounds.certify import certify
+from conftest import prefix_connectors_oracle, random_connected
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,52 @@ def test_normalized_weights_at_least_one():
         else:
             cert = eb.certify_even(g)
             assert all(w >= 1 for w in cert.normalized_edge_weights.values())
+
+
+# ---------------------------------------------------------------------------
+# one anchor pass: the grower chooses the anchors and records the connectors
+
+@cache
+def _generated(girth_floor: int) -> eb.Graph:
+    return eb.random_min_degree_girth(eb.GeneratorConfig(n=300, delta=3, g=girth_floor, seed=1))
+
+
+def _groups(cert) -> list[tuple[int, ...]]:
+    odd = isinstance(cert, eb.PackingCertificate)
+    return [(a,) for a in cert.members] if odd else list(cert.members)
+
+
+def test_pipeline_connectors_equal_prefix_replay_oracle(monkeypatch):
+    certify_module = sys.modules["eccbounds.certify"]
+    grown = []
+    real = certify_module._grow
+
+    def grow(*args):
+        grown.append(real(*args))
+        return grown[-1]
+
+    monkeypatch.setattr(certify_module, "_grow", grow)
+    for g in _mini_corpus() + [_generated(5), _generated(6)]:
+        for maxdeg in (False, True):
+            cert = certify(g, use_max_degree=maxdeg)
+            (groups, connectors), = grown  # one anchor pass per certificate
+            grown.clear()
+            assert groups == _groups(cert)
+            assert connectors == prefix_connectors_oracle(g, groups), (g.n, maxdeg)
+
+
+def test_certificate_lowers_once_per_anchor_vertex_beyond_the_first(monkeypatch):
+    certify_module = sys.modules["eccbounds.certify"]
+    sources = []
+    real = certify_module._lower_distances
+    monkeypatch.setattr(certify_module, "_lower_distances",
+                        lambda g, dist, source: sources.append(source) or real(g, dist, source))
+    for g in (_generated(5), _generated(6)):
+        for maxdeg in (False, True):
+            sources.clear()
+            groups = _groups(certify(g, use_max_degree=maxdeg))
+            assert len(groups) > 5
+            assert sources == [x for group in groups[1:] for x in group]
 
 
 # ---------------------------------------------------------------------------
