@@ -27,8 +27,6 @@ class BoundId(str, Enum):
     THM_GIRTH_EVEN = "ThmGirthEven"
     THM_GIRTH_MAXDEG_ODD = "ThmGirthMaxDegOdd"
     THM_GIRTH_MAXDEG_EVEN = "ThmGirthMaxDegEven"
-    LOWER_CHAIN_ODD = "LowerChainOdd"
-    LOWER_CHAIN_EVEN = "LowerChainEven"
 
 
 #: Upper bounds evaluated by :func:`evaluate_all`, in report order.

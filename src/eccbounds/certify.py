@@ -14,7 +14,8 @@ One grower finds the anchors of all three kinds (packing members, matching
 edges, or a given list) on one distance array to the anchors so far.  Before
 an anchor's vertices lower the array, its discovery path is replayed on the
 same array and the path's middle edge is recorded as a connector of the
-tree, so the tree builder rebuilds nothing.  Cell weights are integer
+tree; the grower's final array gives the cells and the checks their
+distances, so the tree builder rebuilds nothing.  Cell weights are integer
 counts; fractions appear only where the chain divides.  Checks that only
 compare distances against a radius run BFS truncated at that radius, which
 gives the same verdict as a full BFS on every connected input.
@@ -62,7 +63,6 @@ class ChainStep:
     lhs: Fraction | None
     rhs: Fraction | None
     holds: bool
-    equality: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,9 +85,9 @@ class StructuralCheck:
 
 def _step(name: str, lhs, rhs, equality: bool = False) -> ChainStep:
     if lhs is None or rhs is None:
-        return ChainStep(name, lhs, rhs, holds=False, equality=equality)
+        return ChainStep(name, lhs, rhs, holds=False)
     holds = (lhs == rhs) if equality else (lhs <= rhs)
-    return ChainStep(name, lhs, rhs, holds, equality)
+    return ChainStep(name, lhs, rhs, holds)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,6 @@ class _Certificate:
     """The fields, verdict and JSON keys both kinds of certificate share."""
 
     tree: Graph
-    tree_parent: tuple[int, ...]          # -1 on anchor vertices
     connector_edges: tuple[tuple[int, int], ...]
     assignment: tuple[int, ...]           # vertex -> nearest anchor vertex
     use_max_degree: bool
@@ -181,16 +180,14 @@ class MatchingCertificate(_Certificate):
 # ---------------------------------------------------------------------------
 # deterministic multi-source machinery
 
-def _deterministic_cells(g: Graph, sources) -> tuple[list[int], list[int], list[int]]:
-    """Distances to ``sources`` plus a deterministic cell decomposition.
+def _deterministic_cells(g: Graph, dist: list[int], sources) -> tuple[list[int], list[int]]:
+    """A deterministic cell decomposition around ``sources``, from ``dist``,
+    every vertex's (finite) distance to them.
 
     Every vertex gets a root (its nearest source) and a parent on a shortest
     path toward that root.  Ties go to the lowest-id root, then the lowest-id
     parent, so repeated runs agree byte for byte.
     """
-    dist = multi_source_distances(g, sources)
-    if -1 in dist:
-        raise ValueError("graph must be connected")
     n = g.n
     root = [-1] * n
     parent = [-1] * n
@@ -209,7 +206,7 @@ def _deterministic_cells(g: Graph, sources) -> tuple[list[int], list[int], list[
                     best_root, best_parent = r, u
         root[v] = best_root
         parent[v] = best_parent
-    return dist, root, parent
+    return root, parent
 
 
 def _lower_distances(g: Graph, dist: list[int], source: int) -> None:
@@ -287,13 +284,12 @@ def _fallback_connectors(g: Graph, cell_of: list[int], depth: list[int],
     """Spanning tree of the cell-quotient graph out of direct edges of ``g``,
     preferring shallow attachment points (deterministic Kruskal)."""
     best: dict[tuple, tuple] = {}
-    for x, y in g.edges:
+    for x, y in g.edges:  # x < y
         cx, cy = cell_of[x], cell_of[y]
         if cx == cy:
             continue
         key = (cx, cy) if cx <= cy else (cy, cx)
-        a, b = (x, y) if x < y else (y, x)
-        cand = (depth[x] + depth[y], a, b)
+        cand = (depth[x] + depth[y], x, y)
         if key not in best or cand < best[key]:
             best[key] = cand
     uf = _UnionFind(cells)
@@ -308,7 +304,8 @@ def _fallback_connectors(g: Graph, cell_of: list[int], depth: list[int],
 # ---------------------------------------------------------------------------
 # anchors: one grower, three pick rules
 
-def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int, int]] | None]:
+def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int, int]] | None,
+                                         list[int]]:
     """Anchors grown from the vertex group ``first`` on one distance array.
 
     ``pick(dist)`` gives the next anchor's vertices from the distances to
@@ -316,8 +313,9 @@ def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int,
     the anchor's discovery path, from the anchors before it to its nearest
     vertex (lowest id on ties), is replayed on it by :func:`_replay_path`,
     and the path's middle edge is recorded as a connector of the tree.
-    Returns ``(groups, connectors)``, with ``connectors`` ``None`` once an
-    anchor touches an earlier one.
+    Returns ``(groups, connectors, dist)``, with ``connectors`` ``None``
+    once an anchor touches an earlier one and ``dist`` every vertex's
+    distance to all the anchors' vertices.
     """
     dist = multi_source_distances(g, first)
     if UNREACHABLE in dist:
@@ -335,7 +333,7 @@ def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int,
         groups.append(group)
         for x in group:
             _lower_distances(g, dist, x)
-    return groups, connectors
+    return groups, connectors, dist
 
 
 def _spaced_vertex(girth_value: int):
@@ -366,7 +364,7 @@ def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[
     a1 = 0 if start is None else start
     if not (0 <= a1 < g.n):
         raise ValueError(f"start vertex {a1} out of range")
-    groups, _ = _grow(g, (a1,), _spaced_vertex(girth_value))
+    groups = _grow(g, (a1,), _spaced_vertex(girth_value))[0]
     return [a for (a,) in groups]
 
 
@@ -392,30 +390,30 @@ def build_spaced_matching(g: Graph, girth_value: int,
         e1 = (u, v) if u < v else (v, u)
         if not g.has_edge(*e1):
             raise ValueError(f"start edge {start_edge} not in graph")
-    groups, _ = _grow(g, e1, _spaced_edge(g, girth_value))
-    return groups
+    return _grow(g, e1, _spaced_edge(g, girth_value))[0]
 
 
 # ---------------------------------------------------------------------------
 # distance-preserving spanning tree and cell weights
 
-def _anchor_tree(g: Graph, groups, connectors):
+def _anchor_tree(g: Graph, groups, connectors, dist):
     """Spanning tree preserving every vertex's distance to the anchors.
 
-    ``groups`` lists each anchor's vertices in discovery order: ``(a,)`` per
-    packing member, ``(u, v)`` per matching edge, whose edge joins the tree.
-    Cells, labelled by anchor index, come from a deterministic multi-source
-    BFS; the ``connectors`` that :func:`_grow` recorded join them, or a
-    quotient-graph spanning tree when those are ``None`` or do not stitch
-    the cells into a tree.  Spanning shape and distance preservation are
-    verified, not assumed.
+    ``groups``, ``connectors`` and ``dist`` are what :func:`_grow` returned:
+    each anchor's vertices in discovery order (``(a,)`` per packing member,
+    ``(u, v)`` per matching edge, whose edge joins the tree), the recorded
+    connectors and every vertex's distance to the anchors.  Cells, labelled
+    by anchor index, come from :func:`_deterministic_cells` on ``dist``; the
+    connectors join them, or a quotient-graph spanning tree when those are
+    ``None`` or do not stitch the cells into a tree.  Spanning shape and
+    distance preservation are verified, not assumed.
 
-    Returns ``(tree, parent, assignment, connectors, vertices, dist)``:
-    tree parents toward the cell roots (-1 on anchor vertices), cell roots,
-    the sorted anchor vertices and every vertex's distance to them.
+    Returns ``(tree, parent, assignment, connectors, vertices)``: tree
+    parents toward the cell roots (-1 on anchor vertices), cell roots and
+    the sorted anchor vertices.
     """
     vertices = sorted({x for group in groups for x in group})
-    dist, root, parent = _deterministic_cells(g, vertices)
+    root, parent = _deterministic_cells(g, dist, vertices)
     anchor_of = {x: i for i, group in enumerate(groups) for x in group}
     cell_of = [anchor_of[root[v]] for v in range(g.n)]
     cells = range(len(groups))
@@ -431,7 +429,7 @@ def _anchor_tree(g: Graph, groups, connectors):
     edges.extend(connectors)
     tree = Graph.from_edges(g.n, edges)
     _verify_tree(g, tree, vertices, dist)
-    return tree, tuple(parent), tuple(root), tuple(connectors), vertices, dist
+    return tree, tuple(parent), tuple(root), tuple(connectors), vertices
 
 
 def build_spanning_tree_from_packing(
@@ -444,8 +442,7 @@ def build_spanning_tree_from_packing(
         raise ValueError("packing must be a nonempty list of distinct vertices")
     groups = [(a,) for a in members]
     rest = iter(groups[1:])
-    _, connectors = _grow(g, groups[0], lambda dist: next(rest, None))
-    return _anchor_tree(g, groups, connectors)[:4]
+    return _anchor_tree(g, *_grow(g, groups[0], lambda dist: next(rest, None)))[:4]
 
 
 def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
@@ -557,13 +554,13 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
     # anchors: members spaced g apart (odd), or edges spaced g - 1 apart (even)
     hub = min(v for v in range(n) if g.degree(v) == Delta) if use_max_degree else None
     if odd:
-        groups, connectors = _grow(g, (0 if hub is None else hub,), _spaced_vertex(gi))
+        groups, connectors, msd = _grow(g, (0 if hub is None else hub,), _spaced_vertex(gi))
         members = [a for (a,) in groups]
     else:
         e1 = g.edges[0] if hub is None else min(tuple(sorted((hub, w))) for w in g.adj[hub])
-        groups, connectors = _grow(g, e1, _spaced_edge(g, gi))
+        groups, connectors, msd = _grow(g, e1, _spaced_edge(g, gi))
         members = groups
-    tree, parent, assignment, connectors, vertices, msd = _anchor_tree(g, groups, connectors)
+    tree, _, assignment, connectors, vertices = _anchor_tree(g, groups, connectors, msd)
     c = weight_function(tree, vertices, assignment)
     weights = [sum(c.weights[x] for x in group) for group in groups]  # c, or cbar on edges
 
@@ -634,7 +631,7 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
         chain["avecCbar_L"] = avec_host
     chain.update({power_key: avec_power, "Nprime": nprime, "finalBound": final_bound})
 
-    common = dict(tree=tree, tree_parent=parent, connector_edges=connectors,
+    common = dict(tree=tree, connector_edges=connectors,
                   assignment=assignment, use_max_degree=use_max_degree, girth_value=gi,
                   constants=constants, chain=chain, steps=tuple(steps), bound_id=bound_id.value)
     if odd:

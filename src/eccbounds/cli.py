@@ -54,15 +54,15 @@ def _girth_str(g_val) -> str:
 
 def cmd_compute(args) -> int:
     g = _read_graph(args.input)
-    prof = eccentricity_profile(g)
-    gi = girth(g)
+    measured = measure(g)  # the profile raises on disconnected input
+    prof, p = measured.profile, measured.params
     if args.json:
         payload = {
-            "n": g.n,
+            "n": p.n,
             "m": g.m,
-            "minDegree": g.min_degree(),
-            "maxDegree": g.max_degree(),
-            "girth": gi,
+            "minDegree": p.delta,
+            "maxDegree": p.Delta,
+            "girth": p.g,
             "ecc": list(prof.ecc),
             "total": prof.total,
             "avec": str(prof.avec),
@@ -72,8 +72,7 @@ def cmd_compute(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        print(f"n={g.n} m={g.m} minDeg={g.min_degree()} maxDeg={g.max_degree()} "
-              f"girth={_girth_str(gi)}")
+        print(f"n={p.n} m={g.m} minDeg={p.delta} maxDeg={p.Delta} girth={_girth_str(p.g)}")
         print(f"avec={prof.avec} ({_dec(prof.avec)}) radius={prof.radius} "
               f"diameter={prof.diameter} total={prof.total}")
     return EXIT_OK
@@ -133,6 +132,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    if args.report and args.delta < 3:  # the girth bound is singular below 3
+        print(f"sharpness report needs minimum degree >= 3, got delta={args.delta}",
+              file=sys.stderr)
+        return EXIT_INAPPLICABLE
     try:
         graph, spec = chain_graph(args.delta, args.g, args.k)
     except ValueError as exc:

@@ -304,20 +304,12 @@ def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
         if wedged:
             continue
 
-        # bridge components; new edges cannot create cycles
-        comp = [-1] * n
+        # bridge components at their least vertices; new edges cannot create cycles
+        roots, seen = [], set()
         for s in range(n):
-            if comp[s] != -1:
-                continue
-            comp[s] = s
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if comp[y] == -1:
-                        comp[y] = s
-                        stack.append(y)
-        roots = sorted(set(comp))
+            if s not in seen:
+                roots.append(s)
+                seen.update(ball(adj, s, n))
         for r in roots[1:]:
             adj[roots[0]].add(r)
             adj[r].add(roots[0])

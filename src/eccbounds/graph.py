@@ -7,6 +7,7 @@ caller renders a report.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,14 +79,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
@@ -194,29 +189,17 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from ``source``; unreachable vertices get ``UNREACHABLE``."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
-    q = deque([source])
-    adj = g.adj
-    while q:
-        u = q.popleft()
-        du1 = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du1
-                q.append(v)
-    return dist
+    return multi_source_distances(g, (source,))
 
 
 def multi_source_distances(g: Graph, sources) -> list[int]:
     """Hop distance to the nearest of ``sources`` (simultaneous BFS)."""
-    dist = [UNREACHABLE] * g.n
-    q = deque()
-    for s in sorted(set(sources)):
-        dist[s] = 0
-        q.append(s)
+    q = deque(sorted(set(sources)))
     if not q:
         raise ValueError("sources must be nonempty")
+    dist = [UNREACHABLE] * g.n
+    for s in q:
+        dist[s] = 0
     adj = g.adj
     while q:
         u = q.popleft()

@@ -195,7 +195,8 @@ def prefix_connectors_oracle(g: eb.Graph, groups):
     connectors = []
     for i in range(1, len(groups)):
         prefix = sorted({x for group in groups[:i] for x in group})
-        dist, _, parent = _deterministic_cells(g, prefix)
+        dist = eb.multi_source_distances(g, prefix)
+        _, parent = _deterministic_cells(g, dist, prefix)
         target = min(groups[i], key=lambda x: (dist[x], x))
         if dist[target] == 0:
             return None
@@ -227,7 +228,8 @@ def _stitched_tree(g, anchors, cells, cell_of, dist, parent, connectors, extra_e
 def packing_tree_oracle(g: eb.Graph, members):
     """``build_spanning_tree_from_packing`` with the per-prefix replay."""
     members = list(members)
-    dist, root, parent = _deterministic_cells(g, members)
+    dist = eb.multi_source_distances(g, members)
+    root, parent = _deterministic_cells(g, dist, members)
     replayed = prefix_connectors_oracle(g, [(a,) for a in members])
     tree, connectors = _stitched_tree(g, members, members, root, dist, parent, replayed)
     return tree, tuple(parent), tuple(root), connectors
@@ -236,7 +238,8 @@ def packing_tree_oracle(g: eb.Graph, members):
 def matching_tree_oracle(g: eb.Graph, members):
     """``_anchor_tree`` on a matching, with the per-prefix replay."""
     vm = sorted({x for e in members for x in e})
-    dist, root, parent = _deterministic_cells(g, vm)
+    dist = eb.multi_source_distances(g, vm)
+    root, parent = _deterministic_cells(g, dist, vm)
     member_of = {x: i for i, e in enumerate(members) for x in e}
     cell_of = [member_of[root[v]] for v in range(g.n)]
     replayed = prefix_connectors_oracle(g, members)

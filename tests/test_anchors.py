@@ -55,14 +55,22 @@ def _random_matching(rng: random.Random, g: eb.Graph) -> list[tuple[int, int]]:
     return matching[:rng.randint(1, len(matching))]
 
 
+def _grown(g: eb.Graph, groups):
+    """What the grower returns for anchors taken from a list, in order."""
+    rest = iter(groups[1:])
+    return _grow(g, groups[0], lambda dist: next(rest, None))
+
+
 def _replayed(g: eb.Graph, groups):
     """Connectors the grower records for anchors taken from a list, in order."""
-    rest = iter(groups[1:])
-    return _grow(g, groups[0], lambda dist: next(rest, None))[1]
+    return _grown(g, groups)[1]
 
 
 def _tree(g: eb.Graph, groups):
-    return _anchor_tree(g, groups, _replayed(g, groups))
+    """``_anchor_tree`` on what the grower returns, with the grower's
+    distances appended as ``matching_tree_oracle`` returns them."""
+    grown = _grown(g, groups)
+    return _anchor_tree(g, *grown) + (grown[2],)
 
 
 def _with_msd(case):

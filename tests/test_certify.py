@@ -109,7 +109,8 @@ def test_fallback_connectors_build_valid_quotient_trees():
     for _ in range(10):
         g = random_connected(rng, rng.randint(8, 30), rng.randint(2, 15))
         members = sorted(rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
-        dist, root, parent = _deterministic_cells(g, members)
+        dist = eb.multi_source_distances(g, members)
+        root, parent = _deterministic_cells(g, dist, members)
         chosen = _fallback_connectors(g, root, dist, members)
         assert len(chosen) == len(members) - 1
         uf = _UnionFind(members)
@@ -360,7 +361,7 @@ def test_pipeline_connectors_equal_prefix_replay_oracle(monkeypatch):
     for g in _mini_corpus() + [_generated(5), _generated(6)]:
         for maxdeg in (False, True):
             cert = certify(g, use_max_degree=maxdeg)
-            (groups, connectors), = grown  # one anchor pass per certificate
+            (groups, connectors, _), = grown  # one anchor pass per certificate
             grown.clear()
             assert groups == _groups(cert)
             assert connectors == prefix_connectors_oracle(g, groups), (g.n, maxdeg)
@@ -378,6 +379,23 @@ def test_certificate_lowers_once_per_anchor_vertex_beyond_the_first(monkeypatch)
             groups = _groups(certify(g, use_max_degree=maxdeg))
             assert len(groups) > 5
             assert sources == [x for group in groups[1:] for x in group]
+
+
+def test_certificate_runs_one_full_bfs_on_its_graph(monkeypatch):
+    # the grower's final array gives the cells and the checks their distances
+    certify_module = sys.modules["eccbounds.certify"]
+    calls = []
+    real = certify_module.multi_source_distances
+    monkeypatch.setattr(certify_module, "multi_source_distances",
+                        lambda h, sources: calls.append(h) or real(h, sources))
+    graphs = [eb.petersen_graph(), eb.heawood_graph(), eb.chain_graph(3, 5, 3)[0],
+              eb.chain_graph(3, 6, 2)[0], _generated(5), _generated(6)]
+    for g in graphs:
+        for maxdeg in (False, True):
+            calls.clear()
+            cert = certify(g, use_max_degree=maxdeg)
+            assert cert.all_steps_hold
+            assert sum(h is g for h in calls) == 1, (g.n, maxdeg)
 
 
 # ---------------------------------------------------------------------------

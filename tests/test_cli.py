@@ -204,6 +204,14 @@ def test_chain_with_report(tmp_path, capsys):
     assert csv_text.splitlines()[0].startswith("k,n,avec")
 
 
+def test_chain_report_below_degree_3_exits_3_before_writing(tmp_path, capsys):
+    # the sharpness table needs the girth bound, singular at delta=2
+    assert main(["chain", "--delta", "2", "--g", "5", "--k", "3",
+                 "--out", str(tmp_path), "--report"]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "delta=2" in capsys.readouterr().err
+
+
 def test_chain_uncataloged_exits_3(capsys):
     assert main(["chain", "--delta", "4", "--g", "5", "--k", "2"]) == 3
 

@@ -10,7 +10,10 @@ with 39 to 57 anchors, so long discovery-path replays are pinned), each
 certified plainly and with ``use_max_degree``, and criterion 10's batch
 sweep.  The generator-corpus digest (edge lists, or the failure's attempt
 statistics) was taken while the generator still rebuilt its candidate lists
-over all n vertices on every attempt.
+over all n vertices on every attempt.  The stdout digests of ``eccb compute
+--json`` and ``eccb bound --json`` on every instance were taken while
+``eccb compute`` still measured the profile, the girth and the degrees by
+separate calls.
 """
 from __future__ import annotations
 
@@ -123,6 +126,62 @@ def _generator_corpus():
 
 GENERATOR_CORPUS_SHA256 = "2d95abaaff859869cb7d1b927646aec49f60bda00f98b912b428eb48a8eec6d1"
 
+# stdout of `eccb compute --json` and `eccb bound --json` on each instance
+CLI_SHA256 = {
+    "K33/bound":
+        "516b2ad8ba568251e02dc67c4549da9ddd17c872a3bea4b368a2651f615ea866",
+    "K33/compute":
+        "a29aab4ed858749e749821da997aec3c8048646aaa4b640b6bc0056dc4a01bca",
+    "K4/bound":
+        "11643be7c7af8399b2f864fc56e088ba8e2d865011c885493859dbe55994e4f9",
+    "K4/compute":
+        "10b76ee670eb04d667f8875650b13dd48562e1790f4c061377a002d2bcdf4acd",
+    "chain-3-5-4/bound":
+        "7fbd5da8d935438023d22a4435cd8ae4fc11531a9a3c1633feacd50f513d68ee",
+    "chain-3-5-4/compute":
+        "f64829b38354dc8d1347354004303747ec5752385b29c995aaf0dccd772c05ae",
+    "chain-3-6-2/bound":
+        "801c2104cdf0a0ea9264c8957b5f79841d91e2b25aa6c7dd030822aeeb834f22",
+    "chain-3-6-2/compute":
+        "728b71f9a0523087557c393fc3b718ea2189512ddc6861461659a0a07b7c6233",
+    "chain-3-6-3/bound":
+        "eb8734c546797d66221db80cc2bb370dd4651b620dd5c62b741edc0d6c667c22",
+    "chain-3-6-3/compute":
+        "b8f4b4ce38f42e5950fee2dbbc61b0efe84de85015639c3a92fe5f269b40570e",
+    "gen-n1000-d3-g5-s1/bound":
+        "590691d418f44062b86d5a6519dcd0ad1b37d6148d95edb50612795498ccd98c",
+    "gen-n1000-d3-g5-s1/compute":
+        "8791eeab267e830239ee4759506e718750968743aca1778344db5d476e002452",
+    "gen-n1000-d3-g6-s1/bound":
+        "8c158114a5c5b61a507c99bff45e4e9a07d61f317263e042a55b435022299910",
+    "gen-n1000-d3-g6-s1/compute":
+        "3ff25e282cb1ad08a980660c1465e8b116ea84330c35fefa3a5bfddb92360803",
+    "gen-n300-d3-g5-s1/bound":
+        "fc6d216762736e2dfd642f0da2ff35e0fcac6b705489e6c0784ec2f84d358e9b",
+    "gen-n300-d3-g5-s1/compute":
+        "7718a04dc75397d916289c919f9f0abecf452f21a200b10f7b07077695fc8c0d",
+    "gen-n300-d3-g6-s1/bound":
+        "ce8c0389b2e039aa8c7ce399ab473b33f3ac15f51dc650cbd0f50df6d64c315a",
+    "gen-n300-d3-g6-s1/compute":
+        "4f78f73b656dccf0dcd3da90453d89e1ae009a42807c89864e33114950e55c79",
+    "gen-n50-d3-g5-s77/bound":
+        "0fcf03522ae617c0c8dd345190bb675efe7428139965f5258cd2d75493eef08c",
+    "gen-n50-d3-g5-s77/compute":
+        "3906a07ce9360d61da4001ac020f00e4f5659f490388dd40832919d507f9b4ef",
+    "heawood/bound":
+        "98c9503819b84daeef298e484b6cd0f7ac005eb1728d0e0674b5088c4fe2a176",
+    "heawood/compute":
+        "eebfd7597b19a2e496cb8e1d4eaac31cba198c00122bd895ce836e9074bdf12c",
+    "hoffman-singleton/bound":
+        "937fe5829161c7611844b62c5e2426deb4ee905b344cf49d4a7cafac1173d181",
+    "hoffman-singleton/compute":
+        "f081b6cbc8b5c6b1705180e825746f8f5aee1a1b205070e0fa4149901ade02c5",
+    "petersen/bound":
+        "5e6f3369cd5b3b5412b27fa22237b73551dfe897fff5503298db6138f3927f4c",
+    "petersen/compute":
+        "6db8826dc4451404c2689d5715bb36d53344829851f330e72386abdb3d295764",
+}
+
 BATCH_ARGS = ["batch", "--delta", "3", "--g", "5", "--n", "40", "--count", "6", "--seed", "7"]
 BATCH_CSV_SHA256 = "c36916d38b51fb49a00e77f9520620c39ce397dd8aba157f1a00ce9a6db26b52"
 
@@ -156,6 +215,15 @@ def test_measured_graph_gives_the_same_artifacts(name):
 def test_batch_report_digest(tmp_path):
     assert cli_main(BATCH_ARGS + ["--out", str(tmp_path)]) == 0
     assert _sha256((tmp_path / "report.csv").read_bytes()) == BATCH_CSV_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+@pytest.mark.parametrize("command", ["compute", "bound"])
+def test_cli_json_digest(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.el"
+    path.write_text(eb.emit_edge_list(INSTANCES[name]()))
+    assert cli_main([command, str(path), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == CLI_SHA256[f"{name}/{command}"]
 
 
 def test_generator_corpus_digest():

@@ -72,6 +72,18 @@ def test_parse_wrong_edge_count():
         eb.parse_edge_list("3 1\n0 1\n1 2")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_edge_list_round_trip(data):
+    g = data.draw(any_graphs())
+    assert eb.parse_edge_list(eb.emit_edge_list(g)) == g
+    cfg = eb.GeneratorConfig(n=g.n, delta=data.draw(st.integers(2, 6)),
+                             g=data.draw(st.integers(3, 9)), seed=data.draw(st.integers(0, 10**6)))
+    text = eb.emit_edge_list(g, cfg)
+    assert text.rstrip("\n").splitlines()[-1].startswith("# seed=")
+    assert eb.parse_edge_list(text) == g
+
+
 def test_parse_missing_header():
     with pytest.raises(eb.EdgeListParseError):
         eb.parse_edge_list("# only a comment\n")
@@ -328,6 +340,29 @@ def test_line_graph_small_cases():
     lstar, table = eb.line_graph(eb.complete_bipartite(1, 4))
     assert lstar.edges == eb.complete_graph(4).edges
     assert len(table) == 4
+
+
+def test_networkx_line_graph():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    graphs = [g for _, g in named_small()]
+    graphs += [eb.chain_graph(3, 6, 2)[0], eb.projective_plane_incidence(3)]
+    graphs += [random_connected(rng, rng.randint(2, 40), extra_edges=rng.randint(0, 30))
+               for _ in range(20)]
+    # isolated vertices and isolated edges
+    graphs += [eb.Graph.from_edges(9, [(0, 1), (2, 3), (3, 4)]), eb.Graph.from_edges(3, [])]
+    for g in graphs:
+        line, table = eb.line_graph(g)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        want = nx.line_graph(h)
+        # networkx names a line-graph vertex by its edge, in either orientation
+        index = {e: i for i, e in enumerate(table)}
+        index.update({(v, u): i for (u, v), i in index.items()})
+        assert sorted(index[e] for e in want.nodes) == list(range(line.n))
+        assert sorted(tuple(sorted((index[a], index[b]))) for a, b in want.edges) == \
+            list(line.edges)
 
 
 def test_line_graph_vertex_count():
