@@ -7,7 +7,7 @@ girth-parameterized bounds by ``3g/4``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -30,20 +30,7 @@ class BoundId(str, Enum):
 
 
 #: Upper bounds evaluated by :func:`evaluate_all`, in report order.
-UPPER_BOUND_IDS = (
-    BoundId.EQ1,
-    BoundId.EQ2,
-    BoundId.EQ3,
-    BoundId.EQ4,
-    BoundId.EQ5,
-    BoundId.EQ6,
-    BoundId.EQ7,
-    BoundId.EQ8,
-    BoundId.THM_GIRTH_ODD,
-    BoundId.THM_GIRTH_EVEN,
-    BoundId.THM_GIRTH_MAXDEG_ODD,
-    BoundId.THM_GIRTH_MAXDEG_EVEN,
-)
+UPPER_BOUND_IDS = tuple(BoundId)
 
 
 @dataclass(frozen=True)
@@ -91,11 +78,12 @@ def measure(g: Graph) -> Measured:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """One evaluated bound: identity, exact value, constants, verdicts."""
+    """One evaluated bound: identity, exact value, the integer orders it
+    used, verdicts."""
 
     bound: BoundId
     value: Fraction | None
-    constants: dict[str, Fraction] = field(default_factory=dict)
+    constants: dict[str, int] = field(default_factory=dict)
     applicable: bool = True
     reason: str = ""
     satisfied: bool | None = None
@@ -103,14 +91,7 @@ class BoundResult:
     def with_avec(self, avec: Fraction) -> "BoundResult":
         if not self.applicable or self.value is None:
             return self
-        return BoundResult(
-            bound=self.bound,
-            value=self.value,
-            constants=self.constants,
-            applicable=self.applicable,
-            reason=self.reason,
-            satisfied=avec <= self.value,
-        )
+        return replace(self, satisfied=avec <= self.value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,8 +183,7 @@ def bound_thm_girth(p: GraphParams) -> BoundResult:
     order = moore_order(p.delta, p.g)
     c = _ceil_div(p.n, order)
     value = Fraction(3 * p.g * c + 6 * p.g - 8, 4)
-    return BoundResult(bound=bound, value=value,
-                       constants={"K" if p.g % 2 else "L": Fraction(order)})
+    return BoundResult(bound=bound, value=value, constants={"K" if p.g % 2 else "L": order})
 
 
 def bound_thm_girth_maxdeg(p: GraphParams) -> BoundResult:
@@ -221,8 +201,8 @@ def bound_thm_girth_maxdeg(p: GraphParams) -> BoundResult:
         return _not_applicable(bound, "maximum degree not provided")
     if p.delta < 3:
         return _not_applicable(bound, "minimum degree delta >= 3 required")
-    (name1, c1), (name2, c2) = maxdeg_constants(p.delta, p.Delta, p.g).items()
-    constants = {name1: Fraction(c1), name2: Fraction(c2)}
+    constants = maxdeg_constants(p.delta, p.Delta, p.g)
+    (_, c1), (name2, c2) = constants.items()
     if p.n <= c2:
         return BoundResult(
             bound=bound, value=None, constants=constants, applicable=False,
@@ -261,7 +241,7 @@ def bound_legacy(p: GraphParams, which: BoundId | str) -> BoundResult:
             return _not_applicable(which, "girth >= 5 (triangle- and C4-free) required")
         eps = _eps(delta, delta)
         return BoundResult(which, Fraction(15 * _ceil_div(n, eps), 4) + Fraction(11, 2),
-                           constants={"eps_delta": Fraction(eps)})
+                           constants={"eps_delta": eps})
 
     if which is BoundId.EQ4:
         if g is None or g < 6:
@@ -301,7 +281,7 @@ def bound_legacy(p: GraphParams, which: BoundId | str) -> BoundResult:
         value = (Fraction(15, 4) * Fraction(n - eps_D + eps_d, eps_d)
                  * (1 + Fraction(eps_D - eps_d, 3 * n)) + Fraction(37, 4))
         return BoundResult(which, value,
-                           constants={"eps_Delta": Fraction(eps_D), "eps_delta": Fraction(eps_d)})
+                           constants={"eps_Delta": eps_D, "eps_delta": eps_d})
 
     raise ValueError(f"{which} is not a legacy bound id")
 
@@ -339,17 +319,6 @@ def girth6_reduction_forms(p: GraphParams) -> tuple[Fraction, Fraction]:
     return middle, right
 
 
-# the girth bounds come in parity pairs: an evaluator answers with the id of
-# the girth's parity, and the other id of its pair is reported not applicable;
-# evaluate_all calls each evaluator once for both ids
-_GIRTH_BOUND_EVALUATORS = {
-    BoundId.THM_GIRTH_ODD: (bound_thm_girth, "odd"),
-    BoundId.THM_GIRTH_EVEN: (bound_thm_girth, "even"),
-    BoundId.THM_GIRTH_MAXDEG_ODD: (bound_thm_girth_maxdeg, "odd"),
-    BoundId.THM_GIRTH_MAXDEG_EVEN: (bound_thm_girth_maxdeg, "even"),
-}
-
-
 def evaluate_all(g: Graph | Measured) -> list[BoundResult]:
     """Evaluate every upper bound at the measured (n, delta, Delta, girth).
 
@@ -359,18 +328,18 @@ def evaluate_all(g: Graph | Measured) -> list[BoundResult]:
     """
     m = g if isinstance(g, Measured) else measure(g)
     p = m.params
+    # the girth bounds come in parity pairs: each evaluator answers with the
+    # id of the girth's parity, and the other id of its pair is not applicable
+    girth_bounds = {r.bound: r for r in (bound_thm_girth(p), bound_thm_girth_maxdeg(p))}
     results: list[BoundResult] = []
-    answers: dict = {}
     for bid in UPPER_BOUND_IDS:
-        if bid in _GIRTH_BOUND_EVALUATORS:
-            evaluator, parity = _GIRTH_BOUND_EVALUATORS[bid]
-            if evaluator not in answers:
-                answers[evaluator] = evaluator(p)
-            r = answers[evaluator]
-            if r.bound is not bid:
-                r = _not_applicable(bid, f"girth is not {parity}"
-                                    if p.g is not None else "girth undefined (forest)")
-        else:
+        if bid.value.startswith("Eq"):
             r = bound_legacy(p, bid)
+        elif bid in girth_bounds:
+            r = girth_bounds[bid]
+        elif p.g is None:
+            r = _not_applicable(bid, "girth undefined (forest)")
+        else:
+            r = _not_applicable(bid, f"girth is not {'even' if p.g % 2 else 'odd'}")
         results.append(r.with_avec(m.profile.avec))
     return results

@@ -40,7 +40,6 @@ from .graph import (
     UNREACHABLE,
     EccentricityProfile,
     Graph,
-    WeightFunction,
     ball,
     bfs_distances,
     eccentricity_profile,
@@ -132,16 +131,15 @@ class PackingCertificate(_Certificate):
     """Odd-girth certificate: packing, tree, weights, and the verified chain."""
 
     members: tuple[int, ...]              # the packing, in discovery order
-    weights: WeightFunction
-    normalized_weights: WeightFunction
+    weights: dict[int, int]               # member -> cell size
+    normalized_weights: dict[int, Fraction]
 
     def to_json_dict(self) -> dict:
         return super().to_json_dict() | {
             "variant": "odd",
             "A": list(self.members),
-            "weights": {str(a): str(self.weights.weights[a]) for a in self.members},
-            "normalizedWeights": {str(a): str(self.normalized_weights.weights[a])
-                                  for a in self.members},
+            "weights": {str(a): str(w) for a, w in self.weights.items()},
+            "normalizedWeights": {str(a): str(w) for a, w in self.normalized_weights.items()},
         }
 
     def to_json(self) -> str:
@@ -153,24 +151,21 @@ class MatchingCertificate(_Certificate):
     """Even-girth certificate: spaced matching, tree, line-graph weights, chain."""
 
     members: tuple[tuple[int, int], ...]  # matching edges, discovery order
-    matched_vertices: tuple[int, ...]
-    vertex_weights: WeightFunction
+    vertex_weights: dict[int, int]        # matched vertex -> cell size
     edge_weights: dict[tuple[int, int], int]
     normalized_edge_weights: dict[tuple[int, int], Fraction]
-    line: Graph
-    line_table: tuple[tuple[int, int], ...]
+    line: Graph                           # vertex i is tree.edges[i]
 
     def to_json_dict(self) -> dict:
         return super().to_json_dict() | {
             "variant": "even",
             "M": [[u, v] for u, v in self.members],
-            "weights": {str(u): str(self.vertex_weights.weights[u])
-                        for u in self.matched_vertices},
+            "weights": {str(u): str(w) for u, w in self.vertex_weights.items()},
             "edgeWeights": {f"{u}-{v}": str(w) for (u, v), w in self.edge_weights.items()},
             "normalizedEdgeWeights": {f"{u}-{v}": str(w)
                                       for (u, v), w in self.normalized_edge_weights.items()},
             "lineGraph": self.line.to_json_dict(),
-            "lineTable": [[u, v] for u, v in self.line_table],
+            "lineTable": [[u, v] for u, v in self.tree.edges],
         }
 
     def to_json(self) -> str:
@@ -408,9 +403,10 @@ def _anchor_tree(g: Graph, groups, connectors, dist):
     ``None`` or do not stitch the cells into a tree.  Spanning shape and
     distance preservation are verified, not assumed.
 
-    Returns ``(tree, parent, assignment, connectors, vertices)``: tree
-    parents toward the cell roots (-1 on anchor vertices), cell roots and
-    the sorted anchor vertices.
+    Returns ``(tree, parent, assignment, connectors, vertices, tree_dist)``:
+    tree parents toward the cell roots (-1 on anchor vertices), cell roots,
+    the sorted anchor vertices and every vertex's distance to them in the
+    tree, which equals ``dist``.
     """
     vertices = sorted({x for group in groups for x in group})
     root, parent = _deterministic_cells(g, dist, vertices)
@@ -428,8 +424,8 @@ def _anchor_tree(g: Graph, groups, connectors, dist):
     edges.extend(group for group in groups if len(group) == 2)
     edges.extend(connectors)
     tree = Graph.from_edges(g.n, edges)
-    _verify_tree(g, tree, vertices, dist)
-    return tree, tuple(parent), tuple(root), tuple(connectors), vertices
+    tree_dist = _verify_tree(g, tree, vertices, dist)
+    return tree, tuple(parent), tuple(root), tuple(connectors), vertices, tree_dist
 
 
 def build_spanning_tree_from_packing(
@@ -445,7 +441,9 @@ def build_spanning_tree_from_packing(
     return _anchor_tree(g, *_grow(g, groups[0], lambda dist: next(rest, None)))[:4]
 
 
-def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
+def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g) -> list[int]:
+    """Raise unless ``tree`` spans ``g`` and keeps ``dist_in_g``, the
+    distances to ``anchor_vertices``; return the tree's distances to them."""
     if tree.m != g.n - 1:
         raise RuntimeError("construction invariant violated: not a spanning tree")
     td = multi_source_distances(tree, anchor_vertices)
@@ -454,15 +452,14 @@ def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
     if td != dist_in_g:
         raise RuntimeError("construction invariant violated: distances to the "
                            "anchor set are not preserved")
+    return td
 
 
-def weight_function(tree: Graph, members, assignment) -> WeightFunction:
-    """Cell-size weights: ``c(u)`` counts the vertices assigned to ``u``."""
+def weight_function(members, assignment) -> dict[int, int]:
+    """Cell-size weights ``{u: c(u)}`` on the anchor vertices ``members``:
+    ``c(u)`` counts the vertices assigned to ``u``."""
     counts = Counter(assignment)
-    vals = [0] * tree.n
-    for u in members:
-        vals[u] = counts[u]
-    return WeightFunction(tuple(vals))
+    return {u: counts[u] for u in members}
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +557,9 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
         e1 = g.edges[0] if hub is None else min(tuple(sorted((hub, w))) for w in g.adj[hub])
         groups, connectors, msd = _grow(g, e1, _spaced_edge(g, gi))
         members = groups
-    tree, _, assignment, connectors, vertices = _anchor_tree(g, groups, connectors, msd)
-    c = weight_function(tree, vertices, assignment)
-    weights = [sum(c.weights[x] for x in group) for group in groups]  # c, or cbar on edges
+    tree, _, assignment, connectors, vertices, tree_dist = _anchor_tree(g, groups, connectors, msd)
+    c = weight_function(vertices, assignment)
+    weights = [sum(c[x] for x in group) for group in groups]  # c, or cbar on edges
 
     if use_max_degree:
         constants = maxdeg_constants(delta, Delta, gi)
@@ -576,7 +573,7 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
         bound_id = BoundId.THM_GIRTH_MAXDEG_ODD if odd else BoundId.THM_GIRTH_MAXDEG_EVEN
     else:
         plain = bound_thm_girth(GraphParams(n=n, delta=delta, Delta=Delta, g=gi))
-        constants = {name: int(order) for name, order in plain.constants.items()}  # K or L
+        constants = plain.constants  # K or L
         (unit,) = constants.values()
         nprime = Fraction(n, unit)
         power_bound = Fraction(3 * math.ceil(nprime), 4) - Fraction(1, 2)
@@ -588,12 +585,12 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
 
     tree_prof = eccentricity_profile(tree)
     avec_g, avec_t = profile.avec, tree_prof.avec
-    avec_c_t = Fraction(sum(c.weights[u] * tree_prof.ecc[u] for u in vertices), n)
+    avec_c_t = Fraction(sum(w * tree_prof.ecc[u] for u, w in c.items()), n)
 
     # the contracted power lives on T (odd), or on its line graph L(T) (even),
     # whose vertex for an anchor edge e has eccentricity ecc_L(T)(e)
     if odd:
-        host, host_anchors, line, table = tree, members, None, None
+        host, host_anchors, line = tree, members, None
         avec_host = avec_c_t
     else:
         line, table = line_graph(tree)
@@ -636,27 +633,27 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
                   constants=constants, chain=chain, steps=tuple(steps), bound_id=bound_id.value)
     if odd:
         checks = _packing_checks(g, members, msd, assignment, c, gi, constants,
-                                 tree, power_connected, use_max_degree)
+                                 tree, tree_dist, power_connected, use_max_degree)
         return PackingCertificate(
-            members=tuple(members), weights=c,
-            normalized_weights=WeightFunction.from_map(n, dict(zip(members, norm))),
+            members=tuple(members), weights=c, normalized_weights=dict(zip(members, norm)),
             checks=checks, **common)
     cbar = dict(zip(members, weights))
     checks = _matching_checks(g, members, vertices, msd, assignment, c, cbar, gi,
-                              constants, tree, power_connected, use_max_degree)
+                              constants, tree, tree_dist, power_connected, use_max_degree)
     return MatchingCertificate(
-        members=tuple(members), matched_vertices=tuple(vertices), vertex_weights=c,
+        members=tuple(members), vertex_weights=c,
         edge_weights=cbar, normalized_edge_weights=dict(zip(members, norm)),
-        line=line, line_table=table, checks=checks, **common)
+        line=line, checks=checks, **common)
 
 
 # ---------------------------------------------------------------------------
 # structural checks: the packing and the matching lemmas
 
-def _packing_checks(g, members, msd, assignment, c, gi, constants, tree,
+def _packing_checks(g, members, msd, assignment, c, gi, constants, tree, tree_dist,
                     power_connected, use_max_degree):
-    """Structural checks of an odd certificate, ``g`` connected; ``msd`` is
-    every vertex's distance to the members.
+    """Structural checks of an odd certificate, ``g`` connected; ``msd`` and
+    ``tree_dist`` are every vertex's distance to the members in ``g`` and in
+    ``tree``.
 
     Spacing compares member distances against ``gi`` and the assignment
     check compares them against ``msd``, so BFS from each member stops at
@@ -671,40 +668,39 @@ def _packing_checks(g, members, msd, assignment, c, gi, constants, tree,
     coverage_ok = max(msd) <= gi - 1
     assign_ok = all(assignment[v] in member_ball
                     and member_ball[assignment[v]].get(v, far) == msd[v] for v in range(n))
-    conserve_ok = c.total == n
+    total = sum(c.values())
     if use_max_degree:
         k1, k2 = constants["K1"], constants["K2"]
         hub = members[0]
-        cells_ok = (c.weights[hub] >= k2
-                    and all(c.weights[a] >= k1 for a in members if a != hub))
+        cells_ok = c[hub] >= k2 and all(c[a] >= k1 for a in members if a != hub)
         size_ok = len(members) <= Fraction(n - k2, k1) + 1
         extra = (
-            StructuralCheck("hub_weight>=K2", c.weights[hub] >= k2,
-                            f"c({hub})={c.weights[hub]}, K2={k2}"),
+            StructuralCheck("hub_weight>=K2", c[hub] >= k2, f"c({hub})={c[hub]}, K2={k2}"),
             StructuralCheck("packing_size<=(n-K2)/K1+1", size_ok,
                             f"|A|={len(members)}"),
         )
     else:
         k = constants["K"]
-        cells_ok = all(c.weights[a] >= k for a in members)
+        cells_ok = all(c[a] >= k for a in members)
         extra = ()
     tree_ok = tree.m == n - 1 and -1 not in bfs_distances(tree, 0)
-    pres_ok = multi_source_distances(tree, members) == msd
     return (
         StructuralCheck("packing_spacing>=g", spacing_ok),
         StructuralCheck("packing_coverage<=g-1", coverage_ok, f"max dist {max(msd)}"),
         StructuralCheck("assignment_nearest_member", assign_ok),
-        StructuralCheck("weight_conservation", conserve_ok, f"total={c.total}, n={n}"),
+        StructuralCheck("weight_conservation", total == n, f"total={total}, n={n}"),
         StructuralCheck("cell_lower_bounds", cells_ok),
         StructuralCheck("tree_spanning", tree_ok),
-        StructuralCheck("distance_preservation", pres_ok),
+        StructuralCheck("distance_preservation", tree_dist == msd),
         StructuralCheck("tree_power_connected", power_connected),
     ) + extra
 
 
 def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
-                     tree, power_connected, use_max_degree):
-    """Structural checks of an even certificate, ``g`` connected.
+                     tree, tree_dist, power_connected, use_max_degree):
+    """Structural checks of an even certificate, ``g`` connected; ``msd``
+    and ``tree_dist`` are every vertex's distance to ``vm``, the matched
+    vertices, in ``g`` and in ``tree``.
 
     As in :func:`_packing_checks`, BFS from each matched vertex stops at
     ``max(gi - 2, max(msd))``, past which no check can tell distances apart.
@@ -720,7 +716,7 @@ def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
     coverage_ok = all(min(msd[x], msd[y]) <= gi - 2 for x, y in g.edges)
     assign_ok = all(assignment[v] in vert_ball
                     and vert_ball[assignment[v]].get(v, far) == msd[v] for v in range(n))
-    conserve_ok = sum(c.weights[u] for u in vm) == n and sum(cbar.values()) == n
+    conserve_ok = sum(c.values()) == n and sum(cbar.values()) == n
     if use_max_degree:
         l1, l2 = constants["L1"], constants["L2"]
         hub = members[0]
@@ -739,7 +735,6 @@ def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
         extra = ()
     tree_ok = tree.m == n - 1 and -1 not in bfs_distances(tree, 0)
     contains_ok = all(tree.has_edge(u, v) for u, v in members)
-    pres_ok = multi_source_distances(tree, vm) == msd
     return (
         StructuralCheck("matching_disjoint", disjoint_ok),
         StructuralCheck("matching_spacing>=g-1", spacing_ok),
@@ -749,6 +744,6 @@ def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
         StructuralCheck("edge_weight_lower_bounds", edge_ok),
         StructuralCheck("tree_spanning", tree_ok),
         StructuralCheck("tree_contains_matching", contains_ok),
-        StructuralCheck("distance_preservation", pres_ok),
+        StructuralCheck("distance_preservation", tree_dist == msd),
         StructuralCheck("line_power_connected", power_connected),
     ) + extra

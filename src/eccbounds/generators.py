@@ -179,9 +179,9 @@ def projective_plane_incidence(q: int) -> Graph:
 class GeneratorConfig:
     """Target order, minimum degree, girth floor, and search budgets.
 
-    ``max_edge_attempts_per_restart`` defaults to ``50 * n``.  The same seed
-    always yields the same graph (or the same failure).  Note that an order
-    at least the minimum for (delta, g) is necessary but nowhere near
+    Each restart gets ``50 * n`` edge attempts.  The same seed always
+    yields the same graph (or the same failure).  Note that an order at
+    least the minimum for (delta, g) is necessary but nowhere near
     sufficient; infeasible or tight configurations simply exhaust their
     budgets and come back as failures.
     """
@@ -191,11 +191,8 @@ class GeneratorConfig:
     g: int
     seed: int
     max_restarts: int = 50
-    max_edge_attempts_per_restart: int | None = None
 
     def attempts_budget(self) -> int:
-        if self.max_edge_attempts_per_restart is not None:
-            return self.max_edge_attempts_per_restart
         return 50 * self.n
 
 

@@ -121,15 +121,6 @@ class WeightFunction:
     def uniform(n: int) -> "WeightFunction":
         return WeightFunction(tuple(Fraction(1) for _ in range(n)))
 
-    @staticmethod
-    def from_map(n: int, mapping) -> "WeightFunction":
-        """Dense weight vector from a ``vertex -> weight`` mapping; missing
-        vertices get weight 0."""
-        vals = [0] * n
-        for v, w in mapping.items():
-            vals[v] = w
-        return WeightFunction(tuple(vals))
-
 
 def parse_edge_list(text) -> Graph:
     """Parse the plain edge-list format.

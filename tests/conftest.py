@@ -273,22 +273,23 @@ def packing_checks_oracle(g, members, assignment, c, gi, constants, tree,
     if use_max_degree:
         k1, k2 = constants["K1"], constants["K2"]
         hub = members[0]
-        cells_ok = (c.weights[hub] >= k2
-                    and all(c.weights[a] >= k1 for a in members if a != hub))
+        cells_ok = (c[hub] >= k2
+                    and all(c[a] >= k1 for a in members if a != hub))
         extra = (
-            StructuralCheck("hub_weight>=K2", c.weights[hub] >= k2,
-                            f"c({hub})={c.weights[hub]}, K2={k2}"),
+            StructuralCheck("hub_weight>=K2", c[hub] >= k2,
+                            f"c({hub})={c[hub]}, K2={k2}"),
             StructuralCheck("packing_size<=(n-K2)/K1+1",
                             len(members) <= F(n - k2, k1) + 1, f"|A|={len(members)}"),
         )
     else:
-        cells_ok = all(c.weights[a] >= constants["K"] for a in members)
+        cells_ok = all(c[a] >= constants["K"] for a in members)
         extra = ()
     return (
         StructuralCheck("packing_spacing>=g", spacing_ok),
         StructuralCheck("packing_coverage<=g-1", max(msd) <= gi - 1, f"max dist {max(msd)}"),
         StructuralCheck("assignment_nearest_member", assign_ok),
-        StructuralCheck("weight_conservation", c.total == n, f"total={c.total}, n={n}"),
+        StructuralCheck("weight_conservation", sum(c.values()) == n,
+                        f"total={sum(c.values())}, n={n}"),
         StructuralCheck("cell_lower_bounds", cells_ok),
         StructuralCheck("tree_spanning",
                         tree.m == n - 1 and -1 not in eb.bfs_distances(tree, 0)),
@@ -308,7 +309,7 @@ def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constan
         for i, e in enumerate(members) for f in members[i + 1:])
     assign_ok = all(assignment[v] in vert_dist
                     and vert_dist[assignment[v]][v] == msd[v] for v in range(n))
-    conserve_ok = (sum((c.weights[u] for u in vm), F(0)) == n
+    conserve_ok = (sum((c[u] for u in vm), F(0)) == n
                    and sum(cbar.values(), F(0)) == n)
     if use_max_degree:
         l1, l2 = constants["L1"], constants["L2"]

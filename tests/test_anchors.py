@@ -67,17 +67,26 @@ def _replayed(g: eb.Graph, groups):
 
 
 def _tree(g: eb.Graph, groups):
-    """``_anchor_tree`` on what the grower returns, with the grower's
-    distances appended as ``matching_tree_oracle`` returns them."""
-    grown = _grown(g, groups)
-    return _anchor_tree(g, *grown) + (grown[2],)
+    """``_anchor_tree`` on what the grower returns; its last element, the
+    tree's distances to the anchors, equals the distances in ``g`` that
+    ``matching_tree_oracle`` returns there."""
+    return _anchor_tree(g, *_grown(g, groups))
 
 
 def _with_msd(case):
-    """A ``packing_checks_oracle`` case with the members' distances inserted
-    where ``_packing_checks`` takes them."""
-    g, members, *rest = case
-    return (g, members, eb.multi_source_distances(g, members), *rest)
+    """A ``packing_checks_oracle`` case with the members' distances in ``g``
+    and in the tree inserted where ``_packing_checks`` takes them."""
+    g, members, *rest, tree, power_connected, use_max_degree = case
+    return (g, members, eb.multi_source_distances(g, members), *rest, tree,
+            eb.multi_source_distances(tree, members), power_connected, use_max_degree)
+
+
+def _with_tree_dist(case):
+    """A ``matching_checks_oracle`` case with the matched vertices' distances
+    in the tree inserted where ``_matching_checks`` takes them."""
+    g, members, vm, *rest, tree, power_connected, use_max_degree = case
+    return (g, members, vm, *rest, tree,
+            eb.multi_source_distances(tree, vm), power_connected, use_max_degree)
 
 
 def _fell_back(g, groups, connectors) -> bool:
@@ -179,7 +188,7 @@ def _packing_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool
             assignment[rng.randrange(g.n)] = rng.randrange(g.n)
     if rng.random() < 0.2:
         members = members + [members[0]]  # a repeated member
-    c = eb.weight_function(tree, members, assignment)
+    c = eb.weight_function(members, assignment)
     k = rng.randint(1, 12)
     constants = {"K1": k, "K2": k + rng.randint(0, 4)} if use_max_degree else {"K": k}
     return (g, members, assignment, c, gi, constants, tree, rng.random() < 0.5, use_max_degree)
@@ -196,8 +205,8 @@ def _matching_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: boo
         members = members + [next(e for e in g.edges if e not in members)]  # may overlap
         vm = sorted({x for e in members for x in e})
         msd = eb.multi_source_distances(g, vm)
-    c = eb.weight_function(tree, vm, assignment)
-    cbar = {e: c.weights[e[0]] + c.weights[e[1]] for e in members}
+    c = eb.weight_function(vm, assignment)
+    cbar = {e: c[e[0]] + c[e[1]] for e in members}
     k = rng.randint(1, 12)
     constants = {"L1": k, "L2": k + rng.randint(0, 4)} if use_max_degree else {"L": 2 * k}
     return (g, members, vm, msd, assignment, c, cbar, gi, constants, tree,
@@ -222,7 +231,7 @@ def test_matching_checks_match_full_bfs_oracle():
     for _ in range(300):
         g = _random_graph(rng)
         case = _matching_case(rng, g, rng.randint(-2, 10), rng.random() < 0.5)
-        got = _matching_checks(*case)
+        got = _matching_checks(*_with_tree_dist(case))
         assert got == matching_checks_oracle(*case)
         failing += not all(check.ok for check in got[:4])
     assert failing > 100
@@ -231,7 +240,7 @@ def test_matching_checks_match_full_bfs_oracle():
 def test_checks_on_non_maximal_packing():
     g = eb.path_graph(12)
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, [0, 6])
-    c = eb.weight_function(tree, [0, 6], assignment)
+    c = eb.weight_function([0, 6], assignment)
     case = (g, [0, 6], assignment, c, 3, {"K": 3}, tree, True, False)
     got = _packing_checks(*_with_msd(case))
     assert got == packing_checks_oracle(*case)
@@ -347,7 +356,7 @@ def test_property_incremental_machinery_equals_oracles(case):
     pcase = _packing_case(rng, g, gi, md)
     assert _packing_checks(*_with_msd(pcase)) == packing_checks_oracle(*pcase)
     mcase = _matching_case(rng, g, gi, md)
-    assert _matching_checks(*mcase) == matching_checks_oracle(*mcase)
+    assert _matching_checks(*_with_tree_dist(mcase)) == matching_checks_oracle(*mcase)
     radius = max(gi, 0)
     assert _contracted_power(g, members, radius) == contracted_power_oracle(g, members, radius)
     if g.m == g.n - 1:

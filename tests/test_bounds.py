@@ -287,10 +287,8 @@ def test_evaluate_all_calls_each_girth_evaluator_once(monkeypatch):
             return f(p)
         return wrapper
 
-    wrapped = {f: counted(f) for f in (bound_thm_girth, bound_thm_girth_maxdeg)}
-    monkeypatch.setattr(bounds, "_GIRTH_BOUND_EVALUATORS", {
-        bid: (wrapped[f], parity)
-        for bid, (f, parity) in bounds._GIRTH_BOUND_EVALUATORS.items()})
+    for f in (bound_thm_girth, bound_thm_girth_maxdeg):
+        monkeypatch.setattr(bounds, f.__name__, counted(f))
     evaluate_all(eb.petersen_graph())
     assert calls == {"bound_thm_girth": 1, "bound_thm_girth_maxdeg": 1}
 

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth, bound_thm_girth_maxdeg
@@ -86,8 +88,8 @@ def test_tree_preserves_distances_random():
 def test_weight_function_point():
     g = eb.petersen_graph()
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, [0])
-    c = eb.weight_function(tree, [0], assignment)
-    assert c.weights[0] == 10 and c.total == 10
+    c = eb.weight_function([0], assignment)
+    assert c[0] == 10 and sum(c.values()) == 10
 
 
 def test_two_chain_cells_split_evenly():
@@ -97,9 +99,9 @@ def test_two_chain_cells_split_evenly():
     A = eb.build_packing(g20, 5, start=start)
     assert len(A) == 2
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g20, A)
-    c = eb.weight_function(tree, A, assignment)
-    assert sorted(c.weights[a] for a in A) == [10, 10]
-    assert all(c.weights[a] >= 10 for a in A)  # >= K
+    c = eb.weight_function(A, assignment)
+    assert sorted(c[a] for a in A) == [10, 10]
+    assert all(c[a] >= 10 for a in A)  # >= K
 
 
 def test_fallback_connectors_build_valid_quotient_trees():
@@ -298,7 +300,7 @@ def test_structural_checks_hold_across_corpus():
 
 def test_chain_values_match_independent_recomputation():
     # avecC_T is the weight-moved average: recompute it straight from the
-    # assignment, bypassing the WeightFunction bookkeeping
+    # assignment, bypassing the cell weights
     for g in _mini_corpus():
         gi = eb.girth(g)
         if gi % 2:
@@ -329,10 +331,39 @@ def test_normalized_weights_at_least_one():
         gi = eb.girth(g)
         if gi % 2:
             cert = eb.certify_odd(g)
-            assert all(cert.normalized_weights.weights[a] >= 1 for a in cert.members)
+            assert all(cert.normalized_weights[a] >= 1 for a in cert.members)
         else:
             cert = eb.certify_even(g)
             assert all(w >= 1 for w in cert.normalized_edge_weights.values())
+
+
+@st.composite
+def certifiable_graphs(draw):
+    """Connected graphs with minimum degree at least 3: dense random graphs,
+    girth 3 in practice, or generator outputs with girth floors 4 to 7."""
+    floor = draw(st.integers(min_value=3, max_value=7))
+    n = draw(st.integers(min_value=4 if floor == 3 else 20, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if floor > 3:
+        out = eb.random_min_degree_girth(eb.GeneratorConfig(n=n, delta=3, g=floor, seed=seed))
+        assume(isinstance(out, eb.Graph))
+        return out
+    rng = random.Random(seed)
+    p = draw(st.floats(min_value=0.1, max_value=0.9))
+    pairs = [(u, w) for u in range(n) for w in rng.sample(range(n), 4) if w != u]
+    pairs += [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
+    g = eb.Graph.from_edges(n, pairs)
+    assume(eb.is_connected(g))
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(certifiable_graphs())
+def test_property_every_certifiable_graph_certifies(g):
+    assert g.min_degree() >= 3 and eb.girth(g) is not None
+    for maxdeg in (False, True):
+        cert = certify(g, use_max_degree=maxdeg)
+        assert cert.all_steps_hold, (g.n, g.edges, maxdeg)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +427,23 @@ def test_certificate_runs_one_full_bfs_on_its_graph(monkeypatch):
             cert = certify(g, use_max_degree=maxdeg)
             assert cert.all_steps_hold
             assert sum(h is g for h in calls) == 1, (g.n, maxdeg)
+
+
+def test_certificate_measures_its_tree_distances_once(monkeypatch):
+    # the tree check's distances feed the distance_preservation check
+    certify_module = sys.modules["eccbounds.certify"]
+    calls = []
+    real = certify_module.multi_source_distances
+    monkeypatch.setattr(certify_module, "multi_source_distances",
+                        lambda h, sources: calls.append(h) or real(h, sources))
+    graphs = [eb.petersen_graph(), eb.heawood_graph(), eb.chain_graph(3, 5, 3)[0],
+              eb.chain_graph(3, 6, 2)[0], _generated(5), _generated(6)]
+    for g in graphs:
+        for maxdeg in (False, True):
+            calls.clear()
+            cert = certify(g, use_max_degree=maxdeg)
+            assert cert.all_steps_hold
+            assert sum(h is cert.tree for h in calls) == 1, (g.n, maxdeg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private function or class is referenced somewhere in the
-package.
+"""Every name a library module, test file or demo imports is used in that
+file, and every module-level private function or class of the library is
+referenced somewhere in the package.
 
 An import kept only for other code to look up marks its line with
 ``# noqa: F401`` and says why in a comment, as ``cli`` does for the names
@@ -13,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eccbounds"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "eccbounds"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(p.name for p in SRC.glob("*.py"))
+SCRIPTS = sorted(str(p.relative_to(ROOT)) for d in ("tests", "demos")
+                 for p in (ROOT / d).glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -45,6 +48,11 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert _unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_uses_every_name_it_imports(script):
+    assert _unused_imports((ROOT / script).read_text()) == []
 
 
 def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
