@@ -17,15 +17,23 @@ from .certify import NotCertifiableError, certify
 # tracer (perfbench/spans.py) looks both names up in this module
 from .certify import certify_even, certify_odd  # noqa: F401
 from .extremal import _dec, chain_graph, sharpness_rows_to_csv, sharpness_report
-from .generators import GenerationFailure, GeneratorConfig, emit_edge_list, random_min_degree_girth
+from .generators import (
+    GenerationFailure,
+    GeneratorConfig,
+    emit_edge_list,
+    generate_measured,
+    random_min_degree_girth,
+)
 from .graph import (
     DisconnectedGraphError,
     EdgeListParseError,
     Graph,
     eccentricity_profile,
-    girth,
     parse_edge_list,
 )
+# girth stays importable from here for the same tracer, which wraps it in
+# every module that measures a graph
+from .graph import girth  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_graph(path: str) -> Graph:
     if path == "-":
         return parse_edge_list(sys.stdin.read())
-    return parse_edge_list(Path(path).read_text())
+    return parse_edge_list(Path(path).read_bytes())
 
 
 def _girth_str(g_val) -> str:
@@ -118,16 +126,17 @@ def cmd_certify(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = GeneratorConfig(n=args.n, delta=args.delta, g=args.g, seed=args.seed)
-    out = random_min_degree_girth(cfg)
+    out = generate_measured(cfg)  # the generator's re-verification measured the girth
     if isinstance(out, GenerationFailure):
         print(f"generation failed after {out.restarts} restarts "
               f"({out.attempts} attempts): {out.reason}")
         return EXIT_VIOLATION if args.strict else EXIT_OK
+    graph, measured_girth = out
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"gen_n{args.n}_d{args.delta}_g{args.g}_s{args.seed}.el"
-    path.write_text(emit_edge_list(out, cfg))
-    print(f"n={out.n} m={out.m} minDeg={out.min_degree()} girth={girth(out)} -> {path}")
+    path.write_text(emit_edge_list(graph, cfg))
+    print(f"n={graph.n} m={graph.m} minDeg={graph.min_degree()} girth={measured_girth} -> {path}")
     return EXIT_OK
 
 
@@ -160,13 +169,17 @@ def cmd_chain(args) -> int:
 # batch
 
 def _batch_sources(args):
-    """Yield (graphId, Graph-or-Failure) pairs in deterministic order."""
+    """Yield (graphId, item) pairs in deterministic order; an item is a
+    Graph, a GenerationFailure or the EdgeListParseError of its file."""
     if args.dir:
         files = sorted(Path(args.dir).glob("*.el"))
         if not files:
             raise FileNotFoundError(f"no .el files in {args.dir}")
         for f in files:
-            yield f.stem, parse_edge_list(f.read_text())
+            try:
+                yield f.stem, parse_edge_list(f.read_bytes())
+            except EdgeListParseError as exc:
+                yield f.stem, exc
     else:
         for i in range(args.count):
             cfg = GeneratorConfig(n=args.n, delta=args.delta, g=args.g,
@@ -174,19 +187,33 @@ def _batch_sources(args):
             yield f"gen-{i:04d}", random_min_degree_girth(cfg)
 
 
+# row statuses of inputs that were read but could not be fully processed
+_BAD_INPUT_STATUSES = ("parse-error", "disconnected", "not-certifiable")
+
+
 def _batch_row(graph_id: str, item) -> dict:
+    """One report row; a bad input gets a row whose status says why."""
     if isinstance(item, GenerationFailure):
         return {"graphId": graph_id, "status": "generation-failure"}
-    m = measure(item)  # once per row: the bounds and the certificate reuse it
+    if isinstance(item, EdgeListParseError):
+        print(f"{graph_id}: input error: {item}", file=sys.stderr)
+        return {"graphId": graph_id, "status": f"parse-error:{item.line}"}
+    try:
+        m = measure(item)  # once per row: the bounds and the certificate reuse it
+    except DisconnectedGraphError:
+        print(f"{graph_id}: graph is disconnected", file=sys.stderr)
+        return {"graphId": graph_id, "status": "disconnected"}
     p, avec = m.params, m.profile.avec
     results = {r.bound.value: r for r in evaluate_all(m)}
-    cert_ok = ""
-    if p.g is not None and p.delta >= 3:
+    status, cert_ok = "ok", ""
+    try:
         cert = certify(m)
         cert_ok = "true" if cert.all_steps_hold else "false"
+    except NotCertifiableError:
+        status = "not-certifiable"  # the bounds still apply; the certificate does not
     return {
         "graphId": graph_id,
-        "status": "ok",
+        "status": status,
         "n": p.n,
         "minDeg": p.delta,
         "maxDeg": p.Delta,
@@ -228,6 +255,7 @@ def cmd_batch(args) -> int:
     report.write_text(_batch_csv(rows))
 
     failures = sum(1 for r in rows if r["status"] == "generation-failure")
+    bad_inputs = sum(1 for r in rows if r["status"].startswith(_BAD_INPUT_STATUSES))
     violations = 0
     for r in rows:
         for br in r.get("bounds", {}).values():
@@ -241,6 +269,8 @@ def cmd_batch(args) -> int:
         return EXIT_VIOLATION
     if failures and args.strict:
         return EXIT_VIOLATION
+    if bad_inputs and args.strict:
+        return EXIT_INPUT
     return EXIT_OK
 
 
@@ -296,7 +326,9 @@ def _build_parser() -> _Parser:
     ba.add_argument("--count", type=int)
     ba.add_argument("--seed", type=int, default=0)
     ba.add_argument("--out", default=".")
-    ba.add_argument("--strict", action="store_true")
+    ba.add_argument("--strict", action="store_true",
+                    help="exit 4 on a generation failure, 2 on a parse-error, "
+                         "disconnected or not-certifiable row")
     ba.set_defaults(func=cmd_batch)
     return p
 

@@ -235,6 +235,13 @@ def _pick_outside(rng: random.Random, pool, near):
 
 
 def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
+    """Connected graph with min degree >= delta and girth >= g, or a failure;
+    see :func:`generate_measured`."""
+    out = generate_measured(cfg)
+    return out if isinstance(out, GenerationFailure) else out[0]
+
+
+def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | GenerationFailure:
     """Connected graph with min degree >= delta and girth >= g, or a failure.
 
     Incremental girth-guarded edge addition: repeatedly pick a random vertex
@@ -244,7 +251,8 @@ def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
     one is left), and add the edge.  Stagnation triggers a restart with a
     fresh seed-derived stream.  Once degrees are satisfied the components are
     bridged (bridges lie on no cycle, so the girth floor survives); the
-    output is then re-verified from scratch.
+    output is then re-verified from scratch, and its measured girth is
+    returned with it.
 
     An attempt costs O(ball), the girth-guard ball around ``u``, not O(n):
     the deficient vertices are kept in one sorted list per degree below
@@ -315,7 +323,7 @@ def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
         measured = girth(g_out)
         if (is_connected(g_out) and g_out.min_degree() >= delta
                 and (measured is None or measured >= cfg.g)):
-            return g_out
+            return g_out, measured
         # a constraint failed re-verification; treat like a stall and restart
 
     return GenerationFailure(config=cfg, restarts=cfg.max_restarts,

@@ -129,10 +129,14 @@ def parse_edge_list(text) -> Graph:
     are ``"u v"`` with ``0 <= u,v < n`` and ``u != v``.  Lines starting with
     ``#`` are comments.  Repeated edges are silently deduplicated; self-loops
     and malformed or out-of-range lines raise :class:`EdgeListParseError`
-    naming the line.
+    naming the line, as do bytes that are not UTF-8.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise EdgeListParseError(line, "not UTF-8 text") from None
     n = m = None
     pairs: list[tuple[int, int]] = []
     listed = 0
@@ -229,12 +233,18 @@ def is_connected(g: Graph) -> bool:
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
     """Exact eccentricities of every vertex; raises on disconnected input.
 
-    A BFS from vertex 0 checks connectivity.  Trees (``m == n - 1``) then
-    take the double sweep: with ``a`` farthest from 0 and ``b`` farthest
-    from ``a``, the path ``a..b`` is a diameter and ``ecc(v) =
-    max(d(a, v), d(b, v))``, so two more BFS runs replace n of them.  Every
-    other graph takes the bit-parallel frontier expansion of
-    :func:`_bitset_eccentricities`.
+    A BFS from vertex 0 checks connectivity, and its largest distance ``e0``
+    (a lower bound on the diameter) picks one of three kernels:
+
+    - trees (``m == n - 1``) take the double sweep: with ``a`` farthest from
+      0 and ``b`` farthest from ``a``, the path ``a..b`` is a diameter and
+      ``ecc(v) = max(d(a, v), d(b, v))``, so two more BFS runs replace n;
+    - other graphs with ``e0 > _BOUNDED_MIN_E0`` take the eccentricity
+      bounding of :func:`_bounded_eccentricities`, which needs a few BFS runs
+      where the bitset kernel would need at least ``e0`` rounds;
+    - every other graph, and a long-diameter one whose bounds do not close
+      within the run cap, takes the bit-parallel frontier expansion of
+      :func:`_bitset_eccentricities`.
     """
     if g.n == 0:
         raise ValueError("eccentricity undefined on the empty graph")
@@ -246,7 +256,11 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         from_b = bfs_distances(g, from_a.index(max(from_a)))
         ecc = [max(da, db) for da, db in zip(from_a, from_b)]
     else:
-        ecc = _bitset_eccentricities(g)
+        ecc = None
+        if max(first) > _BOUNDED_MIN_E0:
+            ecc = _bounded_eccentricities(g, first)
+        if ecc is None:
+            ecc = _bitset_eccentricities(g)
     total = sum(ecc)
     return EccentricityProfile(
         ecc=tuple(ecc),
@@ -255,6 +269,67 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         radius=min(ecc),
         diameter=max(ecc),
     )
+
+
+# The bitset kernel runs one round per unit of diameter, at least e0 rounds,
+# and the bounding kernel closed every Moore chain of the benchmark within
+# 6-14 BFS runs.  Past this e0 the bounds win by a wide margin; at or below
+# it sit the expanders (e0 <= 13), where the bitset kernel is cheaper than
+# even a few BFS runs with their bound updates.
+_BOUNDED_MIN_E0 = 64
+
+# BFS runs the bounding kernel may spend before it gives up; the cap is
+# max(_BOUNDED_MIN_RUNS, e0 // 8).  A run plus its bound update costs about
+# two bitset rounds, so e0 // 8 runs waste at most about a quarter of the
+# fallback's own time on graphs the bounds cannot close (cycles); the floor
+# keeps the (3,6,k) chains with odd k, which need 14 runs, off the fallback.
+_BOUNDED_MIN_RUNS = 16
+
+
+def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
+    """Eccentricities of a connected graph by eccentricity bounding (Takes
+    and Kosters, *Computing the eccentricity distribution of large graphs*,
+    Algorithms 6(1), 2013), or ``None`` past the run cap.
+
+    ``first`` holds the distances from vertex 0, with largest value ``e0``.
+    By the triangle inequality a BFS from ``s`` with eccentricity ``e`` gives
+    every vertex ``w`` the bounds ``max(e - d(s, w), d(s, w)) <= ecc(w) <=
+    e + d(s, w)``; ``first`` seeds them.  The runs then alternate between
+    the open vertex with the highest upper bound and the one with the lowest
+    lower bound, the lowest id on ties, and a vertex closes when its bounds
+    meet.  After ``max(_BOUNDED_MIN_RUNS, e0 // 8)`` runs with vertices
+    still open the work is discarded and ``None`` returned.
+    """
+    e0 = max(first)
+    lo = [max(e0 - d, d) for d in first]
+    hi = [e0 + d for d in first]
+    still_open = [v for v in range(g.n) if lo[v] < hi[v]]
+    runs_left = max(_BOUNDED_MIN_RUNS, e0 // 8)
+    take_high = True
+    while still_open:
+        if not runs_left:
+            return None
+        runs_left -= 1
+        # max and min return the first extreme, and still_open is ascending
+        if take_high:
+            s = max(still_open, key=hi.__getitem__)
+        else:
+            s = min(still_open, key=lo.__getitem__)
+        take_high = not take_high
+        dist = bfs_distances(g, s)
+        e = max(dist)
+        remaining = []
+        for w in still_open:
+            d = dist[w]
+            low = e - d if e - d > d else d
+            if low > lo[w]:
+                lo[w] = low
+            if e + d < hi[w]:
+                hi[w] = e + d
+            if lo[w] < hi[w]:
+                remaining.append(w)
+        still_open = remaining
+    return lo
 
 
 def _bitset_eccentricities(g: Graph) -> list[int]:

@@ -179,6 +179,19 @@ def test_generate_writes_parseable_file(tmp_path, capsys):
     assert g.min_degree() >= 3 and eb.girth(g) >= 5
 
 
+def test_generate_measures_girth_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = eb.girth
+    counting = lambda g: calls.append(g) or real(g)  # noqa: E731
+    for module in ("eccbounds.cli", "eccbounds.generators"):
+        monkeypatch.setattr(sys.modules[module], "girth", counting)
+    assert main(["generate", "--n", "60", "--delta", "3", "--g", "5", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    g = eb.parse_edge_list((tmp_path / "gen_n60_d3_g5_s7.el").read_text())
+    assert f"girth={real(g)} -> " in capsys.readouterr().out
+
+
 def test_generate_impossible_records_failure(capsys):
     assert main(["generate", "--n", "4", "--delta", "3", "--g", "4"]) == 0
     assert "generation failed" in capsys.readouterr().out
@@ -253,6 +266,53 @@ def test_batch_generation_failures_strict(tmp_path, capsys):
             "--seed", "1", "--out", str(tmp_path)]
     assert main(args) == 0                      # failures recorded, not fatal
     assert main(args + ["--strict"]) == 4
+
+
+@pytest.fixture
+def mixed_dir(tmp_path):
+    """One good edge list, two malformed ones (a bad token and a bad byte,
+    both on line 3) and one disconnected."""
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "good.el").write_text(eb.emit_edge_list(eb.petersen_graph()))
+    (src / "malformed.el").write_text("4 2\n0 1\n1 x\n")
+    (src / "split.el").write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    (src / "undecodable.el").write_bytes(b"3 2\n0 1\n\xff 2\n")
+    return src
+
+
+def test_batch_bad_inputs_are_one_row_each(mixed_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["batch", "--dir", str(mixed_dir), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("good", "ok"), ("malformed", "parse-error:3"), ("split", "disconnected"),
+        ("undecodable", "parse-error:3")]
+    assert rows[0][-1] == "true"
+    assert all(cell == "" for r in rows[1:] for cell in r[2:])
+    captured = capsys.readouterr()
+    assert "4 rows" in captured.out
+    assert "malformed: input error: line 3" in captured.err
+    assert "split: graph is disconnected" in captured.err
+
+
+def test_batch_bad_inputs_strict_exits_2(mixed_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main(["batch", "--dir", str(mixed_dir), "--out", str(out), "--strict"]) == 2
+    assert len((out / "report.csv").read_text().splitlines()) == 5
+
+
+def test_batch_not_certifiable_row_keeps_its_bounds(tmp_path):
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "c5.el").write_text(eb.emit_edge_list(eb.cycle_graph(5)))  # minimum degree 2
+    out = tmp_path / "out"
+    assert main(["batch", "--dir", str(src), "--out", str(out)]) == 0
+    header, row = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+    cells = dict(zip(header, row))
+    assert cells["status"] == "not-certifiable" and cells["certificateOk"] == ""
+    assert cells["avec"] == "2" and cells["Eq1"] != ""
+    assert main(["batch", "--dir", str(src), "--out", str(out), "--strict"]) == 2
 
 
 @pytest.mark.parametrize("graph", [eb.petersen_graph(), eb.heawood_graph()],

@@ -48,6 +48,12 @@ def test_parse_bytes_input():
     assert g.m == 1
 
 
+def test_parse_undecodable_bytes_names_line():
+    with pytest.raises(eb.EdgeListParseError) as exc:
+        eb.parse_edge_list(b"3 2\n0 1\n1 \xff\n")
+    assert exc.value.line == 3
+
+
 def test_parse_self_loop_names_line():
     with pytest.raises(eb.EdgeListParseError) as exc:
         eb.parse_edge_list("3 2\n0 1\n2 2")

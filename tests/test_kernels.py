@@ -1,8 +1,10 @@
 """Differential tests of the eccentricity kernels behind ``eccentricity_profile``.
 
-Trees take the double sweep and every other graph the bit-parallel frontier
-expansion; both must reproduce the one-BFS-per-vertex oracle exactly, and
-an independent library where it is installed.
+Trees take the double sweep, other graphs whose BFS from vertex 0 reaches
+past ``_BOUNDED_MIN_E0`` take eccentricity bounding, and the rest, or a
+graph the bounding gives up on, take the bit-parallel frontier expansion.
+Every kernel must reproduce the one-BFS-per-vertex oracle exactly, and an
+independent library where it is installed.
 """
 from __future__ import annotations
 
@@ -14,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eccbounds as eb
-from eccbounds.graph import _bitset_eccentricities
+import eccbounds.graph as graph_module
+from eccbounds.graph import (
+    _BOUNDED_MIN_E0,
+    _BOUNDED_MIN_RUNS,
+    _bitset_eccentricities,
+    _bounded_eccentricities,
+    bfs_distances,
+)
 from conftest import ecc_oracle, named_small, random_connected
 
 
@@ -82,6 +91,113 @@ def test_generated_corpora_and_certificate_trees(odd_corpus, even_corpus):
         _assert_matches_oracle(rec["cert"].tree)
 
 
+# ---------------------------------------------------------------------------
+# long diameters: eccentricity bounding, and the bitset kernel as its fallback
+
+def grid_graph(rows: int, cols: int) -> eb.Graph:
+    pairs = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return eb.Graph.from_edges(rows * cols, pairs)
+
+
+def chorded_cycle(n: int, chords: int, seed: int) -> eb.Graph:
+    """The cycle C_n plus ``chords`` random chords spanning 2 to 6 cycle edges."""
+    rng = random.Random(seed)
+    pairs = [(v, (v + 1) % n) for v in range(n)]
+    pairs += [(u, (u + rng.randint(2, 6)) % n) for u in rng.sample(range(n), chords)]
+    return eb.Graph.from_edges(n, pairs)
+
+
+def _kernels_taken(g: eb.Graph, want: tuple[int, ...], monkeypatch) -> list[str]:
+    """Profile ``g`` against its oracle eccentricities ``want``; the names of
+    the kernels the profile ran."""
+    taken = []
+    for name in ("_bounded_eccentricities", "_bitset_eccentricities"):
+        real = getattr(graph_module, name)
+
+        def wrapped(*args, _real=real, _name=name):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(graph_module, name, wrapped)
+    assert eb.eccentricity_profile(g).ecc == want
+    return taken
+
+
+LONG_CHAINS = [(3, 5, k) for k in (15, 16, 60, 300)] + [(3, 6, k) for k in (12, 13, 45, 151)]
+
+
+@pytest.mark.parametrize("delta,girth,k", LONG_CHAINS, ids=[f"{d}-{g}-{k}" for d, g, k in LONG_CHAINS])
+def test_long_chains_take_the_bounding_kernel(delta, girth, k, monkeypatch):
+    g = eb.chain_graph(delta, girth, k)[0]
+    first = bfs_distances(g, 0)
+    assert max(first) > _BOUNDED_MIN_E0
+    want = ecc_oracle(g)
+    assert _bounded_eccentricities(g, first) == list(want)
+    assert _kernels_taken(g, want, monkeypatch) == ["_bounded_eccentricities"]
+
+
+@pytest.mark.parametrize("delta,girth,k", [(3, 5, 14), (3, 6, 11)])
+def test_chains_at_the_cutoff_keep_the_bitset_kernel(delta, girth, k, monkeypatch):
+    g = eb.chain_graph(delta, girth, k)[0]
+    assert max(bfs_distances(g, 0)) <= _BOUNDED_MIN_E0
+    assert _kernels_taken(g, ecc_oracle(g), monkeypatch) == ["_bitset_eccentricities"]
+
+
+@pytest.mark.parametrize("g", [grid_graph(10, 100), grid_graph(3, 70), grid_graph(2, 150)],
+                         ids=["grid-10x100", "grid-3x70", "ladder-150"])
+def test_grids_and_ladders_take_the_bounding_kernel(g, monkeypatch):
+    first = bfs_distances(g, 0)
+    assert max(first) > _BOUNDED_MIN_E0
+    want = ecc_oracle(g)
+    assert _bounded_eccentricities(g, first) == list(want)
+    assert _kernels_taken(g, want, monkeypatch) == ["_bounded_eccentricities"]
+
+
+@pytest.mark.parametrize("g", [eb.cycle_graph(151), eb.cycle_graph(200), eb.cycle_graph(601),
+                               chorded_cycle(800, 40, seed=1)],
+                         ids=["C151", "C200", "C601", "C800-40-chords"])
+def test_cycles_fall_back_after_the_run_cap(g, monkeypatch):
+    first = bfs_distances(g, 0)
+    e0 = max(first)
+    assert e0 > _BOUNDED_MIN_E0
+    runs = []
+    with monkeypatch.context() as mp:
+        mp.setattr(graph_module, "bfs_distances", lambda h, s: runs.append(s) or bfs_distances(h, s))
+        assert _bounded_eccentricities(g, first) is None
+    assert len(runs) == max(_BOUNDED_MIN_RUNS, e0 // 8)
+    taken = _kernels_taken(g, ecc_oracle(g), monkeypatch)
+    assert taken == ["_bounded_eccentricities", "_bitset_eccentricities"]
+
+
+@st.composite
+def long_diameter_graphs(draw):
+    """A path or cycle backbone on 130..260 vertices plus chords spanning at
+    most 6 backbone edges.  A chord shortens a walk by at most 5, so with at
+    most ``(reach - 65) // 5`` chords vertex 0 stays more than 64 hops from
+    the backbone's far end."""
+    n = draw(st.integers(min_value=130, max_value=260))
+    cycle = draw(st.booleans())
+    pairs = [(v, v + 1) for v in range(n - 1)] + ([(n - 1, 0)] if cycle else [])
+    reach = n // 2 if cycle else n - 1
+    chord = st.tuples(st.integers(min_value=0, max_value=n - 1), st.integers(min_value=2, max_value=6))
+    for u, span in draw(st.lists(chord, max_size=(reach - 65) // 5)):
+        if cycle or u + span < n:
+            pairs.append((u, (u + span) % n))
+    return eb.Graph.from_edges(n, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_diameter_graphs())
+def test_property_long_diameter_kernels_equal_oracle(g):
+    first = bfs_distances(g, 0)
+    assert max(first) > _BOUNDED_MIN_E0
+    want = ecc_oracle(g)
+    bounded = _bounded_eccentricities(g, first)
+    assert bounded is None or tuple(bounded) == want
+    assert eb.eccentricity_profile(g).ecc == want
+
+
 def test_disconnected_input_raises():
     for g in (eb.Graph.from_edges(2, []),
               eb.Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),        # forest
@@ -122,6 +238,7 @@ def test_networkx_eccentricity():
     rng = random.Random(7)
     graphs = [g for _, g in named_small()]
     graphs += [eb.chain_graph(3, 5, 3)[0], eb.chain_graph(3, 6, 3)[0]]
+    graphs += [eb.chain_graph(3, 5, 40)[0], eb.cycle_graph(151)]  # bounding; its fallback
     graphs += [random_connected(rng, rng.randint(2, 80), extra_edges=rng.randint(0, 60))
                for _ in range(30)]
     for g in graphs:
