@@ -57,8 +57,10 @@ class GraphParams:
             raise ValueError("girth must be at least 3 when present")
 
     @staticmethod
-    def measure(g: Graph) -> "GraphParams":
-        return GraphParams(n=g.n, delta=g.min_degree(), Delta=g.max_degree(), g=girth(g))
+    def measure(g: Graph, girth_value: int | None = None) -> "GraphParams":
+        """``g``'s parameters, its girth measured unless given as ``girth_value``."""
+        return GraphParams(n=g.n, delta=g.min_degree(), Delta=g.max_degree(),
+                           g=girth(g) if girth_value is None else girth_value)
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ class Measured:
     params: GraphParams
 
 
-def measure(g: Graph) -> Measured:
-    """Profile ``g``, which raises on disconnected input, then measure its parameters."""
+def measure(g: Graph, girth_value: int | None = None) -> Measured:
+    """Profile ``g`` (raising if disconnected), then its parameters at a given girth or its own."""
     profile = eccentricity_profile(g)
-    return Measured(graph=g, profile=profile, params=GraphParams.measure(g))
+    return Measured(graph=g, profile=profile, params=GraphParams.measure(g, girth_value))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ an anchor's vertices lower the array, its discovery path is replayed on the
 same array and the path's middle edge is recorded as a connector of the
 tree; the grower's final array gives the cells and the checks their
 distances, so the tree builder rebuilds nothing.  Cell weights are integer
-counts; fractions appear only where the chain divides.  Checks that only
-compare distances against a radius run BFS truncated at that radius, which
-gives the same verdict as a full BFS on every connected input.
+counts; fractions appear only where the chain divides.  The spacing and
+assignment checks read one nearest-anchor pass over that array, not a BFS
+per anchor.
 """
 from __future__ import annotations
 
@@ -188,7 +188,7 @@ def _deterministic_cells(g: Graph, dist: list[int], sources) -> tuple[list[int],
     parent = [-1] * n
     for s in set(sources):
         root[s] = s
-    for v in sorted(range(n), key=lambda x: (dist[x], x)):
+    for v in sorted(range(n), key=dist.__getitem__):  # stable: ties stay by id
         if dist[v] == 0:
             continue
         target = dist[v] - 1
@@ -339,11 +339,27 @@ def _spaced_vertex(girth_value: int):
 
 def _spaced_edge(g: Graph, girth_value: int):
     """Matching pick rule: the first edge of ``g.edges`` at edge distance
-    ``girth_value - 1``, one of which lies on a shortest path toward any
-    farther edge."""
-    spacing = girth_value - 1
-    return lambda dist: next(
-        (e for e in g.edges if min(dist[e[0]], dist[e[1]]) == spacing), None)
+    ``s = girth_value - 1``, one of which lies on a shortest path toward any
+    farther edge.  Its ends lie at most 1 apart, so its end ``u < v`` is at
+    ``s`` or ``s + 1``: ``dist.index`` jumps through those ``u``, no edge scan."""
+    s, adj = girth_value - 1, g.adj
+
+    def index(dist, d, start):
+        try:
+            return dist.index(d, start)
+        except ValueError:
+            return len(dist)
+
+    def pick(dist):
+        ahead = {d: index(dist, d, 0) for d in (s, s + 1)}
+        while (u := min(ahead.values())) < len(dist):
+            du = dist[u]
+            ahead[du] = index(dist, du, u + 1)
+            for v in adj[u]:
+                if v > u and min(du, dist[v]) == s:
+                    return u, v
+        return None
+    return pick
 
 
 def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[int]:
@@ -649,25 +665,41 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
 # ---------------------------------------------------------------------------
 # structural checks: the packing and the matching lemmas
 
+def _spacing_and_assignment(g: Graph, groups, msd: list[int], assignment) -> tuple[float, bool]:
+    """The least distance between two anchor groups (``inf`` for one), and
+    whether each ``v`` is assigned to a source (a group's vertex) at distance
+    ``msd[v]``, from one pass by ``msd``, the sources' distances in ``g``.
+    ``near[v]`` ORs the nearest-source bits of the neighbours one closer and
+    ``label[v]`` takes one's group.  A shortest path between the closest two
+    groups crosses an edge ``xy`` whose labels differ, and each such edge
+    joins two groups in ``msd[x] + 1 + msd[y]`` (Mehlhorn, IPL 27, 1988)."""
+    label, near, spacing = [-1] * g.n, [0] * g.n, math.inf
+    for i, group in enumerate(groups):
+        for x in group:
+            if label[x] != -1:
+                spacing = 0
+            label[x], near[x] = i, 1 << x
+    for v in sorted(range(g.n), key=msd.__getitem__):
+        if d := msd[v]:
+            for u in g.adj[v]:
+                if msd[u] == d - 1:
+                    near[v] |= near[u]
+                    label[v] = label[u]
+    for x, y in g.edges:
+        if label[x] != label[y] and msd[x] + msd[y] + 1 < spacing:
+            spacing = msd[x] + msd[y] + 1
+    return spacing, all(near[v] >> a & 1 for v, a in enumerate(assignment))
+
+
 def _packing_checks(g, members, msd, assignment, c, gi, constants, tree, tree_dist,
                     power_connected, use_max_degree):
     """Structural checks of an odd certificate, ``g`` connected; ``msd`` and
     ``tree_dist`` are every vertex's distance to the members in ``g`` and in
-    ``tree``.
-
-    Spacing compares member distances against ``gi`` and the assignment
-    check compares them against ``msd``, so BFS from each member stops at
-    ``max(gi - 1, max(msd))``: a vertex beyond it is farther than both.
+    ``tree``.  Spacing and assignment come from one nearest-member pass.
     """
     n = g.n
-    radius = max(gi - 1, max(msd))
-    far = radius + 1  # stands in for every distance beyond the radius
-    member_ball = {a: ball(g.adj, a, radius) for a in members}
-    spacing_ok = all(member_ball[a].get(b, far) >= gi
-                     for i, a in enumerate(members) for b in members[i + 1:])
+    spacing, assign_ok = _spacing_and_assignment(g, [(a,) for a in members], msd, assignment)
     coverage_ok = max(msd) <= gi - 1
-    assign_ok = all(assignment[v] in member_ball
-                    and member_ball[assignment[v]].get(v, far) == msd[v] for v in range(n))
     total = sum(c.values())
     if use_max_degree:
         k1, k2 = constants["K1"], constants["K2"]
@@ -685,7 +717,7 @@ def _packing_checks(g, members, msd, assignment, c, gi, constants, tree, tree_di
         extra = ()
     tree_ok = tree.m == n - 1 and -1 not in bfs_distances(tree, 0)
     return (
-        StructuralCheck("packing_spacing>=g", spacing_ok),
+        StructuralCheck("packing_spacing>=g", spacing >= gi),
         StructuralCheck("packing_coverage<=g-1", coverage_ok, f"max dist {max(msd)}"),
         StructuralCheck("assignment_nearest_member", assign_ok),
         StructuralCheck("weight_conservation", total == n, f"total={total}, n={n}"),
@@ -700,22 +732,13 @@ def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
                      tree, tree_dist, power_connected, use_max_degree):
     """Structural checks of an even certificate, ``g`` connected; ``msd``
     and ``tree_dist`` are every vertex's distance to ``vm``, the matched
-    vertices, in ``g`` and in ``tree``.
-
-    As in :func:`_packing_checks`, BFS from each matched vertex stops at
-    ``max(gi - 2, max(msd))``, past which no check can tell distances apart.
+    vertices, in ``g`` and in ``tree``.  Spacing and assignment come from
+    one nearest-matched-vertex pass.
     """
     n = g.n
     disjoint_ok = len(vm) == 2 * len(members)
-    radius = max(gi - 2, max(msd))
-    far = radius + 1  # stands in for every distance beyond the radius
-    vert_ball = {u: ball(g.adj, u, radius) for u in vm}
-    spacing_ok = all(
-        min(vert_ball[x].get(y, far) for x in e for y in f) >= gi - 1
-        for i, e in enumerate(members) for f in members[i + 1:])
+    spacing, assign_ok = _spacing_and_assignment(g, members, msd, assignment)
     coverage_ok = all(min(msd[x], msd[y]) <= gi - 2 for x, y in g.edges)
-    assign_ok = all(assignment[v] in vert_ball
-                    and vert_ball[assignment[v]].get(v, far) == msd[v] for v in range(n))
     conserve_ok = sum(c.values()) == n and sum(cbar.values()) == n
     if use_max_degree:
         l1, l2 = constants["L1"], constants["L2"]
@@ -737,7 +760,7 @@ def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
     contains_ok = all(tree.has_edge(u, v) for u, v in members)
     return (
         StructuralCheck("matching_disjoint", disjoint_ok),
-        StructuralCheck("matching_spacing>=g-1", spacing_ok),
+        StructuralCheck("matching_spacing>=g-1", spacing >= gi - 1),
         StructuralCheck("matching_coverage<=g-2", coverage_ok),
         StructuralCheck("assignment_nearest_matched_vertex", assign_ok),
         StructuralCheck("weight_conservation", conserve_ok),

@@ -11,29 +11,24 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import UPPER_BOUND_IDS, evaluate_all, measure
-from .certify import NotCertifiableError, certify
+from .bounds import UPPER_BOUND_IDS, Measured, evaluate_all, measure
+from .certify import NotCertifiableError, _UnionFind, certify
 # certify_odd and certify_even stay importable from here: the benchmark's
 # tracer (perfbench/spans.py) looks both names up in this module
 from .certify import certify_even, certify_odd  # noqa: F401
 from .extremal import _dec, chain_graph, sharpness_rows_to_csv, sharpness_report
-from .generators import (
-    GenerationFailure,
-    GeneratorConfig,
-    emit_edge_list,
-    generate_measured,
-    random_min_degree_girth,
-)
+from .generators import GenerationFailure, GeneratorConfig, emit_edge_list, generate_measured
 from .graph import (
     DisconnectedGraphError,
     EdgeListParseError,
     Graph,
+    _edge_list_pairs,
     eccentricity_profile,
-    parse_edge_list,
 )
-# girth stays importable from here for the same tracer, which wraps it in
-# every module that measures a graph
-from .graph import girth  # noqa: F401
+# these stay importable from here for the same tracer, which also wraps girth
+# in every module that measures a graph
+from .generators import random_min_degree_girth  # noqa: F401
+from .graph import girth, parse_edge_list  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,10 +43,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_graph(path: str) -> Graph:
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
-    return parse_edge_list(Path(path).read_bytes())
+def _read_graph(path: str, certifying: bool = False) -> Graph:
+    """The graph of an edge-list file, or of stdin for ``-``.  A header ``n m``
+    with ``m < n - 1`` cannot be connected, so it raises before ``n`` vertices
+    are allocated; when ``certifying``, a forest raises what certify would."""
+    n, pairs = _edge_list_pairs(sys.stdin.read() if path == "-" else Path(path).read_bytes())
+    if len(pairs) < n - 1:
+        if certifying:
+            distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
+            uf = _UnionFind({x for e in distinct for x in e})
+            if all(uf.union(u, v) for u, v in distinct):
+                raise NotCertifiableError("graph is acyclic: nothing to certify")
+        raise DisconnectedGraphError(f"{len(pairs)} edges cannot connect {n} vertices")
+    return Graph.from_edges(n, pairs)
 
 
 def _girth_str(g_val) -> str:
@@ -110,7 +114,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g = _read_graph(args.input)
+    g = _read_graph(args.input, certifying=True)
     cert = certify(g, use_max_degree=args.maxdeg)  # a forest raises: exit 3
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,21 +174,23 @@ def cmd_chain(args) -> int:
 
 def _batch_sources(args):
     """Yield (graphId, item) pairs in deterministic order; an item is a
-    Graph, a GenerationFailure or the EdgeListParseError of its file."""
+    Measured graph, a GenerationFailure, or the EdgeListParseError or
+    DisconnectedGraphError of its file."""
     if args.dir:
         files = sorted(Path(args.dir).glob("*.el"))
         if not files:
             raise FileNotFoundError(f"no .el files in {args.dir}")
         for f in files:
             try:
-                yield f.stem, parse_edge_list(f.read_bytes())
-            except EdgeListParseError as exc:
+                yield f.stem, measure(_read_graph(str(f)))
+            except (EdgeListParseError, DisconnectedGraphError) as exc:
                 yield f.stem, exc
     else:
         for i in range(args.count):
             cfg = GeneratorConfig(n=args.n, delta=args.delta, g=args.g,
                                   seed=args.seed * 1_000_003 + i)
-            yield f"gen-{i:04d}", random_min_degree_girth(cfg)
+            out = generate_measured(cfg)  # the girth it re-verified is the row's girth
+            yield f"gen-{i:04d}", out if isinstance(out, GenerationFailure) else measure(*out)
 
 
 # row statuses of inputs that were read but could not be fully processed
@@ -198,11 +204,10 @@ def _batch_row(graph_id: str, item) -> dict:
     if isinstance(item, EdgeListParseError):
         print(f"{graph_id}: input error: {item}", file=sys.stderr)
         return {"graphId": graph_id, "status": f"parse-error:{item.line}"}
-    try:
-        m = measure(item)  # once per row: the bounds and the certificate reuse it
-    except DisconnectedGraphError:
+    if isinstance(item, DisconnectedGraphError):
         print(f"{graph_id}: graph is disconnected", file=sys.stderr)
         return {"graphId": graph_id, "status": "disconnected"}
+    m = item if isinstance(item, Measured) else measure(item)  # once, for bounds and certificate
     p, avec = m.params, m.profile.avec
     results = {r.bound.value: r for r in evaluate_all(m)}
     status, cert_ok = "ok", ""

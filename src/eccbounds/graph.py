@@ -54,11 +54,12 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         edges = tuple(sorted(seen))
         neigh: list[list[int]] = [[] for _ in range(n)]
+        # each list fills ascending, with no sort: x gets every w < x from the
+        # edges (w, x), ascending in w, before the edges (x, y), ascending in y
         for u, v in edges:
             neigh[u].append(v)
             neigh[v].append(u)
-        adj = tuple(tuple(sorted(a)) for a in neigh)
-        return Graph(n=n, edges=edges, adj=adj)
+        return Graph(n=n, edges=edges, adj=tuple(map(tuple, neigh)))
 
     @property
     def m(self) -> int:
@@ -131,6 +132,11 @@ def parse_edge_list(text) -> Graph:
     and malformed or out-of-range lines raise :class:`EdgeListParseError`
     naming the line, as do bytes that are not UTF-8.
     """
+    return Graph.from_edges(*_edge_list_pairs(text))
+
+
+def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
+    """:func:`parse_edge_list` short of the graph: ``n`` and the ``m`` pairs."""
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
@@ -177,7 +183,7 @@ def parse_edge_list(text) -> Graph:
         raise EdgeListParseError(max(last_line, 1), "missing 'n m' header")
     if listed < m:
         raise EdgeListParseError(last_line, f"declared {m} edges but found {listed}")
-    return Graph.from_edges(n, pairs)
+    return n, pairs
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -444,16 +450,20 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph plus the edge-id to vertex-pair table.
 
     Vertex ``i`` of the result is ``g.edges[i]``; two vertices are adjacent
-    iff the underlying edges share an endpoint.
+    iff the underlying edges share an endpoint.  The neighbours of ``i =
+    (u, v)`` merge, by one sort, the ascending ids of the edges at ``u`` and
+    at ``v``; distinct edges share one endpoint at most, so only ``i`` repeats.
     """
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for idx, (u, v) in enumerate(g.edges):
         incident[u].append(idx)
         incident[v].append(idx)
-    pairs: list[tuple[int, int]] = []
-    for ids in incident:
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pairs.append((ids[i], ids[j]))
-    # distinct edges share at most one endpoint, so no pair repeats
-    return Graph.from_edges(len(g.edges), pairs), g.edges
+    adj = []
+    for i, (u, v) in enumerate(g.edges):
+        around = incident[u] + incident[v]
+        around.remove(i)
+        around.remove(i)
+        around.sort()
+        adj.append(tuple(around))
+    edges = [(i, j) for i, around in enumerate(adj) for j in around if j > i]
+    return Graph(n=len(g.edges), edges=tuple(edges), adj=tuple(adj)), g.edges

@@ -1,9 +1,10 @@
 """Differential tests of the incremental anchor machinery in ``certify``.
 
-The anchor builders, the discovery-path replay, the radius-bounded
-structural checks, the ball-built contracted power and the line-graph
-eccentricity identity must agree exactly with the per-prefix and full-BFS
-oracles in ``conftest.py``, failing inputs included.
+The anchor builders, the discovery-path replay, the one-pass structural
+checks, the ball-built contracted power and the line-graph eccentricity
+identity must agree exactly with the per-prefix and full-BFS oracles in
+``conftest.py``, failing inputs and ties between equidistant anchors
+included.
 """
 from __future__ import annotations
 
@@ -249,6 +250,43 @@ def test_checks_on_non_maximal_packing():
     assert not by_name["packing_coverage<=g-1"].ok  # vertices 3 and 9 lie at distance 3
 
 
+# ties: a vertex equidistant from two anchors may be assigned to either; the
+# checks must agree with the oracles whichever one it is
+
+def test_packing_checks_accept_a_tied_assignment():
+    # vertices 1 and 3 lie at distance 1 and 2 from both members; 3 goes to
+    # member 2 although its one neighbour, 1, goes to member 0
+    g = eb.Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    members, assignment = [0, 2], [0, 0, 2, 2]
+    case = (g, members, assignment, eb.weight_function(members, assignment), 3, {"K": 2},
+            g, True, False)
+    got = _packing_checks(*_with_msd(case))
+    assert got == packing_checks_oracle(*case)
+    assert {check.name: check.ok for check in got}["assignment_nearest_member"]
+
+
+def test_matching_checks_accept_a_tied_assignment():
+    # vertex 2 lies at distance 1 from matched vertices 1 and 3, and vertex 5,
+    # hanging off 2, at distance 2 from both; 2 goes to 1 and 5 goes to 3
+    g = eb.Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    members, vm, assignment = [(0, 1), (3, 4)], [0, 1, 3, 4], [0, 1, 1, 3, 4, 3]
+    c = eb.weight_function(vm, assignment)
+    cbar = {e: c[e[0]] + c[e[1]] for e in members}
+    case = (g, members, vm, eb.multi_source_distances(g, vm), assignment, c, cbar, 4,
+            {"L": 2}, g, True, False)
+    got = _matching_checks(*_with_tree_dist(case))
+    assert got == matching_checks_oracle(*case)
+    assert {check.name: check.ok for check in got}["assignment_nearest_matched_vertex"]
+
+
+def _reassign_among_ties(rng, g, sources, assignment):
+    """Point random vertices at any source at their nearest distance."""
+    msd = eb.multi_source_distances(g, sources)
+    dist = {s: eb.bfs_distances(g, s) for s in sources}
+    for v in rng.sample(range(g.n), rng.randint(1, g.n)):
+        assignment[v] = rng.choice([s for s in sorted(dist) if dist[s][v] == msd[v]])
+
+
 # ---------------------------------------------------------------------------
 # contracted power and line-graph eccentricity
 
@@ -364,3 +402,28 @@ def test_property_incremental_machinery_equals_oracles(case):
     else:
         tree, *_ = eb.build_spanning_tree_from_packing(g, members)
         _assert_line_identity(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_anchors())
+def test_property_checks_equal_oracles_under_tied_reassignment(case):
+    g, members, gi, rng = case
+    tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, members)
+    assignment = list(assignment)
+    _reassign_among_ties(rng, g, members, assignment)
+    pcase = (g, members, assignment, eb.weight_function(members, assignment), gi,
+             {"K": rng.randint(1, 6)}, tree, True, False)
+    got = _packing_checks(*_with_msd(pcase))
+    assert got == packing_checks_oracle(*pcase)
+    assert got[2].ok  # assignment_nearest_member
+
+    matching = _random_matching(rng, g)
+    tree, _, assignment, _, vm, msd = _tree(g, matching)
+    assignment = list(assignment)
+    _reassign_among_ties(rng, g, vm, assignment)
+    c = eb.weight_function(vm, assignment)
+    mcase = (g, matching, vm, msd, assignment, c, {e: c[e[0]] + c[e[1]] for e in matching},
+             gi, {"L": rng.randint(1, 6)}, tree, True, False)
+    got = _matching_checks(*_with_tree_dist(mcase))
+    assert got == matching_checks_oracle(*mcase)
+    assert got[3].ok  # assignment_nearest_matched_vertex

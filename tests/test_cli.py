@@ -315,6 +315,65 @@ def test_batch_not_certifiable_row_keeps_its_bounds(tmp_path):
     assert main(["batch", "--dir", str(src), "--out", str(out), "--strict"]) == 2
 
 
+def test_batch_generator_measures_girth_once_per_row(tmp_path, monkeypatch):
+    calls = []
+    real = eb.girth
+    counting = lambda g: calls.append(g) or real(g)  # noqa: E731
+    for module in ("eccbounds.cli", "eccbounds.generators", "eccbounds.bounds",
+                   "eccbounds.certify"):
+        monkeypatch.setattr(sys.modules[module], "girth", counting)
+    assert main(["batch", "--delta", "3", "--g", "5", "--n", "40", "--count", "4",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4  # the generator's re-verification, and nothing after it
+
+
+# a header n m with m < n - 1 describes no connected graph: the read path
+# says so before Graph.from_edges allocates n adjacency lists
+
+HUGE = 10 ** 9
+
+
+@pytest.fixture()
+def no_graph_building(monkeypatch):
+    def refuse(n, pairs):
+        raise AssertionError(f"Graph.from_edges called with n={n}")
+    monkeypatch.setattr(eb.Graph, "from_edges", staticmethod(refuse))
+
+
+@pytest.mark.parametrize("command", ["compute", "bound", "certify"])
+def test_impossible_header_is_disconnected_before_allocation(
+        command, no_graph_building, tmp_path, capsys):
+    p = tmp_path / "huge.el"
+    p.write_text(f"{HUGE} 3\n0 1\n1 2\n0 2\n")  # a triangle and isolated vertices
+    assert main([command, str(p), "--out", str(tmp_path)] if command == "certify"
+                else [command, str(p)]) == 2
+    assert capsys.readouterr().err == "graph is disconnected\n"
+
+
+def test_impossible_forest_header_is_acyclic_for_certify(no_graph_building, tmp_path, capsys):
+    p = tmp_path / "forest.el"
+    p.write_text(f"{HUGE} 3\n0 1\n2 3\n1 0\n")  # a repeated edge closes no cycle
+    assert main(["certify", str(p), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "graph is acyclic: nothing to certify\n"
+
+
+def test_impossible_header_is_a_disconnected_batch_row(no_graph_building, tmp_path):
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "huge.el").write_text(f"{HUGE} 0\n")
+    (src / "short.el").write_text(f"{HUGE} 2\n0 1\n1 x\n")  # a parse error comes first
+    out = tmp_path / "out"
+    assert main(["batch", "--dir", str(src), "--out", str(out)]) == 0
+    rows = [line.split(",")[:2] for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert rows == [["huge", "disconnected"], ["short", "parse-error:3"]]
+    assert main(["batch", "--dir", str(src), "--out", str(out), "--strict"]) == 2
+
+
+def test_parse_edge_list_stays_total_on_short_headers():
+    g = eb.parse_edge_list("5 2\n0 1\n2 3\n")
+    assert (g.n, g.edges) == (5, ((0, 1), (2, 3)))
+
+
 @pytest.mark.parametrize("graph", [eb.petersen_graph(), eb.heawood_graph()],
                          ids=["odd", "even"])
 def test_batch_row_measures_its_graph_once(graph, monkeypatch):
