@@ -4,12 +4,20 @@ Every evaluator returns a :class:`BoundResult` carrying the exact rational
 value, the constants it used, and an applicability verdict with a reason.
 Ceilings are taken on exact rationals: an off-by-one there shifts the
 girth-parameterized bounds by ``3g/4``.
+
+Each closed form is one ``Fraction(numerator, denominator)`` over a common
+denominator; both records are named tuples and :func:`moore_order` is cached,
+so an evaluator call is mostly its own arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .graph import EccentricityProfile, Graph, eccentricity_profile, girth
 
@@ -33,28 +41,36 @@ class BoundId(str, Enum):
 UPPER_BOUND_IDS = tuple(BoundId)
 
 
-@dataclass(frozen=True)
-class GraphParams:
-    """Measured parameters a bound is evaluated at.
-
-    ``Delta`` may be omitted when the maximum degree was not recorded, and
-    ``g`` may be ``None`` for forests (no cycle, girth undefined).
-    """
-
+class _GraphParamsFields(NamedTuple):
     n: int
     delta: int
     Delta: int | None = None
     g: int | None = None
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class GraphParams(_GraphParamsFields):
+    """Measured parameters a bound is evaluated at, validated on construction.
+
+    ``Delta`` may be omitted when the maximum degree was not recorded, and
+    ``g`` may be ``None`` for forests (no cycle, girth undefined).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, delta: int, Delta: int | None = None, g: int | None = None):
+        if n < 1:
             raise ValueError("order must be positive")
-        if self.delta < 0:
+        if delta < 0:
             raise ValueError("minimum degree cannot be negative")
-        if self.Delta is not None and not (self.delta <= self.Delta <= max(self.n - 1, 0)):
+        if Delta is not None and not (delta <= Delta <= n - 1):
             raise ValueError("need delta <= Delta <= n-1")
-        if self.g is not None and self.g < 3:
+        if g is not None and g < 3:
             raise ValueError("girth must be at least 3 when present")
+        return tuple.__new__(cls, (n, delta, Delta, g))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @staticmethod
     def measure(g: Graph, girth_value: int | None = None) -> "GraphParams":
@@ -78,14 +94,13 @@ def measure(g: Graph, girth_value: int | None = None) -> Measured:
     return Measured(graph=g, profile=profile, params=GraphParams.measure(g, girth_value))
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """One evaluated bound: identity, exact value, the integer orders it
     used, verdicts."""
 
     bound: BoundId
     value: Fraction | None
-    constants: dict[str, int] = field(default_factory=dict)
+    constants: Mapping[str, int] = MappingProxyType({})
     applicable: bool = True
     reason: str = ""
     satisfied: bool | None = None
@@ -93,7 +108,7 @@ class BoundResult:
     def with_avec(self, avec: Fraction) -> "BoundResult":
         if not self.applicable or self.value is None:
             return self
-        return replace(self, satisfied=avec <= self.value)
+        return self._replace(satisfied=avec <= self.value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,6 +156,7 @@ def moore_order_even(delta: int, g: int) -> int:
     return 2 * _geom_block(delta, g // 2)
 
 
+@lru_cache(maxsize=1024)
 def moore_order(delta: int, g: int) -> int:
     """The Moore order of the girth's parity: ``K`` (odd) or ``L`` (even)."""
     return moore_order_odd(delta, g) if g % 2 else moore_order_even(delta, g)
@@ -164,10 +180,10 @@ def maxdeg_constants(delta: int, Delta: int, g: int) -> dict[str, int]:
 def maxdeg_bound_value(n: int, g: int, c1: int, c2: int) -> Fraction:
     """The max-degree closed form at ``(K1, K2)`` or ``(L1, L2)`` without the
     ``n > K2`` gate: a Moore graph's certificate, where ``n == K2``, states it."""
-    spread = 1 + Fraction(c2 - c1, 3 * n)
+    head = 3 * g * (n - c2) * (3 * n + c2 - c1)
     if g % 2:
-        return Fraction(3 * g, 4) * Fraction(n - c2, c1) * spread + (3 * g - 2)
-    return Fraction(3 * g, 4) * Fraction(n - c2, 2 * c1) * spread + Fraction(21 * g - 16, 8)
+        return Fraction(head + 12 * (3 * g - 2) * n * c1, 12 * n * c1)
+    return Fraction(head + 3 * (21 * g - 16) * n * c1, 24 * n * c1)
 
 
 def bound_thm_girth(p: GraphParams) -> BoundResult:
@@ -177,15 +193,15 @@ def bound_thm_girth(p: GraphParams) -> BoundResult:
     minimum degree at least 3; the denominator ``delta - 2`` is singular
     below that.
     """
-    if p.g is None:
+    n, delta, _, g = p
+    if g is None:
         return _not_applicable(BoundId.THM_GIRTH_ODD, "girth undefined (forest)")
-    bound = BoundId.THM_GIRTH_ODD if p.g % 2 == 1 else BoundId.THM_GIRTH_EVEN
-    if p.delta < 3:
+    bound = BoundId.THM_GIRTH_ODD if g % 2 else BoundId.THM_GIRTH_EVEN
+    if delta < 3:
         return _not_applicable(bound, "minimum degree delta >= 3 required")
-    order = moore_order(p.delta, p.g)
-    c = _ceil_div(p.n, order)
-    value = Fraction(3 * p.g * c + 6 * p.g - 8, 4)
-    return BoundResult(bound=bound, value=value, constants={"K" if p.g % 2 else "L": order})
+    order = moore_order(delta, g)
+    value = Fraction(3 * g * _ceil_div(n, order) + 6 * g - 8, 4)
+    return BoundResult(bound, value, {"K" if g % 2 else "L": order})
 
 
 def bound_thm_girth_maxdeg(p: GraphParams) -> BoundResult:
@@ -196,26 +212,31 @@ def bound_thm_girth_maxdeg(p: GraphParams) -> BoundResult:
     Even girth: ``(3g/4) * ((n-L2)/(2*L1)) * (1 + (L2-L1)/(3n)) + 21g/8 - 2``.
     Applicable when the order exceeds ``K2`` (resp. ``L2``).
     """
-    if p.g is None:
+    n, delta, Delta, g = p
+    if g is None:
         return _not_applicable(BoundId.THM_GIRTH_MAXDEG_ODD, "girth undefined (forest)")
-    bound = BoundId.THM_GIRTH_MAXDEG_ODD if p.g % 2 == 1 else BoundId.THM_GIRTH_MAXDEG_EVEN
-    if p.Delta is None:
+    bound = BoundId.THM_GIRTH_MAXDEG_ODD if g % 2 else BoundId.THM_GIRTH_MAXDEG_EVEN
+    if Delta is None:
         return _not_applicable(bound, "maximum degree not provided")
-    if p.delta < 3:
+    if delta < 3:
         return _not_applicable(bound, "minimum degree delta >= 3 required")
-    constants = maxdeg_constants(p.delta, p.Delta, p.g)
+    constants = maxdeg_constants(delta, Delta, g)
     (_, c1), (name2, c2) = constants.items()
-    if p.n <= c2:
+    if n <= c2:
         return BoundResult(
             bound=bound, value=None, constants=constants, applicable=False,
-            reason=f"order n={p.n} must exceed {name2}={c2}")
-    return BoundResult(bound=bound, value=maxdeg_bound_value(p.n, p.g, c1, c2),
-                       constants=constants)
+            reason=f"order n={n} must exceed {name2}={c2}")
+    return BoundResult(bound, maxdeg_bound_value(n, g, c1, c2), constants)
 
 
 def _eps(d1: int, d2: int) -> int:
     # d1*d2 - 2*floor(d1/2) + 1 with d1 the degree whose parity matters
     return d1 * d2 - 2 * (d1 // 2) + 1
+
+
+# BoundId hashes by member name, so its value strings need keys of their own
+_LEGACY_IDS = {key: bid for bid in UPPER_BOUND_IDS if bid.value.startswith("Eq")
+               for key in (bid, bid.value)}
 
 
 def bound_legacy(p: GraphParams, which: BoundId | str) -> BoundResult:
@@ -225,67 +246,65 @@ def bound_legacy(p: GraphParams, which: BoundId | str) -> BoundResult:
     triangle-free (Eq2/Eq7), girth >= 5 implies additionally C4-free
     (Eq3/Eq8), girth >= 6 covers the C4/C5-free hypotheses (Eq4/Eq5).
     """
-    which = BoundId(which)
-    n, delta, Delta, g = p.n, p.delta, p.Delta, p.g
+    bid = _LEGACY_IDS.get(which)
+    if bid is None:
+        raise ValueError(f"{which} is not a legacy bound id")
+    n, delta, Delta, g = p
 
-    if which is BoundId.EQ1:
+    if bid is BoundId.EQ1:
         if delta < 2:
-            return _not_applicable(which, "minimum degree delta >= 2 required")
-        return BoundResult(which, Fraction(9 * n + 15 * (delta + 1), 4 * (delta + 1)))
+            return _not_applicable(bid, "minimum degree delta >= 2 required")
+        return BoundResult(bid, Fraction(9 * n + 15 * (delta + 1), 4 * (delta + 1)))
 
-    if which is BoundId.EQ2:
+    if bid is BoundId.EQ2:
         if g is None or g < 4:
-            return _not_applicable(which, "girth >= 4 (triangle-free) required")
-        return BoundResult(which, Fraction(3 * _ceil_div(n, 2 * delta) + 5))
+            return _not_applicable(bid, "girth >= 4 (triangle-free) required")
+        return BoundResult(bid, Fraction(3 * _ceil_div(n, 2 * delta) + 5))
 
-    if which is BoundId.EQ3:
+    if bid is BoundId.EQ3:
         if g is None or g < 5:
-            return _not_applicable(which, "girth >= 5 (triangle- and C4-free) required")
+            return _not_applicable(bid, "girth >= 5 (triangle- and C4-free) required")
         eps = _eps(delta, delta)
-        return BoundResult(which, Fraction(15 * _ceil_div(n, eps), 4) + Fraction(11, 2),
+        return BoundResult(bid, Fraction(15 * _ceil_div(n, eps) + 22, 4),
                            constants={"eps_delta": eps})
 
-    if which is BoundId.EQ4:
+    if bid is BoundId.EQ4:
         if g is None or g < 6:
-            return _not_applicable(which, "girth >= 6 required")
-        return BoundResult(which, Fraction(9 * _ceil_div(n, 2 * delta * delta - 2 * delta + 2), 2) + 8)
+            return _not_applicable(bid, "girth >= 6 required")
+        return BoundResult(bid, Fraction(9 * _ceil_div(n, 2 * delta * delta - 2 * delta + 2) + 16, 2))
 
-    if which is BoundId.EQ5:
+    if bid is BoundId.EQ5:
         if g is None or g < 6:
-            return _not_applicable(which, "girth >= 6 (C4- and C5-free) required")
-        return BoundResult(which, Fraction(9 * _ceil_div(n, 2 * delta * delta - 5 * delta + 5), 2) + 8)
+            return _not_applicable(bid, "girth >= 6 (C4- and C5-free) required")
+        return BoundResult(bid, Fraction(9 * _ceil_div(n, 2 * delta * delta - 5 * delta + 5) + 16, 2))
 
-    if which is BoundId.EQ6:
+    if bid is BoundId.EQ6:
         if Delta is None:
-            return _not_applicable(which, "maximum degree not provided")
+            return _not_applicable(bid, "maximum degree not provided")
         if delta < 2:
-            return _not_applicable(which, "minimum degree delta >= 2 required")
-        value = (Fraction(9 * (n - Delta - 1), 4 * (delta + 1))
-                 * (1 + Fraction(Delta - delta, 3 * n)) + 7)
-        return BoundResult(which, value)
+            return _not_applicable(bid, "minimum degree delta >= 2 required")
+        den = 12 * (delta + 1) * n
+        return BoundResult(bid, Fraction(9 * (n - Delta - 1) * (3 * n + Delta - delta) + 7 * den, den))
 
-    if which is BoundId.EQ7:
+    if bid is BoundId.EQ7:
         if Delta is None:
-            return _not_applicable(which, "maximum degree not provided")
+            return _not_applicable(bid, "maximum degree not provided")
         if g is None or g < 4:
-            return _not_applicable(which, "girth >= 4 (triangle-free) required")
-        value = (Fraction(3 * (n - Delta), 2 * delta)
-                 * (1 + Fraction(Delta - delta, 3 * n)) + Fraction(19, 2))
-        return BoundResult(which, value)
+            return _not_applicable(bid, "girth >= 4 (triangle-free) required")
+        den = 6 * delta * n
+        return BoundResult(bid, Fraction(3 * (n - Delta) * (3 * n + Delta - delta) + 57 * delta * n, den))
 
-    if which is BoundId.EQ8:
+    if bid is BoundId.EQ8:
         if Delta is None:
-            return _not_applicable(which, "maximum degree not provided")
+            return _not_applicable(bid, "maximum degree not provided")
         if g is None or g < 5:
-            return _not_applicable(which, "girth >= 5 (triangle- and C4-free) required")
+            return _not_applicable(bid, "girth >= 5 (triangle- and C4-free) required")
         eps_D = _eps(Delta, delta)
         eps_d = _eps(delta, delta)
-        value = (Fraction(15, 4) * Fraction(n - eps_D + eps_d, eps_d)
-                 * (1 + Fraction(eps_D - eps_d, 3 * n)) + Fraction(37, 4))
-        return BoundResult(which, value,
+        spread = eps_D - eps_d
+        value = Fraction(15 * (n - spread) * (3 * n + spread) + 111 * eps_d * n, 12 * eps_d * n)
+        return BoundResult(bid, value,
                            constants={"eps_Delta": eps_D, "eps_delta": eps_d})
-
-    raise ValueError(f"{which} is not a legacy bound id")
 
 
 def lower_bound_chain(p: GraphParams, k: int) -> Fraction:
@@ -294,15 +313,15 @@ def lower_bound_chain(p: GraphParams, k: int) -> Fraction:
     ``3gn/(4K) - g + 1/2`` for odd girth, ``3gn/(4L) - g + 3/2`` for even.
     The order must be exactly ``k`` times the Moore order.
     """
-    if p.g is None:
+    n, delta, _, g = p
+    if g is None:
         raise ValueError("girth required")
     if k < 1:
         raise ValueError("copy count must be positive")
-    order = moore_order(p.delta, p.g)
-    tail = Fraction(1, 2) if p.g % 2 else Fraction(3, 2)
-    if p.n != k * order:
-        raise ValueError(f"order n={p.n} is not {k} copies of the Moore order {order}")
-    return Fraction(3 * p.g * p.n, 4 * order) - p.g + tail
+    order = moore_order(delta, g)
+    if n != k * order:
+        raise ValueError(f"order n={n} is not {k} copies of the Moore order {order}")
+    return Fraction(6 * g * n - 8 * g * order + (4 if g % 2 else 12) * order, 8 * order)
 
 
 def girth6_reduction_forms(p: GraphParams) -> tuple[Fraction, Fraction]:

@@ -375,6 +375,113 @@ def maxdeg_constants_oracle(d: int, D: int, g: int) -> dict:
             "L2": D + (D - 1) * ((d - 1) ** ((g - 2) // 2) - (d - 1)) // (d - 2)}
 
 
+# ---------------------------------------------------------------------------
+# bound oracle: the evaluators as chains of Fraction products and sums, the
+# form eccbounds.bounds wrote them in before each closed form became one
+# fraction over a common denominator
+
+def _ceil_div_oracle(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _eps_oracle(d1: int, d2: int) -> int:
+    return d1 * d2 - 2 * (d1 // 2) + 1
+
+
+def _girth_oracle(p: GraphParams, maxdeg: bool):
+    odd, even = (eb.BoundId.THM_GIRTH_MAXDEG_ODD, eb.BoundId.THM_GIRTH_MAXDEG_EVEN) if maxdeg \
+        else (eb.BoundId.THM_GIRTH_ODD, eb.BoundId.THM_GIRTH_EVEN)
+    if p.g is None:
+        return odd, None, {}, False, "girth undefined (forest)"
+    bid = odd if p.g % 2 else even
+    if maxdeg and p.Delta is None:
+        return bid, None, {}, False, "maximum degree not provided"
+    if p.delta < 3:
+        return bid, None, {}, False, "minimum degree delta >= 3 required"
+    n, g = p.n, p.g
+    if not maxdeg:
+        order = moore_order_oracle(p.delta, g)
+        return bid, F(3 * g * _ceil_div_oracle(n, order) + 6 * g - 8, 4), \
+            {"K" if g % 2 else "L": order}, True, ""
+    constants = maxdeg_constants_oracle(p.delta, p.Delta, g)
+    (_, c1), (name2, c2) = constants.items()
+    if n <= c2:
+        return bid, None, constants, False, f"order n={n} must exceed {name2}={c2}"
+    spread = 1 + F(c2 - c1, 3 * n)
+    if g % 2:
+        value = F(3 * g, 4) * F(n - c2, c1) * spread + (3 * g - 2)
+    else:
+        value = F(3 * g, 4) * F(n - c2, 2 * c1) * spread + F(21 * g - 16, 8)
+    return bid, value, constants, True, ""
+
+
+def _legacy_oracle(p: GraphParams, bid):
+    n, delta, Delta, g = p.n, p.delta, p.Delta, p.g
+    B = eb.BoundId
+    gates = {
+        B.EQ1: [(delta < 2, "minimum degree delta >= 2 required")],
+        B.EQ2: [(g is None or g < 4, "girth >= 4 (triangle-free) required")],
+        B.EQ3: [(g is None or g < 5, "girth >= 5 (triangle- and C4-free) required")],
+        B.EQ4: [(g is None or g < 6, "girth >= 6 required")],
+        B.EQ5: [(g is None or g < 6, "girth >= 6 (C4- and C5-free) required")],
+        B.EQ6: [(Delta is None, "maximum degree not provided"),
+                (delta < 2, "minimum degree delta >= 2 required")],
+        B.EQ7: [(Delta is None, "maximum degree not provided"),
+                (g is None or g < 4, "girth >= 4 (triangle-free) required")],
+        B.EQ8: [(Delta is None, "maximum degree not provided"),
+                (g is None or g < 5, "girth >= 5 (triangle- and C4-free) required")],
+    }
+    for failed, reason in gates[bid]:
+        if failed:
+            return bid, None, {}, False, reason
+    constants = {}
+    if bid is B.EQ1:
+        value = F(9 * n + 15 * (delta + 1), 4 * (delta + 1))
+    elif bid is B.EQ2:
+        value = F(3 * _ceil_div_oracle(n, 2 * delta) + 5)
+    elif bid is B.EQ3:
+        eps = _eps_oracle(delta, delta)
+        constants = {"eps_delta": eps}
+        value = F(15 * _ceil_div_oracle(n, eps), 4) + F(11, 2)
+    elif bid is B.EQ4:
+        value = F(9 * _ceil_div_oracle(n, 2 * delta * delta - 2 * delta + 2), 2) + 8
+    elif bid is B.EQ5:
+        value = F(9 * _ceil_div_oracle(n, 2 * delta * delta - 5 * delta + 5), 2) + 8
+    elif bid is B.EQ6:
+        value = F(9 * (n - Delta - 1), 4 * (delta + 1)) * (1 + F(Delta - delta, 3 * n)) + 7
+    elif bid is B.EQ7:
+        value = F(3 * (n - Delta), 2 * delta) * (1 + F(Delta - delta, 3 * n)) + F(19, 2)
+    else:
+        eps_D, eps_d = _eps_oracle(Delta, delta), _eps_oracle(delta, delta)
+        constants = {"eps_Delta": eps_D, "eps_delta": eps_d}
+        value = (F(15, 4) * F(n - eps_D + eps_d, eps_d)
+                 * (1 + F(eps_D - eps_d, 3 * n)) + F(37, 4))
+    return bid, value, constants, True, ""
+
+
+def bound_value_oracle(kind, p: GraphParams, k: int | None = None):
+    """The stepwise evaluators: ``(bound, value, constants, applicable,
+    reason)`` for a ``BoundId`` kind, where a girth id stands for its
+    parity pair, or the chain lower bound for kind ``"LowerChain"`` and copy
+    count ``k``. Raises where the evaluator raises."""
+    B = eb.BoundId
+    if kind == "LowerChain":
+        if p.g is None:
+            raise ValueError("girth required")
+        if k < 1:
+            raise ValueError("copy count must be positive")
+        if p.delta < 3 or p.n != k * moore_order_oracle(p.delta, p.g):
+            raise ValueError("not a Moore chain order")
+        order = moore_order_oracle(p.delta, p.g)
+        tail = F(1, 2) if p.g % 2 else F(3, 2)
+        return F(3 * p.g * p.n, 4 * order) - p.g + tail
+    if kind in (B.THM_GIRTH_ODD, B.THM_GIRTH_EVEN):
+        return _girth_oracle(p, maxdeg=False)
+    if kind in (B.THM_GIRTH_MAXDEG_ODD, B.THM_GIRTH_MAXDEG_EVEN):
+        return _girth_oracle(p, maxdeg=True)
+    return _legacy_oracle(p, kind)
+
+
 def random_connected(rng: random.Random, n: int, extra_edges: int = 0) -> eb.Graph:
     """Random tree plus extra random edges; always connected."""
     pairs = [(rng.randrange(v), v) for v in range(1, n)]

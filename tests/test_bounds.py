@@ -5,9 +5,12 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.bounds import (
+    UPPER_BOUND_IDS,
     BoundId,
     GraphParams,
     bound_legacy,
@@ -23,7 +26,7 @@ from eccbounds.bounds import (
     moore_order_even,
     moore_order_odd,
 )
-from conftest import maxdeg_constants_oracle, moore_order_oracle
+from conftest import bound_value_oracle, maxdeg_constants_oracle, moore_order_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,23 @@ def test_eq1_available_at_delta_2():
     assert bound_legacy(GraphParams(n=6, delta=2, g=6), BoundId.EQ1).applicable
 
 
+def test_bound_legacy_takes_an_id_or_its_string():
+    p = GraphParams(n=20, delta=3, Delta=4, g=6)
+    for bid in (b for b in BoundId if b.value.startswith("Eq")):
+        assert bound_legacy(p, bid.value) == bound_legacy(p, bid)
+    assert bound_legacy(p, "Eq3").bound is BoundId.EQ3
+
+
+@pytest.mark.parametrize("which, named", [
+    ("Eq9", "Eq9"),
+    ("eq3", "eq3"),
+    (BoundId.THM_GIRTH_ODD, "THM_GIRTH_ODD|ThmGirthOdd"),
+])
+def test_bound_legacy_rejects_other_ids_by_name(which, named):
+    with pytest.raises(ValueError, match=f"({named}) is not a legacy bound id"):
+        bound_legacy(GraphParams(n=20, delta=3, g=5), which)
+
+
 # ---------------------------------------------------------------------------
 # reduction identities (spot checks; the exhaustive sweep is in acceptance)
 
@@ -347,3 +367,157 @@ def test_graph_params_validation():
 def test_evaluate_all_single_vertex():
     results = evaluate_all(eb.path_graph(1))
     assert all(not r.applicable for r in results)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0, 0), {}, "order must be positive"),
+    ((), {"n": 0, "delta": 0}, "order must be positive"),
+    ((5, 3, 5), {}, "need delta <= Delta <= n-1"),
+    ((), {"n": 5, "delta": 3, "Delta": 5}, "need delta <= Delta <= n-1"),
+    ((5, -1), {}, "minimum degree cannot be negative"),
+    ((5, 2, None, 2), {}, "girth must be at least 3"),
+])
+def test_graph_params_validation_messages(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        GraphParams(*args, **kwargs)
+
+
+def test_equal_graph_params_hash_and_compare_equal():
+    a = GraphParams(n=10, delta=3, Delta=4, g=5)
+    b = GraphParams(10, 3, 4, 5)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != GraphParams(n=10, delta=3, Delta=4, g=6)
+    assert (a.n, a.delta, a.Delta, a.g) == (10, 3, 4, 5)
+    with pytest.raises(AttributeError):
+        a.n = 11
+    assert a._replace(g=6) == GraphParams(n=10, delta=3, Delta=4, g=6)
+    with pytest.raises(ValueError, match="order must be positive"):
+        a._replace(n=0)
+
+
+# ---------------------------------------------------------------------------
+# the record contract
+
+def test_bound_result_fields_cannot_be_set():
+    r = bound_thm_girth(GraphParams(n=10, delta=3, g=5))
+    with pytest.raises(AttributeError):
+        r.value = F(1)
+    assert r.value == F(37, 4)
+
+
+def test_default_constants_are_read_only_and_not_a_shared_dict():
+    r = bound_legacy(GraphParams(n=10, delta=3, g=3), BoundId.EQ4)
+    s = bound_legacy(GraphParams(n=10, delta=3, g=3), BoundId.EQ5)
+    assert not r.applicable and r.constants == {}
+    assert not isinstance(r.constants, dict)
+    with pytest.raises(TypeError):
+        r.constants["K"] = 1
+    assert s.constants == {} and r.to_json_dict()["constants"] == {}
+
+
+def test_with_avec_returns_a_new_result():
+    r = bound_thm_girth(GraphParams(n=10, delta=3, g=5))
+    checked = r.with_avec(F(2))
+    assert checked is not r and checked.satisfied is True
+    assert r.satisfied is None
+    assert r.with_avec(F(10)).satisfied is False
+    inapplicable = bound_legacy(GraphParams(n=10, delta=3, g=5), BoundId.EQ4)
+    assert inapplicable.with_avec(F(2)).satisfied is None
+
+
+PETERSEN_JSON = [
+    {"applicable": True, "bound": "Eq1", "constants": {}, "reason": "",
+     "satisfied": True, "value": "75/8"},
+    {"applicable": True, "bound": "Eq2", "constants": {}, "reason": "",
+     "satisfied": True, "value": "11"},
+    {"applicable": True, "bound": "Eq3", "constants": {"eps_delta": "8"}, "reason": "",
+     "satisfied": True, "value": "13"},
+    {"applicable": False, "bound": "Eq4", "constants": {}, "reason": "girth >= 6 required",
+     "satisfied": None, "value": None},
+    {"applicable": False, "bound": "Eq5", "constants": {},
+     "reason": "girth >= 6 (C4- and C5-free) required", "satisfied": None, "value": None},
+    {"applicable": True, "bound": "Eq6", "constants": {}, "reason": "",
+     "satisfied": True, "value": "83/8"},
+    {"applicable": True, "bound": "Eq7", "constants": {}, "reason": "",
+     "satisfied": True, "value": "13"},
+    {"applicable": True, "bound": "Eq8", "constants": {"eps_Delta": "8", "eps_delta": "8"},
+     "reason": "", "satisfied": True, "value": "223/16"},
+    {"applicable": True, "bound": "ThmGirthOdd", "constants": {"K": "10"}, "reason": "",
+     "satisfied": True, "value": "37/4"},
+    {"applicable": False, "bound": "ThmGirthEven", "constants": {}, "reason": "girth is not even",
+     "satisfied": None, "value": None},
+    {"applicable": False, "bound": "ThmGirthMaxDegOdd", "constants": {"K1": "10", "K2": "10"},
+     "reason": "order n=10 must exceed K2=10", "satisfied": None, "value": None},
+    {"applicable": False, "bound": "ThmGirthMaxDegEven", "constants": {},
+     "reason": "girth is not even", "satisfied": None, "value": None},
+]
+
+
+def test_to_json_dict_of_each_kind():
+    assert [r.to_json_dict() for r in evaluate_all(eb.petersen_graph())] == PETERSEN_JSON
+    p = GraphParams(n=100, delta=3, Delta=4, g=6)
+    assert [r.with_avec(F(9)).to_json_dict() for r in (
+        bound_thm_girth(p), bound_thm_girth_maxdeg(p), bound_legacy(p, BoundId.EQ5))] == [
+        {"applicable": True, "bound": "ThmGirthEven", "constants": {"L": "14"}, "reason": "",
+         "satisfied": True, "value": "43"},
+        {"applicable": True, "bound": "ThmGirthMaxDegEven", "constants": {"L1": "7", "L2": "10"},
+         "reason": "", "satisfied": True, "value": "12031/280"},
+        {"applicable": True, "bound": "Eq5", "constants": {}, "reason": "",
+         "satisfied": True, "value": "133/2"},
+    ]
+
+
+# ---------------------------------------------------------------------------
+# every closed form against its stepwise oracle
+
+@st.composite
+def bound_params(draw):
+    """Parameters across every gate: forests, delta 0..2, no Delta, orders
+    at, below and between multiples of the Moore order."""
+    delta = draw(st.integers(0, 9))
+    g = draw(st.none() | st.integers(3, 12))
+    if delta >= 3 and g is not None:
+        order = moore_order_oracle(delta, g)
+        n = draw(st.integers(1, 30).map(lambda k: k * order)
+                 | st.integers(max(1, order - 2), 3 * order)
+                 | st.integers(1, 3000))
+    else:
+        n = draw(st.integers(1, 3000))
+    Delta = None
+    if delta <= max(n - 1, 0):
+        Delta = draw(st.none() | st.integers(delta, min(max(n - 1, 0), delta + 6)))
+    return GraphParams(n=n, delta=delta, Delta=Delta, g=g)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_params())
+def test_property_evaluators_equal_the_stepwise_oracle(p):
+    for bid in UPPER_BOUND_IDS:
+        if bid.value.startswith("Eq"):
+            got = _outcome(bound_legacy, p, bid)
+        elif bid in (BoundId.THM_GIRTH_MAXDEG_ODD, BoundId.THM_GIRTH_MAXDEG_EVEN):
+            got = _outcome(bound_thm_girth_maxdeg, p)
+        else:
+            got = _outcome(bound_thm_girth, p)
+        want = _outcome(bound_value_oracle, bid, p)
+        if isinstance(want, type):
+            assert got is want, (bid, p)  # the same error as the stepwise form
+            continue
+        bound, value, constants, applicable, reason = want
+        assert (got.bound, got.value, got.applicable, got.reason) == \
+            (bound, value, applicable, reason), (bid, p)
+        assert dict(got.constants) == constants, (bid, p)
+        assert got.satisfied is None
+        assert isinstance(got.value, F) if applicable else got.value is None
+    order = moore_order_oracle(p.delta, p.g) if p.g is not None and p.delta >= 3 else 1
+    k = max(1, p.n // order)
+    got = _outcome(lower_bound_chain, p, k)
+    assert got == _outcome(bound_value_oracle, "LowerChain", p, k), (p, k)
+    assert got is ValueError or isinstance(got, F)
