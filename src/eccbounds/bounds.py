@@ -259,6 +259,8 @@ def bound_legacy(p: GraphParams, which: BoundId | str) -> BoundResult:
     if bid is BoundId.EQ2:
         if g is None or g < 4:
             return _not_applicable(bid, "girth >= 4 (triangle-free) required")
+        if delta < 1:
+            return _not_applicable(bid, "minimum degree delta >= 1 required")
         return BoundResult(bid, Fraction(3 * _ceil_div(n, 2 * delta) + 5))
 
     if bid is BoundId.EQ3:
@@ -291,6 +293,8 @@ def bound_legacy(p: GraphParams, which: BoundId | str) -> BoundResult:
             return _not_applicable(bid, "maximum degree not provided")
         if g is None or g < 4:
             return _not_applicable(bid, "girth >= 4 (triangle-free) required")
+        if delta < 1:
+            return _not_applicable(bid, "minimum degree delta >= 1 required")
         den = 6 * delta * n
         return BoundResult(bid, Fraction(3 * (n - Delta) * (3 * n + Delta - delta) + 57 * delta * n, den))
 

@@ -16,9 +16,12 @@ an anchor's vertices lower the array, its discovery path is replayed on the
 same array and the path's middle edge is recorded as a connector of the
 tree; the grower's final array gives the cells and the checks their
 distances, so the tree builder rebuilds nothing.  Cell weights are integer
-counts; fractions appear only where the chain divides.  The spacing and
-assignment checks read one nearest-anchor pass over that array, not a BFS
-per anchor.
+counts; fractions appear only where the chain divides.  One routine,
+``_checks``, checks the packing and the matching lemma as one rule: every
+anchor's cell weighs at least a Moore-type ``unit``, the hub's at least
+``unit + excess`` under the max-degree variant, so there are at most
+``(n - excess) / unit`` anchors.  Its spacing and assignment checks read one
+nearest-anchor pass over the grower's array, not a BFS per anchor.
 """
 from __future__ import annotations
 
@@ -545,7 +548,7 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
     return _certify(g, girth(g), None, use_max_degree, want_odd=False)
 
 
-def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
+def _certify(g: Graph, gi: int, profile: EccentricityProfile | None,
              use_max_degree: bool, want_odd: bool | None = None):
     """The pipeline of both girth bounds, branching on the girth's parity only
     for the anchors, the host of the contracted power and the certificate
@@ -556,8 +559,6 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
     delta, Delta = g.min_degree(), g.max_degree()
     if delta < 3:
         raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")
-    if gi is None:
-        raise NotCertifiableError("acyclic graph: no girth to certify against")
     odd = gi % 2 == 1
     parity = "odd" if odd else "even"
     if want_odd is not None and want_odd != odd:
@@ -580,24 +581,23 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
     if use_max_degree:
         constants = maxdeg_constants(delta, Delta, gi)
         c1, c2 = constants.values()
-        unit = c1 if odd else 2 * c1
+        unit, excess = (c1 if odd else 2 * c1), c2 - c1
         q = Fraction(n - c2, unit)
         nprime = q + (1 if odd else Fraction(1, 2))
-        power_bound = (Fraction(3, 4) * q * (1 + Fraction(c2 - c1, 3 * n))
+        power_bound = (Fraction(3, 4) * q * (1 + Fraction(excess, 3 * n))
                        + (1 if odd else Fraction(5, 8)))
         final_bound = maxdeg_bound_value(n, gi, c1, c2)
         bound_id = BoundId.THM_GIRTH_MAXDEG_ODD if odd else BoundId.THM_GIRTH_MAXDEG_EVEN
     else:
         plain = bound_thm_girth(GraphParams(n=n, delta=delta, Delta=Delta, g=gi))
         constants = plain.constants  # K or L
-        (unit,) = constants.values()
+        (unit,), excess = constants.values(), 0
         nprime = Fraction(n, unit)
         power_bound = Fraction(3 * math.ceil(nprime), 4) - Fraction(1, 2)
         final_bound = plain.value
         bound_id = plain.bound
     norm = [Fraction(w, unit) for w in weights]
-    if use_max_degree:  # the hub's anchor carries the excess K2 - K1 (L2 - L1)
-        norm[0] = Fraction(weights[0] - c2 + c1, unit)
+    norm[0] = Fraction(weights[0] - excess, unit)  # the hub's anchor carries the excess
 
     tree_prof = eccentricity_profile(tree)
     avec_g, avec_t = profile.avec, tree_prof.avec
@@ -644,26 +644,24 @@ def _certify(g: Graph, gi: int | None, profile: EccentricityProfile | None,
         chain["avecCbar_L"] = avec_host
     chain.update({power_key: avec_power, "Nprime": nprime, "finalBound": final_bound})
 
+    checks = _checks(g, groups, msd, assignment, c, weights, gi, unit, excess,
+                     tree, tree_dist, power_connected, use_max_degree)
     common = dict(tree=tree, connector_edges=connectors,
                   assignment=assignment, use_max_degree=use_max_degree, girth_value=gi,
-                  constants=constants, chain=chain, steps=tuple(steps), bound_id=bound_id.value)
+                  constants=constants, chain=chain, steps=tuple(steps), checks=checks,
+                  bound_id=bound_id.value)
     if odd:
-        checks = _packing_checks(g, members, msd, assignment, c, gi, constants,
-                                 tree, tree_dist, power_connected, use_max_degree)
         return PackingCertificate(
             members=tuple(members), weights=c, normalized_weights=dict(zip(members, norm)),
-            checks=checks, **common)
-    cbar = dict(zip(members, weights))
-    checks = _matching_checks(g, members, vertices, msd, assignment, c, cbar, gi,
-                              constants, tree, tree_dist, power_connected, use_max_degree)
+            **common)
     return MatchingCertificate(
         members=tuple(members), vertex_weights=c,
-        edge_weights=cbar, normalized_edge_weights=dict(zip(members, norm)),
-        line=line, checks=checks, **common)
+        edge_weights=dict(zip(members, weights)),
+        normalized_edge_weights=dict(zip(members, norm)), line=line, **common)
 
 
 # ---------------------------------------------------------------------------
-# structural checks: the packing and the matching lemmas
+# structural checks: the packing and the matching lemmas as one rule
 
 def _spacing_and_assignment(g: Graph, groups, msd: list[int], assignment) -> tuple[float, bool]:
     """The least distance between two anchor groups (``inf`` for one), and
@@ -691,82 +689,54 @@ def _spacing_and_assignment(g: Graph, groups, msd: list[int], assignment) -> tup
     return spacing, all(near[v] >> a & 1 for v, a in enumerate(assignment))
 
 
-def _packing_checks(g, members, msd, assignment, c, gi, constants, tree, tree_dist,
-                    power_connected, use_max_degree):
-    """Structural checks of an odd certificate, ``g`` connected; ``msd`` and
-    ``tree_dist`` are every vertex's distance to the members in ``g`` and in
-    ``tree``.  Spacing and assignment come from one nearest-member pass.
+def _checks(g, groups, msd, assignment, c, weights, gi, unit, excess, tree, tree_dist,
+            power_connected, use_max_degree):
+    """Structural checks of either certificate, ``g`` connected: the packing
+    lemma on one-member ``groups`` (odd girth), the matching lemma on edges.
+    ``c`` gives each anchor vertex's cell size and ``weights`` each anchor's
+    weight; ``msd`` and ``tree_dist`` are every vertex's distance to the
+    anchor vertices in ``g`` and in ``tree``.  Both lemmas are one weight
+    rule: every anchor weighs at least ``unit`` (K, L, K1 or 2*L1), the hub's
+    (the first) at least ``unit + excess`` (K2 - K1 or L2 - L1 under the
+    max-degree variant, else 0), so there are at most ``(n - excess) / unit``
+    anchors.
     """
-    n = g.n
-    spacing, assign_ok = _spacing_and_assignment(g, [(a,) for a in members], msd, assignment)
-    coverage_ok = max(msd) <= gi - 1
-    total = sum(c.values())
-    if use_max_degree:
-        k1, k2 = constants["K1"], constants["K2"]
-        hub = members[0]
-        cells_ok = c[hub] >= k2 and all(c[a] >= k1 for a in members if a != hub)
-        size_ok = len(members) <= Fraction(n - k2, k1) + 1
-        extra = (
-            StructuralCheck("hub_weight>=K2", c[hub] >= k2, f"c({hub})={c[hub]}, K2={k2}"),
-            StructuralCheck("packing_size<=(n-K2)/K1+1", size_ok,
-                            f"|A|={len(members)}"),
-        )
-    else:
-        k = constants["K"]
-        cells_ok = all(c[a] >= k for a in members)
-        extra = ()
-    tree_ok = tree.m == n - 1 and -1 not in bfs_distances(tree, 0)
-    return (
-        StructuralCheck("packing_spacing>=g", spacing >= gi),
-        StructuralCheck("packing_coverage<=g-1", coverage_ok, f"max dist {max(msd)}"),
-        StructuralCheck("assignment_nearest_member", assign_ok),
-        StructuralCheck("weight_conservation", total == n, f"total={total}, n={n}"),
-        StructuralCheck("cell_lower_bounds", cells_ok),
-        StructuralCheck("tree_spanning", tree_ok),
+    n, odd, size = g.n, len(groups[0]) == 1, len(groups)
+    spacing, assign_ok = _spacing_and_assignment(g, groups, msd, assignment)
+    total, hub_ok = sum(c.values()), weights[0] >= unit + excess
+    if odd:  # members g apart, every vertex within g - 1
+        coverage_ok, conserve_ok = max(msd) <= gi - 1, total == n
+    else:  # edges g - 1 apart, every edge within g - 2
+        coverage_ok = all(min(msd[x], msd[y]) <= gi - 2 for x, y in g.edges)
+        conserve_ok = total == n and sum(weights) == n
+    checks = [
+        None if odd else StructuralCheck("matching_disjoint", len(c) == 2 * size),
+        StructuralCheck("packing_spacing>=g" if odd else "matching_spacing>=g-1",
+                        spacing >= (gi if odd else gi - 1)),
+        StructuralCheck("packing_coverage<=g-1" if odd else "matching_coverage<=g-2",
+                        coverage_ok, f"max dist {max(msd)}" if odd else ""),
+        StructuralCheck("assignment_nearest_member" if odd
+                        else "assignment_nearest_matched_vertex", assign_ok),
+        StructuralCheck("weight_conservation", conserve_ok,
+                        f"total={total}, n={n}" if odd else ""),
+        StructuralCheck("cell_lower_bounds" if odd else "edge_weight_lower_bounds",
+                        hub_ok and all(w >= unit for w in weights[1:])),
+        StructuralCheck("tree_spanning", tree.m == n - 1 and -1 not in bfs_distances(tree, 0)),
+        None if odd else StructuralCheck("tree_contains_matching",
+                                         all(tree.has_edge(u, v) for u, v in groups)),
         StructuralCheck("distance_preservation", tree_dist == msd),
-        StructuralCheck("tree_power_connected", power_connected),
-    ) + extra
-
-
-def _matching_checks(g, members, vm, msd, assignment, c, cbar, gi, constants,
-                     tree, tree_dist, power_connected, use_max_degree):
-    """Structural checks of an even certificate, ``g`` connected; ``msd``
-    and ``tree_dist`` are every vertex's distance to ``vm``, the matched
-    vertices, in ``g`` and in ``tree``.  Spacing and assignment come from
-    one nearest-matched-vertex pass.
-    """
-    n = g.n
-    disjoint_ok = len(vm) == 2 * len(members)
-    spacing, assign_ok = _spacing_and_assignment(g, members, msd, assignment)
-    coverage_ok = all(min(msd[x], msd[y]) <= gi - 2 for x, y in g.edges)
-    conserve_ok = sum(c.values()) == n and sum(cbar.values()) == n
+        StructuralCheck("tree_power_connected" if odd else "line_power_connected",
+                        power_connected),
+    ]
     if use_max_degree:
-        l1, l2 = constants["L1"], constants["L2"]
-        hub = members[0]
-        edge_ok = (cbar[hub] >= l1 + l2
-                   and all(cbar[e] >= 2 * l1 for e in members if e != hub))
-        size_ok = len(members) <= Fraction(n - l2 + l1, 2 * l1)
-        extra = (
-            StructuralCheck("hub_edge_weight>=L1+L2", cbar[hub] >= l1 + l2,
-                            f"cbar={cbar[hub]}, L1+L2={l1 + l2}"),
-            StructuralCheck("matching_size<=(n-L2+L1)/(2L1)", size_ok,
-                            f"|M|={len(members)}"),
-        )
-    else:
-        ll = constants["L"]
-        edge_ok = all(cbar[e] >= ll for e in members)
-        extra = ()
-    tree_ok = tree.m == n - 1 and -1 not in bfs_distances(tree, 0)
-    contains_ok = all(tree.has_edge(u, v) for u, v in members)
-    return (
-        StructuralCheck("matching_disjoint", disjoint_ok),
-        StructuralCheck("matching_spacing>=g-1", spacing >= gi - 1),
-        StructuralCheck("matching_coverage<=g-2", coverage_ok),
-        StructuralCheck("assignment_nearest_matched_vertex", assign_ok),
-        StructuralCheck("weight_conservation", conserve_ok),
-        StructuralCheck("edge_weight_lower_bounds", edge_ok),
-        StructuralCheck("tree_spanning", tree_ok),
-        StructuralCheck("tree_contains_matching", contains_ok),
-        StructuralCheck("distance_preservation", tree_dist == msd),
-        StructuralCheck("line_power_connected", power_connected),
-    ) + extra
+        size_ok = size <= Fraction(n - excess, unit)
+        checks += [
+            StructuralCheck("hub_weight>=K2", hub_ok,
+                            f"c({groups[0][0]})={weights[0]}, K2={unit + excess}"),
+            StructuralCheck("packing_size<=(n-K2)/K1+1", size_ok, f"|A|={size}"),
+        ] if odd else [
+            StructuralCheck("hub_edge_weight>=L1+L2", hub_ok,
+                            f"cbar={weights[0]}, L1+L2={unit + excess}"),
+            StructuralCheck("matching_size<=(n-L2+L1)/(2L1)", size_ok, f"|M|={size}"),
+        ]
+    return tuple(check for check in checks if check is not None)

@@ -262,7 +262,8 @@ def spaced_matching_oracle(g: eb.Graph, girth_value: int, start_edge=None):
 
 def packing_checks_oracle(g, members, assignment, c, gi, constants, tree,
                           power_connected, use_max_degree):
-    """``_packing_checks`` with one full BFS per member."""
+    """The checks ``_checks`` emits for a packing (odd girth), with one full
+    BFS per member and the weight rule stated in K, or in K1 and K2."""
     n = g.n
     member_dist = {a: eb.bfs_distances(g, a) for a in members}
     spacing_ok = all(member_dist[a][b] >= gi
@@ -301,7 +302,9 @@ def packing_checks_oracle(g, members, assignment, c, gi, constants, tree,
 
 def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constants,
                            tree, power_connected, use_max_degree):
-    """``_matching_checks`` with one full BFS per matched vertex."""
+    """The checks ``_checks`` emits for a matching (even girth), with one
+    full BFS per matched vertex and the weight rule stated in L, or in L1
+    and L2."""
     n = g.n
     vert_dist = {u: eb.bfs_distances(g, u) for u in vm}
     spacing_ok = all(

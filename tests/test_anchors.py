@@ -1,28 +1,28 @@
 """Differential tests of the incremental anchor machinery in ``certify``.
 
-The anchor builders, the discovery-path replay, the one-pass structural
-checks, the ball-built contracted power and the line-graph eccentricity
-identity must agree exactly with the per-prefix and full-BFS oracles in
-``conftest.py``, failing inputs and ties between equidistant anchors
-included.
+The anchor builders, the discovery-path replay, the one structural-check
+routine of both anchor kinds, the ball-built contracted power and the
+line-graph eccentricity identity must agree exactly with the per-prefix and
+full-BFS oracles in ``conftest.py``, failing inputs, ties between
+equidistant anchors and the weight rule's boundaries included.
 """
 from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.certify import (
     _anchor_tree,
+    _checks,
     _contracted_power,
     _grow,
     _line_eccentricity,
-    _matching_checks,
-    _packing_checks,
     certify,
 )
 from conftest import (
@@ -30,12 +30,14 @@ from conftest import (
     line_ecc_oracle,
     matching_checks_oracle,
     matching_tree_oracle,
+    moore_order_oracle,
     packing_checks_oracle,
     packing_tree_oracle,
     prefix_connectors_oracle,
     random_connected,
     spaced_matching_oracle,
 )
+from test_golden import INSTANCES
 
 
 def _random_graph(rng: random.Random, lo: int = 4, hi: int = 40) -> eb.Graph:
@@ -74,20 +76,40 @@ def _tree(g: eb.Graph, groups):
     return _anchor_tree(g, *_grown(g, groups))
 
 
-def _with_msd(case):
-    """A ``packing_checks_oracle`` case with the members' distances in ``g``
-    and in the tree inserted where ``_packing_checks`` takes them."""
-    g, members, *rest, tree, power_connected, use_max_degree = case
-    return (g, members, eb.multi_source_distances(g, members), *rest, tree,
-            eb.multi_source_distances(tree, members), power_connected, use_max_degree)
+def _unit_and_excess(constants, use_max_degree, odd):
+    """The one weight rule's ``unit`` and ``excess`` from the Moore-type
+    constants: K or L and 0, K1 and K2 - K1, or 2*L1 and L2 - L1."""
+    if not use_max_degree:
+        (unit,) = constants.values()
+        return unit, 0
+    c1, c2 = constants.values()
+    return (c1 if odd else 2 * c1), c2 - c1
 
 
-def _with_tree_dist(case):
-    """A ``matching_checks_oracle`` case with the matched vertices' distances
-    in the tree inserted where ``_matching_checks`` takes them."""
-    g, members, vm, *rest, tree, power_connected, use_max_degree = case
-    return (g, members, vm, *rest, tree,
-            eb.multi_source_distances(tree, vm), power_connected, use_max_degree)
+def _checks_on_packing(case):
+    """``_checks`` on a ``packing_checks_oracle`` case: one group and one
+    weight ``c(a)`` per member, the members' distances in ``g`` and in the
+    tree, and K (or K1 and K2 - K1) as unit and excess."""
+    g, members, assignment, c, gi, constants, tree, power_connected, use_max_degree = case
+    return _checks(g, [(a,) for a in members], eb.multi_source_distances(g, members),
+                   assignment, c, [c[a] for a in members], gi,
+                   *_unit_and_excess(constants, use_max_degree, odd=True),
+                   tree, eb.multi_source_distances(tree, members), power_connected,
+                   use_max_degree)
+
+
+def _checks_on_matching(case):
+    """``_checks`` on a ``matching_checks_oracle`` case: the matching edges
+    as groups weighing ``cbar(e)``, the matched vertices' distances in the
+    tree, and L (or 2*L1 and L2 - L1) as unit and excess; ``c``'s keys are
+    the matched vertices ``vm``."""
+    (g, members, vm, msd, assignment, c, cbar, gi, constants, tree, power_connected,
+     use_max_degree) = case
+    assert list(c) == list(vm)
+    return _checks(g, members, msd, assignment, c, [cbar[e] for e in members], gi,
+                   *_unit_and_excess(constants, use_max_degree, odd=False),
+                   tree, eb.multi_source_distances(tree, vm), power_connected,
+                   use_max_degree)
 
 
 def _fell_back(g, groups, connectors) -> bool:
@@ -220,7 +242,7 @@ def test_packing_checks_match_full_bfs_oracle():
     for _ in range(300):
         g = _random_graph(rng)
         case = _packing_case(rng, g, rng.randint(-2, 10), rng.random() < 0.5)
-        got = _packing_checks(*_with_msd(case))
+        got = _checks_on_packing(case)
         assert got == packing_checks_oracle(*case)
         failing += not all(check.ok for check in got[:3])
     assert failing > 100  # spacing, coverage or assignment failed on these
@@ -232,7 +254,7 @@ def test_matching_checks_match_full_bfs_oracle():
     for _ in range(300):
         g = _random_graph(rng)
         case = _matching_case(rng, g, rng.randint(-2, 10), rng.random() < 0.5)
-        got = _matching_checks(*_with_tree_dist(case))
+        got = _checks_on_matching(case)
         assert got == matching_checks_oracle(*case)
         failing += not all(check.ok for check in got[:4])
     assert failing > 100
@@ -243,7 +265,7 @@ def test_checks_on_non_maximal_packing():
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, [0, 6])
     c = eb.weight_function([0, 6], assignment)
     case = (g, [0, 6], assignment, c, 3, {"K": 3}, tree, True, False)
-    got = _packing_checks(*_with_msd(case))
+    got = _checks_on_packing(case)
     assert got == packing_checks_oracle(*case)
     by_name = {check.name: check for check in got}
     assert by_name["packing_spacing>=g"].ok
@@ -260,7 +282,7 @@ def test_packing_checks_accept_a_tied_assignment():
     members, assignment = [0, 2], [0, 0, 2, 2]
     case = (g, members, assignment, eb.weight_function(members, assignment), 3, {"K": 2},
             g, True, False)
-    got = _packing_checks(*_with_msd(case))
+    got = _checks_on_packing(case)
     assert got == packing_checks_oracle(*case)
     assert {check.name: check.ok for check in got}["assignment_nearest_member"]
 
@@ -274,9 +296,42 @@ def test_matching_checks_accept_a_tied_assignment():
     cbar = {e: c[e[0]] + c[e[1]] for e in members}
     case = (g, members, vm, eb.multi_source_distances(g, vm), assignment, c, cbar, 4,
             {"L": 2}, g, True, False)
-    got = _matching_checks(*_with_tree_dist(case))
+    got = _checks_on_matching(case)
     assert got == matching_checks_oracle(*case)
     assert {check.name: check.ok for check in got}["assignment_nearest_matched_vertex"]
+
+
+# the one weight rule at its boundaries, max-degree variant with unit 4 and
+# excess 8 (K1 = 4, K2 = 12; L1 = 2, L2 = 10): the hub weighs at least 12,
+# every other anchor at least 4, and there are at most (n - 8) / 4 anchors
+
+@pytest.mark.parametrize("odd", [True, False], ids=["packing", "matching"])
+@pytest.mark.parametrize("n, weights, verdicts", [
+    (24, (12, 4, 4, 4), (True, True, True)),     # hub, others and count at the bound
+    (24, (11, 4, 4, 4), (False, False, True)),   # hub at unit + excess - 1
+    (24, (12, 4, 3, 4), (True, False, True)),    # another anchor at unit - 1
+    (20, (12, 4, 4, 4), (True, True, False)),    # 4 anchors, one above (20 - 8) / 4
+], ids=["at-bound", "hub-below", "anchor-below", "one-anchor-too-many"])
+def test_weight_rule_boundaries_under_max_degree(odd, n, weights, verdicts):
+    g = eb.cycle_graph(n)
+    starts = [i * (n // 4) for i in range(4)]
+    if odd:
+        tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, starts)
+        case = (g, starts, list(assignment), dict(zip(starts, weights)), 5,
+                {"K1": 4, "K2": 12}, tree, True, True)
+        got, want = _checks_on_packing(case), packing_checks_oracle(*case)
+        names = ("hub_weight>=K2", "cell_lower_bounds", "packing_size<=(n-K2)/K1+1")
+    else:
+        members = [(a, a + 1) for a in starts]
+        tree, _, assignment, _, vm, msd = _tree(g, members)
+        case = (g, members, vm, msd, list(assignment), eb.weight_function(vm, assignment),
+                dict(zip(members, weights)), 6, {"L1": 2, "L2": 10}, tree, True, True)
+        got, want = _checks_on_matching(case), matching_checks_oracle(*case)
+        names = ("hub_edge_weight>=L1+L2", "edge_weight_lower_bounds",
+                 "matching_size<=(n-L2+L1)/(2L1)")
+    assert got == want
+    by_name = {check.name: check.ok for check in got}
+    assert tuple(by_name[name] for name in names) == verdicts
 
 
 def _reassign_among_ties(rng, g, sources, assignment):
@@ -366,6 +421,73 @@ def test_certify_measures_girth_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the pipeline's replayed connectors always form the tree
+#
+# Each new anchor lies an odd distance from the earlier ones, exactly g (odd
+# girth) or g - 1 (even girth), and later anchors lie at least that far, so
+# the middle edge of its discovery path has no tied end: it joins the new
+# anchor's cell to an older one, and the Kruskal fallback is never needed.
+# Arbitrary member lists still need it (see the prefix-replay tests above).
+
+def _no_fallback(mp):
+    def refuse(*args):
+        raise AssertionError("Kruskal fallback taken")
+    mp.setattr(sys.modules["eccbounds.certify"], "_fallback_connectors", refuse)
+
+
+def test_the_patched_fallback_is_the_one_the_tree_builder_calls(monkeypatch):
+    _no_fallback(monkeypatch)
+    # vertex 1 ties between members 2 and 0 and goes to 0, as does the
+    # middle edge (1, 0) of the path 2-1-0
+    with pytest.raises(AssertionError, match="fallback"):
+        eb.build_spanning_tree_from_packing(eb.path_graph(3), [2, 0])
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_golden_certificates_take_no_fallback(name, monkeypatch):
+    _no_fallback(monkeypatch)
+    g = INSTANCES[name]()
+    for use_max_degree in (False, True):
+        assert certify(g, use_max_degree=use_max_degree).all_steps_hold
+
+
+@st.composite
+def certifiable_graphs(draw):
+    """Connected graphs of minimum degree at least 3: generated ones of
+    girth at least 3 to 8, or random trees padded with random edges."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        delta, gv = draw(st.sampled_from(
+            [(3, gv) for gv in range(3, 9)] + [(4, gv) for gv in range(3, 7)]
+            + [(5, gv) for gv in range(3, 6)]))
+        order = moore_order_oracle(delta, gv)
+        n = draw(st.integers(2 * order, 2 * order + 40))
+        out = eb.random_min_degree_girth(
+            eb.GeneratorConfig(n=n, delta=delta, g=gv, seed=rng.randrange(1 << 30)))
+        assume(isinstance(out, eb.Graph))
+        return out
+    n = draw(st.integers(4, 40))
+    pairs = set(random_connected(rng, n, rng.randint(0, 2 * n)).edges)
+    degree = Counter(x for e in pairs for x in e)
+    for v in range(n):
+        while degree[v] < 3:
+            w = rng.choice([w for w in range(n) if w != v and (min(v, w), max(v, w)) not in pairs])
+            pairs.add((min(v, w), max(v, w)))
+            degree[v] += 1
+            degree[w] += 1
+    return eb.Graph.from_edges(n, sorted(pairs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(certifiable_graphs())
+def test_property_pipeline_takes_no_fallback(g):
+    with pytest.MonkeyPatch.context() as mp:
+        _no_fallback(mp)
+        for use_max_degree in (False, True):
+            certify(g, use_max_degree=use_max_degree)
+
+
+# ---------------------------------------------------------------------------
 # one property over all of the above
 
 @st.composite
@@ -392,9 +514,9 @@ def test_property_incremental_machinery_equals_oracles(case):
         assert eb.build_spaced_matching(g, gi) == spaced_matching_oracle(g, gi)
     md = rng.random() < 0.5
     pcase = _packing_case(rng, g, gi, md)
-    assert _packing_checks(*_with_msd(pcase)) == packing_checks_oracle(*pcase)
+    assert _checks_on_packing(pcase) == packing_checks_oracle(*pcase)
     mcase = _matching_case(rng, g, gi, md)
-    assert _matching_checks(*_with_tree_dist(mcase)) == matching_checks_oracle(*mcase)
+    assert _checks_on_matching(mcase) == matching_checks_oracle(*mcase)
     radius = max(gi, 0)
     assert _contracted_power(g, members, radius) == contracted_power_oracle(g, members, radius)
     if g.m == g.n - 1:
@@ -413,7 +535,7 @@ def test_property_checks_equal_oracles_under_tied_reassignment(case):
     _reassign_among_ties(rng, g, members, assignment)
     pcase = (g, members, assignment, eb.weight_function(members, assignment), gi,
              {"K": rng.randint(1, 6)}, tree, True, False)
-    got = _packing_checks(*_with_msd(pcase))
+    got = _checks_on_packing(pcase)
     assert got == packing_checks_oracle(*pcase)
     assert got[2].ok  # assignment_nearest_member
 
@@ -424,6 +546,6 @@ def test_property_checks_equal_oracles_under_tied_reassignment(case):
     c = eb.weight_function(vm, assignment)
     mcase = (g, matching, vm, msd, assignment, c, {e: c[e[0]] + c[e[1]] for e in matching},
              gi, {"L": rng.randint(1, 6)}, tree, True, False)
-    got = _matching_checks(*_with_tree_dist(mcase))
+    got = _checks_on_matching(mcase)
     assert got == matching_checks_oracle(*mcase)
     assert got[3].ok  # assignment_nearest_matched_vertex

@@ -211,6 +211,19 @@ def test_legacy_applicability_gates():
     assert not bound_legacy(no_delta, BoundId.EQ8).applicable
 
 
+@pytest.mark.parametrize("bid", [BoundId.EQ2, BoundId.EQ7])
+def test_eq2_and_eq7_need_minimum_degree_one(bid):
+    # both divide by delta; at delta = 0 they are not applicable, not a crash
+    r = bound_legacy(GraphParams(n=5, delta=0, Delta=2, g=4), bid)
+    assert (r.bound, r.value, r.applicable, r.reason) == \
+        (bid, None, False, "minimum degree delta >= 1 required")
+    # the earlier gates keep their reasons
+    assert bound_legacy(GraphParams(n=5, delta=0, Delta=2, g=3), bid).reason == \
+        "girth >= 4 (triangle-free) required"
+    assert bound_legacy(GraphParams(n=5, delta=0, Delta=2, g=4), bid.value).reason == \
+        "minimum degree delta >= 1 required"
+
+
 def test_eq1_available_at_delta_2():
     assert bound_legacy(GraphParams(n=6, delta=2, g=6), BoundId.EQ1).applicable
 
@@ -507,7 +520,9 @@ def test_property_evaluators_equal_the_stepwise_oracle(p):
         else:
             got = _outcome(bound_thm_girth, p)
         want = _outcome(bound_value_oracle, bid, p)
-        if isinstance(want, type):
+        if want is ZeroDivisionError:  # Eq2 and Eq7 divide by delta = 0
+            want = bid, None, {}, False, "minimum degree delta >= 1 required"
+        elif isinstance(want, type):
             assert got is want, (bid, p)  # the same error as the stepwise form
             continue
         bound, value, constants, applicable, reason = want
