@@ -234,81 +234,66 @@ def _eps(d1: int, d2: int) -> int:
     return d1 * d2 - 2 * (d1 // 2) + 1
 
 
+# Each legacy bound's hypotheses, gated in this order: whether the maximum
+# degree must be recorded, the least girth with the cycles it excludes, the
+# least minimum degree
+_LEGACY_HYPOTHESES = {
+    BoundId.EQ1: (False, None, 2),
+    BoundId.EQ2: (False, (4, " (triangle-free)"), 1),
+    BoundId.EQ3: (False, (5, " (triangle- and C4-free)"), 0),
+    BoundId.EQ4: (False, (6, ""), 0),
+    BoundId.EQ5: (False, (6, " (C4- and C5-free)"), 0),
+    BoundId.EQ6: (True, None, 2),
+    BoundId.EQ7: (True, (4, " (triangle-free)"), 1),
+    BoundId.EQ8: (True, (5, " (triangle- and C4-free)"), 0),
+}
 # BoundId hashes by member name, so its value strings need keys of their own
-_LEGACY_IDS = {key: bid for bid in UPPER_BOUND_IDS if bid.value.startswith("Eq")
-               for key in (bid, bid.value)}
+_LEGACY = {key: (bid, *hypotheses) for bid, hypotheses in _LEGACY_HYPOTHESES.items()
+           for key in (bid, bid.value)}
 
 
 def bound_legacy(p: GraphParams, which: BoundId | str) -> BoundResult:
     """The eight order/degree bounds predating the girth parameterization.
 
-    Applicability is decided from the measured girth: girth >= 4 implies
+    Applicability is decided from the hypotheses table: girth >= 4 implies
     triangle-free (Eq2/Eq7), girth >= 5 implies additionally C4-free
     (Eq3/Eq8), girth >= 6 covers the C4/C5-free hypotheses (Eq4/Eq5).
     """
-    bid = _LEGACY_IDS.get(which)
-    if bid is None:
+    entry = _LEGACY.get(which)
+    if entry is None:
         raise ValueError(f"{which} is not a legacy bound id")
+    bid, needs_Delta, girth_floor, least_delta = entry
     n, delta, Delta, g = p
+    if needs_Delta and Delta is None:
+        return _not_applicable(bid, "maximum degree not provided")
+    if girth_floor and (g is None or g < girth_floor[0]):
+        return _not_applicable(bid, "girth >= %d%s required" % girth_floor)
+    if delta < least_delta:
+        return _not_applicable(bid, f"minimum degree delta >= {least_delta} required")
 
     if bid is BoundId.EQ1:
-        if delta < 2:
-            return _not_applicable(bid, "minimum degree delta >= 2 required")
         return BoundResult(bid, Fraction(9 * n + 15 * (delta + 1), 4 * (delta + 1)))
-
     if bid is BoundId.EQ2:
-        if g is None or g < 4:
-            return _not_applicable(bid, "girth >= 4 (triangle-free) required")
-        if delta < 1:
-            return _not_applicable(bid, "minimum degree delta >= 1 required")
         return BoundResult(bid, Fraction(3 * _ceil_div(n, 2 * delta) + 5))
-
     if bid is BoundId.EQ3:
-        if g is None or g < 5:
-            return _not_applicable(bid, "girth >= 5 (triangle- and C4-free) required")
         eps = _eps(delta, delta)
         return BoundResult(bid, Fraction(15 * _ceil_div(n, eps) + 22, 4),
                            constants={"eps_delta": eps})
-
     if bid is BoundId.EQ4:
-        if g is None or g < 6:
-            return _not_applicable(bid, "girth >= 6 required")
         return BoundResult(bid, Fraction(9 * _ceil_div(n, 2 * delta * delta - 2 * delta + 2) + 16, 2))
-
     if bid is BoundId.EQ5:
-        if g is None or g < 6:
-            return _not_applicable(bid, "girth >= 6 (C4- and C5-free) required")
         return BoundResult(bid, Fraction(9 * _ceil_div(n, 2 * delta * delta - 5 * delta + 5) + 16, 2))
-
     if bid is BoundId.EQ6:
-        if Delta is None:
-            return _not_applicable(bid, "maximum degree not provided")
-        if delta < 2:
-            return _not_applicable(bid, "minimum degree delta >= 2 required")
         den = 12 * (delta + 1) * n
         return BoundResult(bid, Fraction(9 * (n - Delta - 1) * (3 * n + Delta - delta) + 7 * den, den))
-
     if bid is BoundId.EQ7:
-        if Delta is None:
-            return _not_applicable(bid, "maximum degree not provided")
-        if g is None or g < 4:
-            return _not_applicable(bid, "girth >= 4 (triangle-free) required")
-        if delta < 1:
-            return _not_applicable(bid, "minimum degree delta >= 1 required")
         den = 6 * delta * n
         return BoundResult(bid, Fraction(3 * (n - Delta) * (3 * n + Delta - delta) + 57 * delta * n, den))
-
-    if bid is BoundId.EQ8:
-        if Delta is None:
-            return _not_applicable(bid, "maximum degree not provided")
-        if g is None or g < 5:
-            return _not_applicable(bid, "girth >= 5 (triangle- and C4-free) required")
-        eps_D = _eps(Delta, delta)
-        eps_d = _eps(delta, delta)
-        spread = eps_D - eps_d
-        value = Fraction(15 * (n - spread) * (3 * n + spread) + 111 * eps_d * n, 12 * eps_d * n)
-        return BoundResult(bid, value,
-                           constants={"eps_Delta": eps_D, "eps_delta": eps_d})
+    eps_D = _eps(Delta, delta)  # Eq8
+    eps_d = _eps(delta, delta)
+    spread = eps_D - eps_d
+    value = Fraction(15 * (n - spread) * (3 * n + spread) + 111 * eps_d * n, 12 * eps_d * n)
+    return BoundResult(bid, value, constants={"eps_Delta": eps_D, "eps_delta": eps_d})
 
 
 def lower_bound_chain(p: GraphParams, k: int) -> Fraction:

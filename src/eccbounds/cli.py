@@ -174,8 +174,8 @@ def cmd_chain(args) -> int:
 
 def _batch_sources(args):
     """Yield (graphId, item) pairs in deterministic order; an item is a
-    Measured graph, a GenerationFailure, or the EdgeListParseError or
-    DisconnectedGraphError of its file."""
+    Measured graph, a GenerationFailure, or the EdgeListParseError,
+    DisconnectedGraphError or OSError of its file."""
     if args.dir:
         files = sorted(Path(args.dir).glob("*.el"))
         if not files:
@@ -183,7 +183,7 @@ def _batch_sources(args):
         for f in files:
             try:
                 yield f.stem, measure(_read_graph(str(f)))
-            except (EdgeListParseError, DisconnectedGraphError) as exc:
+            except (EdgeListParseError, DisconnectedGraphError, OSError) as exc:
                 yield f.stem, exc
     else:
         for i in range(args.count):
@@ -193,8 +193,8 @@ def _batch_sources(args):
             yield f"gen-{i:04d}", out if isinstance(out, GenerationFailure) else measure(*out)
 
 
-# row statuses of inputs that were read but could not be fully processed
-_BAD_INPUT_STATUSES = ("parse-error", "disconnected", "not-certifiable")
+# row statuses of inputs that could not be read or fully processed
+_BAD_INPUT_STATUSES = ("parse-error", "disconnected", "unreadable", "not-certifiable")
 
 
 def _batch_row(graph_id: str, item) -> dict:
@@ -207,6 +207,9 @@ def _batch_row(graph_id: str, item) -> dict:
     if isinstance(item, DisconnectedGraphError):
         print(f"{graph_id}: graph is disconnected", file=sys.stderr)
         return {"graphId": graph_id, "status": "disconnected"}
+    if isinstance(item, OSError):
+        print(f"{graph_id}: unreadable: {item}", file=sys.stderr)
+        return {"graphId": graph_id, "status": "unreadable"}
     m = item if isinstance(item, Measured) else measure(item)  # once, for bounds and certificate
     p, avec = m.params, m.profile.avec
     results = {r.bound.value: r for r in evaluate_all(m)}
@@ -333,7 +336,7 @@ def _build_parser() -> _Parser:
     ba.add_argument("--out", default=".")
     ba.add_argument("--strict", action="store_true",
                     help="exit 4 on a generation failure, 2 on a parse-error, "
-                         "disconnected or not-certifiable row")
+                         "disconnected, unreadable or not-certifiable row")
     ba.set_defaults(func=cmd_batch)
     return p
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .graph import Graph, ball, girth, is_connected
 
@@ -81,69 +81,37 @@ def hoffman_singleton_graph() -> Graph:
 # ---------------------------------------------------------------------------
 # small finite fields and projective-plane incidence graphs
 
-# x^k rewritten in lower powers: GF(4) x^2=x+1, GF(8) x^3=x+1, GF(9) x^2=2
-_REDUCTION = {4: (1, 1), 8: (1, 1, 0), 9: (2, 0)}
+# x^k rewritten in lower powers, coefficients of x^(k-1) down to x^0:
+# GF(4) x^2=x+1, GF(8) x^3=x+1, GF(9) x^2=2; a prime field is k=1 with x^1=0
+_REDUCTION = {4: (1, 1), 8: (0, 1, 1), 9: (0, 2)}
 
 
 def _field_tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
     """Addition and multiplication tables for GF(q), elements coded 0..q-1.
 
-    Prime q uses integers mod q; prime powers use polynomials over GF(p)
-    coded base-p, reduced by a fixed irreducible polynomial.
+    An element is a polynomial over GF(p) of degree below k, its code the
+    base-p number of its digit vector (highest power first), and x^k is
+    rewritten by a fixed irreducible polynomial; a prime q is the one-digit
+    case.  A product is Horner's rule: shift by x and reduce, add a digit.
     """
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            break
-    else:
+    p = next((d for d in (2, 3, 5, 7) if q % d == 0), q)
+    if p == q:
         if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
             raise ValueError(f"q={q} is not a prime power with a known field table")
-        p = q
-    if q == p:
-        add = [[(a + b) % q for b in range(q)] for a in range(q)]
-        mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        return add, mul
-    if q not in _REDUCTION:
+        red = (0,)
+    elif (red := _REDUCTION.get(q)) is None:
         raise ValueError(f"no field table for q={q}")
-    k = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        k += 1
+    vec = list(product(range(p), repeat=len(red)))  # each code's digits, once
+    code = {v: i for i, v in enumerate(vec)}
 
-    def digits(x):
-        out = []
-        for _ in range(k):
-            out.append(x % p)
-            x //= p
-        return out
+    def mul(u, v):  # r = x*r + d*u over v's digits d, x^k rewritten by red
+        r = [0] * len(red)
+        for d in v:
+            r = [(a + r[0] * c + d * b) % p for a, c, b in zip(r[1:] + [0], red, u)]
+        return code[tuple(r)]
 
-    def undigits(ds):
-        x = 0
-        for d in reversed(ds):
-            x = x * p + d
-        return x
-
-    red = _REDUCTION[q]  # coefficients of x^k in terms of lower powers
-    add = [[undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
-            for b in range(q)] for a in range(q)]
-
-    def poly_mul(a, b):
-        da, db = digits(a), digits(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for deg in range(2 * k - 2, k - 1, -1):
-            coef = prod[deg]
-            if coef:
-                prod[deg] = 0
-                for j, r in enumerate(red):
-                    prod[deg - k + j] = (prod[deg - k + j] + coef * r) % p
-        return undigits(prod[:k])
-
-    mul = [[poly_mul(a, b) for b in range(q)] for a in range(q)]
-    return add, mul
+    add = [[code[tuple([(a + b) % p for a, b in zip(u, v)])] for v in vec] for u in vec]
+    return add, [[mul(u, v) for v in vec] for u in vec]
 
 
 def projective_plane_incidence(q: int) -> Graph:

@@ -185,6 +185,75 @@ def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig):
 
 
 # ---------------------------------------------------------------------------
+# field oracle: the GF(q) tables as two code paths, integers mod q for a prime
+# and digits/undigits/poly_mul for q = 4, 8, 9
+
+# x^k rewritten in lower powers: GF(4) x^2=x+1, GF(8) x^3=x+1, GF(9) x^2=2
+_REDUCTION_ORACLE = {4: (1, 1), 8: (1, 1, 0), 9: (2, 0)}
+
+
+def field_tables_oracle(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication tables for GF(q), elements coded 0..q-1.
+
+    Prime q uses integers mod q; prime powers use polynomials over GF(p)
+    coded base-p, reduced by a fixed irreducible polynomial.
+    """
+    for p in (2, 3, 5, 7):
+        if q % p == 0:
+            break
+    else:
+        if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
+            raise ValueError(f"q={q} is not a prime power with a known field table")
+        p = q
+    if q == p:
+        add = [[(a + b) % q for b in range(q)] for a in range(q)]
+        mul = [[(a * b) % q for b in range(q)] for a in range(q)]
+        return add, mul
+    if q not in _REDUCTION_ORACLE:
+        raise ValueError(f"no field table for q={q}")
+    k = 0
+    qq = q
+    while qq > 1:
+        qq //= p
+        k += 1
+
+    def digits(x):
+        out = []
+        for _ in range(k):
+            out.append(x % p)
+            x //= p
+        return out
+
+    def undigits(ds):
+        x = 0
+        for d in reversed(ds):
+            x = x * p + d
+        return x
+
+    red = _REDUCTION_ORACLE[q]  # coefficients of x^k in terms of lower powers
+    add = [[undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
+            for b in range(q)] for a in range(q)]
+
+    def poly_mul(a, b):
+        da, db = digits(a), digits(b)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(da):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        for deg in range(2 * k - 2, k - 1, -1):
+            coef = prod[deg]
+            if coef:
+                prod[deg] = 0
+                for j, r in enumerate(red):
+                    prod[deg - k + j] = (prod[deg - k + j] + coef * r) % p
+        return undigits(prod[:k])
+
+    mul = [[poly_mul(a, b) for b in range(q)] for a in range(q)]
+    return add, mul
+
+
+# ---------------------------------------------------------------------------
 # certificate oracles: the per-prefix and full-BFS forms that the incremental
 # anchor machinery in eccbounds.certify replaces, kept as references
 

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.certify import (
+    StructuralCheck,
     _anchor_tree,
     _checks,
     _contracted_power,
     _grow,
     _line_eccentricity,
+    _verify_tree,
     certify,
 )
 from conftest import (
@@ -70,10 +72,10 @@ def _replayed(g: eb.Graph, groups):
 
 
 def _tree(g: eb.Graph, groups):
-    """``_anchor_tree`` on what the grower returns; its last element, the
-    tree's distances to the anchors, equals the distances in ``g`` that
-    ``matching_tree_oracle`` returns there."""
-    return _anchor_tree(g, *_grown(g, groups))
+    """``_anchor_tree`` on what the grower returns, followed by the grower's
+    distances to the anchors, as ``matching_tree_oracle`` returns them."""
+    grown = _grown(g, groups)
+    return (*_anchor_tree(g, *grown), grown[2])
 
 
 def _unit_and_excess(constants, use_max_degree, odd):
@@ -88,28 +90,42 @@ def _unit_and_excess(constants, use_max_degree, odd):
 
 def _checks_on_packing(case):
     """``_checks`` on a ``packing_checks_oracle`` case: one group and one
-    weight ``c(a)`` per member, the members' distances in ``g`` and in the
-    tree, and K (or K1 and K2 - K1) as unit and excess."""
+    weight ``c(a)`` per member, the members' distances in ``g``, and K (or
+    K1 and K2 - K1) as unit and excess."""
     g, members, assignment, c, gi, constants, tree, power_connected, use_max_degree = case
     return _checks(g, [(a,) for a in members], eb.multi_source_distances(g, members),
                    assignment, c, [c[a] for a in members], gi,
                    *_unit_and_excess(constants, use_max_degree, odd=True),
-                   tree, eb.multi_source_distances(tree, members), power_connected,
-                   use_max_degree)
+                   tree, power_connected, use_max_degree)
 
 
 def _checks_on_matching(case):
     """``_checks`` on a ``matching_checks_oracle`` case: the matching edges
-    as groups weighing ``cbar(e)``, the matched vertices' distances in the
-    tree, and L (or 2*L1 and L2 - L1) as unit and excess; ``c``'s keys are
-    the matched vertices ``vm``."""
+    as groups weighing ``cbar(e)``, and L (or 2*L1 and L2 - L1) as unit and
+    excess; ``c``'s keys are the matched vertices ``vm``."""
     (g, members, vm, msd, assignment, c, cbar, gi, constants, tree, power_connected,
      use_max_degree) = case
     assert list(c) == list(vm)
     return _checks(g, members, msd, assignment, c, [cbar[e] for e in members], gi,
                    *_unit_and_excess(constants, use_max_degree, odd=False),
-                   tree, eb.multi_source_distances(tree, vm), power_connected,
-                   use_max_degree)
+                   tree, power_connected, use_max_degree)
+
+
+def _matching_oracle(case):
+    """``matching_checks_oracle`` on a ``_matching_case`` as the pipeline
+    meets it.  Its two tree checks fail only where ``_verify_tree`` rejects
+    the tree (a member appended after the tree was built), and the pipeline
+    stops there; ``_checks`` reads both verdicts from that verification, so
+    they are true wherever it runs."""
+    want = matching_checks_oracle(*case)
+    (g, _, vm, msd), tree = case[:4], case[9]
+    tree_checks = ("tree_spanning", "distance_preservation")
+    if not all(check.ok for check in want if check.name in tree_checks):
+        with pytest.raises(RuntimeError):
+            _verify_tree(g, tree, vm, msd)
+        want = tuple(StructuralCheck(check.name, True) if check.name in tree_checks
+                     else check for check in want)
+    return want
 
 
 def _fell_back(g, groups, connectors) -> bool:
@@ -255,7 +271,7 @@ def test_matching_checks_match_full_bfs_oracle():
         g = _random_graph(rng)
         case = _matching_case(rng, g, rng.randint(-2, 10), rng.random() < 0.5)
         got = _checks_on_matching(case)
-        assert got == matching_checks_oracle(*case)
+        assert got == _matching_oracle(case)
         failing += not all(check.ok for check in got[:4])
     assert failing > 100
 
@@ -516,7 +532,7 @@ def test_property_incremental_machinery_equals_oracles(case):
     pcase = _packing_case(rng, g, gi, md)
     assert _checks_on_packing(pcase) == packing_checks_oracle(*pcase)
     mcase = _matching_case(rng, g, gi, md)
-    assert _checks_on_matching(mcase) == matching_checks_oracle(*mcase)
+    assert _checks_on_matching(mcase) == _matching_oracle(mcase)
     radius = max(gi, 0)
     assert _contracted_power(g, members, radius) == contracted_power_oracle(g, members, radius)
     if g.m == g.n - 1:

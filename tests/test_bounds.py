@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -509,6 +510,15 @@ def _outcome(f, *args):
         return type(exc)
 
 
+def _oracle_outcome(bid, p):
+    """The stepwise oracle's outcome, with not-applicable where Eq2 and Eq7
+    divide by delta = 0: the evaluators gate on delta >= 1 there."""
+    want = _outcome(bound_value_oracle, bid, p)
+    if want is ZeroDivisionError:
+        return bid, None, {}, False, "minimum degree delta >= 1 required"
+    return want
+
+
 @settings(max_examples=400, deadline=None)
 @given(bound_params())
 def test_property_evaluators_equal_the_stepwise_oracle(p):
@@ -519,10 +529,8 @@ def test_property_evaluators_equal_the_stepwise_oracle(p):
             got = _outcome(bound_thm_girth_maxdeg, p)
         else:
             got = _outcome(bound_thm_girth, p)
-        want = _outcome(bound_value_oracle, bid, p)
-        if want is ZeroDivisionError:  # Eq2 and Eq7 divide by delta = 0
-            want = bid, None, {}, False, "minimum degree delta >= 1 required"
-        elif isinstance(want, type):
+        want = _oracle_outcome(bid, p)
+        if isinstance(want, type):
             assert got is want, (bid, p)  # the same error as the stepwise form
             continue
         bound, value, constants, applicable, reason = want
@@ -536,3 +544,18 @@ def test_property_evaluators_equal_the_stepwise_oracle(p):
     got = _outcome(lower_bound_chain, p, k)
     assert got == _outcome(bound_value_oracle, "LowerChain", p, k), (p, k)
     assert got is ValueError or isinstance(got, F)
+
+
+@pytest.mark.parametrize("bid", [b for b in UPPER_BOUND_IDS if b.value.startswith("Eq")])
+def test_legacy_gates_on_a_grid(bid):
+    """Each legacy bound at every girth, delta and Delta floor and on both
+    sides of it, so a floor off by one or the gates (Delta, girth, delta)
+    checked in another order differ from the stepwise oracle."""
+    for g, delta, Delta_given, n in product((None, 3, 4, 5, 6, 7), range(4),
+                                            (False, True), (5, 40)):
+        p = GraphParams(n=n, delta=delta, Delta=delta + 1 if Delta_given else None, g=g)
+        got = bound_legacy(p, bid)
+        bound, value, constants, applicable, reason = _oracle_outcome(bid, p)
+        assert (got.bound, got.value, got.applicable, got.reason) == \
+            (bound, value, applicable, reason), p
+        assert dict(got.constants) == constants, p

@@ -430,7 +430,7 @@ def test_certificate_runs_one_full_bfs_on_its_graph(monkeypatch):
 
 
 def test_certificate_measures_its_tree_distances_once(monkeypatch):
-    # the tree check's distances feed the distance_preservation check
+    # the tree is measured once, by its verification, which both tree checks read
     certify_module = sys.modules["eccbounds.certify"]
     calls = []
     real = certify_module.multi_source_distances

@@ -302,6 +302,23 @@ def test_batch_bad_inputs_strict_exits_2(mixed_dir, tmp_path):
     assert len((out / "report.csv").read_text().splitlines()) == 5
 
 
+def test_batch_unreadable_entry_is_one_row(tmp_path, capsys):
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "good.el").write_text(eb.emit_edge_list(eb.petersen_graph()))
+    (src / "split.el").write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    (src / "zz.el").mkdir()  # matches *.el but cannot be read
+    out = tmp_path / "out"
+    assert main(["batch", "--dir", str(src), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("good", "ok"), ("split", "disconnected"), ("zz", "unreadable")]
+    assert rows[0][-1] == "true" and all(cell == "" for cell in rows[2][2:])
+    assert "zz: unreadable: " in capsys.readouterr().err
+    assert main(["batch", "--dir", str(src), "--out", str(out), "--strict"]) == 2
+    assert len((out / "report.csv").read_text().splitlines()) == 4
+
+
 def test_batch_not_certifiable_row_keeps_its_bounds(tmp_path):
     src = tmp_path / "graphs"
     src.mkdir()

@@ -1,12 +1,15 @@
 """Named constructions and the randomized (delta, girth)-constrained search."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eccbounds as eb
-from conftest import random_min_degree_girth_oracle
+from conftest import field_tables_oracle, random_min_degree_girth_oracle
+from eccbounds.generators import _field_tables
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +58,44 @@ def test_projective_plane_incidence_properties():
 def test_projective_plane_rejects_non_prime_power():
     with pytest.raises(ValueError):
         eb.projective_plane_incidence(6)
+
+
+def test_field_tables_equal_the_two_path_oracle():
+    """Equal tables for every prime q below 131 and for 4, 8 and 9, and the
+    same ValueError for every other q in 0..130."""
+    tabled = []
+    for q in range(131):
+        try:
+            want = field_tables_oracle(q)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _field_tables(q)
+            assert str(got.value) == str(exc), q
+            kind = "is not a prime power" if q in (1, 121) else "no field table"
+            assert kind in str(exc), q
+        else:
+            assert _field_tables(q) == want, q
+            tabled.append(q)
+    primes = [q for q in range(2, 131) if all(q % d for d in range(2, q))]
+    assert tabled == sorted(primes + [4, 8, 9])
+
+
+# SHA-256 of emit_edge_list(projective_plane_incidence(q)); q = 2 is the
+# Heawood graph, pinned in test_golden.py
+PLANE_SHA256 = {
+    3: "7bdc9313ee2cdd4d6e965ad77938afa1d487a7927bafd09a094c9b7bbdf1f472",
+    4: "86ac720895c240bb88b596ff219aabd360973a0a717326ea6428d15487f63659",
+    5: "f2badcff899539b4cc71697e9512534bdb629959849913e269bda60687a93d28",
+    7: "11eee738b3e1020e7d9bbb46aa9e3a9593e10f51ea7ee3b4fda0bf27fc18fbfd",
+    8: "b85fd78efdcc0ce4aed9c871f49c5307a8a3df0023df1e01f32747adafec5431",
+    9: "1dc3dae2943e7da6168cbb2d7a5cd69cf5e6b8afbc5cd9a0e763dc6307f94877",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PLANE_SHA256))
+def test_projective_plane_edge_list_digest(q):
+    text = eb.emit_edge_list(eb.projective_plane_incidence(q))
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANE_SHA256[q]
 
 
 # ---------------------------------------------------------------------------
