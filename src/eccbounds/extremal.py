@@ -1,13 +1,14 @@
 """Moore-graph catalog, chained extremal constructions, sharpness reports.
 
 The catalog only ever hands out verified objects: each generated graph is
-re-measured for regularity, girth, and order before it leaves, so a broken
+measured for regularity, girth, and order when it is first built, so a broken
 construction can never contaminate a sharpness run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bounds import GraphParams, bound_thm_girth, lower_bound_chain, moore_order
 from .graph import Graph, eccentricity_profile, girth
@@ -47,14 +48,17 @@ class ChainSpec:
 _PLANE_ORDERS = (2, 3, 4, 5, 7, 8)
 
 
+@lru_cache(maxsize=64)
 def moore_catalog(delta: int, g: int) -> tuple[Graph, MooreSpec] | None:
     """A concrete minimum-order (delta, g)-graph, or ``None`` if uncataloged.
 
     Entries: complete graphs (g=3), balanced complete bipartite graphs (g=4),
     the Petersen and Hoffman-Singleton graphs (g=5), projective-plane
     incidence graphs for plane orders up to 8 (g=6), and cycles (delta=2).
-    Every graph is re-verified for regularity, girth, and order on the way
-    out.
+    Every graph is verified for regularity, girth, and order when it is
+    first built, and a failed verification raises ``RuntimeError``.  The
+    verified pair is cached and shared by every later call; both its parts
+    are immutable.
     """
     if delta < 2 or g < 3:
         return None
@@ -100,7 +104,7 @@ def chain_graph(delta: int, g: int, k: int,
     Copy ``i`` occupies ids ``[i*order, (i+1)*order)``.  Within each copy a
     designated edge ``(a, b)`` (default: the lexicographically least edge,
     overridable via ``cut_edge``) is removed from the interior copies
-    ``i = 2..k-1`` and the copies are threaded by the link edges
+    ``i = 1..k-2`` and the copies are threaded by the link edges
     ``a_{i+1} b_i``.  For ``k = 1`` the catalog graph itself comes back.
     """
     if k < 1:
@@ -117,15 +121,21 @@ def chain_graph(delta: int, g: int, k: int,
         if not base.has_edge(a, b):
             raise ValueError(f"cut edge {cut_edge} not in the base graph")
 
-    deleted = {(i * order + a, i * order + b) for i in range(1, k - 1)}
-    pairs = [(i * order + u, i * order + v)
-             for i in range(k) for u, v in base.edges
-             if (i * order + u, i * order + v) not in deleted]
     links = tuple(((i + 1) * order + a, i * order + b) for i in range(k - 1))
-    pairs.extend(links)
-    graph = Graph.from_edges(k * order, pairs)
-    return graph, ChainSpec(delta=delta, g=g, k=k, base_order=order,
-                            link_edges=links, deleted_edges=tuple(sorted(deleted)))
+    deleted = tuple((i * order + a, i * order + b) for i in range(1, k - 1))
+    # copy i is base.adj shifted by i*order; a link a_{i+1} b_i lies above
+    # every neighbour of b_i in its copy and below every one of a_{i+1} in its
+    # copy, so appending and prepending it keeps each list ascending
+    adj = [list(map(off.__add__, around))
+           for off in range(0, k * order, order) for around in base.adj]
+    for x, y in links:
+        adj[y].append(x)
+        adj[x].insert(0, y)
+    for x, y in deleted:
+        adj[x].remove(y)
+        adj[y].remove(x)
+    return Graph._from_ascending(adj), ChainSpec(delta=delta, g=g, k=k, base_order=order,
+                                                 link_edges=links, deleted_edges=deleted)
 
 
 @dataclass(frozen=True)

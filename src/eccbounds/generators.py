@@ -174,34 +174,6 @@ class GenerationFailure:
     reason: str
 
 
-def _pick_outside(rng: random.Random, pool, near):
-    """``rng.choice`` over the members of the sorted ``pool`` (a list or a
-    range) outside ``near``, the girth-guard ball (only its keys are read).
-
-    Draws exactly what ``rng.choice([v for v in pool if v not in near])``
-    draws -- ``Random.choice`` takes ``_randbelow(len(seq))`` whatever the
-    sequence is -- but touches only the ball: the index into the filtered
-    list is stepped past the sorted pool positions of the ball's members.
-    ``None`` (and no draw) when every pool member is in the ball.
-    """
-    skip = []
-    for x in near:
-        i = bisect_left(pool, x)
-        # a ball vertex outside the pool must not claim a member's slot
-        if i < len(pool) and pool[i] == x:
-            skip.append(i)
-    skip.sort()
-    size = len(pool) - len(skip)
-    if not size:
-        return None
-    j = rng.choice(range(size))
-    for i in skip:
-        if i > j:
-            break
-        j += 1
-    return pool[j]
-
-
 def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
     """Connected graph with min degree >= delta and girth >= g, or a failure;
     see :func:`generate_measured`."""
@@ -225,10 +197,14 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
     An attempt costs O(ball), the girth-guard ball around ``u``, not O(n):
     the deficient vertices are kept in one sorted list per degree below
     ``delta`` and one sorted list of all of them, updated with ``bisect`` as
-    edges land, and the partner comes from :func:`_pick_outside`.  Each draw
-    is ``rng.choice`` over a sequence of the same length and order as the
-    filtered lists it replaces, so a seed gives the same graph, or the same
-    failure, draw for draw as the O(n)-per-attempt formulation.
+    edges land.  The partner's index into the pool (the deficient list, or
+    every vertex) is drawn with ``rng.randrange`` over the pool's size less
+    the ball members in it, then stepped past their pool positions; only the
+    ball members still short of ``delta`` are looked up in the deficient
+    list.  ``randrange(size)`` consumes the stream as ``rng.choice`` does
+    over a sequence of that length, so a seed gives the same graph, or the
+    same failure, draw for draw as the O(n)-per-attempt formulation that
+    filters the lists and calls ``rng.choice``.
     """
     if cfg.delta < 2 or cfg.g < 3 or cfg.n < cfg.delta + 1:
         raise ValueError("need delta >= 2, g >= 3, n >= delta + 1")
@@ -239,7 +215,7 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
 
     for restart in range(cfg.max_restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         deficient = list(everyone)
         by_deg = [deficient.copy()] + [[] for _ in range(delta - 1)]
         attempts = 0
@@ -251,17 +227,29 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
                 break
             attempts += 1
             # keep the degree distribution flat: fill the neediest vertices first
-            u = rng.choice(next(bucket for bucket in by_deg if bucket))
+            for bucket in by_deg:
+                if bucket:
+                    break
+            u = rng.choice(bucket)
             near = ball(adj, u, floor - 1)  # adding an edge into this set closes a short cycle
-            v = _pick_outside(rng, deficient, near)
-            if v is None:
+            skip = [bisect_left(deficient, x) for x in near if len(adj[x]) < delta]
+            pool = deficient
+            if len(skip) == len(deficient):
                 # endgame relaxation: a partner that already met its quota
                 # only gains degree, and the distance guard still holds
-                v = _pick_outside(rng, everyone, near)
-            if v is None:
+                skip, pool = list(near), everyone
+            size = len(pool) - len(skip)
+            if not size:
                 stalls += 1
                 continue
             stalls = 0
+            skip.sort()
+            j = rng.randrange(size)
+            for i in skip:
+                if i > j:
+                    break
+                j += 1
+            v = pool[j]
             for x in (u, v):
                 d = len(adj[x])
                 if d < delta:
@@ -271,8 +259,8 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
                         insort(by_deg[d + 1], x)
                     else:
                         del deficient[bisect_left(deficient, x)]
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
         total_attempts += attempts
         if wedged:
             continue
@@ -284,10 +272,12 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
                 roots.append(s)
                 seen.update(ball(adj, s, n))
         for r in roots[1:]:
-            adj[roots[0]].add(r)
-            adj[r].add(roots[0])
+            adj[roots[0]].append(r)
+            adj[r].append(roots[0])
+        for around in adj:
+            around.sort()
 
-        g_out = Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        g_out = Graph._from_ascending(adj)
         measured = girth(g_out)
         if (is_connected(g_out) and g_out.min_degree() >= delta
                 and (measured is None or measured >= cfg.g)):

@@ -61,6 +61,15 @@ class Graph:
             neigh[v].append(u)
         return Graph(n=n, edges=edges, adj=tuple(map(tuple, neigh)))
 
+    @staticmethod
+    def _from_ascending(adj) -> "Graph":
+        """Build a graph from symmetric adjacency lists that are already
+        ascending, for builders that hold them; nothing is checked.  ``edges``
+        is read off the lists: vertex ``u``'s neighbours above ``u``, in order."""
+        adj = tuple(map(tuple, adj))
+        edges = tuple([(u, v) for u, around in enumerate(adj) for v in around if v > u])
+        return Graph(n=len(adj), edges=edges, adj=adj)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -79,6 +88,9 @@ class Graph:
         return max(len(a) for a in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``u`` and ``v`` are adjacent; ``False`` for an id outside ``0..n-1``."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
         a = self.adj[u]
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
@@ -214,7 +226,7 @@ def multi_source_distances(g: Graph, sources) -> list[int]:
 
 def ball(adj, source: int, radius: int) -> dict[int, int]:
     """Distances from ``source`` to the vertices within ``radius`` hops of it,
-    over the adjacency lists (or sets) ``adj``: a BFS truncated at ``radius``."""
+    over the adjacency lists ``adj``: a BFS truncated at ``radius``."""
     dist = {source: 0}
     frontier = [source]
     for d in range(1, radius + 1):
@@ -464,6 +476,5 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         around.remove(i)
         around.remove(i)
         around.sort()
-        adj.append(tuple(around))
-    edges = [(i, j) for i, around in enumerate(adj) for j in around if j > i]
-    return Graph(n=len(g.edges), edges=tuple(edges), adj=tuple(adj)), g.edges
+        adj.append(around)
+    return Graph._from_ascending(adj), g.edges

@@ -22,6 +22,7 @@ from eccbounds.certify import (
     _UnionFind,
     _verify_tree,
 )
+from eccbounds.extremal import ChainSpec
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,37 @@ def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig):
     return eb.GenerationFailure(config=cfg, restarts=cfg.max_restarts,
                                 attempts=total_attempts,
                                 reason="edge-addition search stagnated in every restart")
+
+
+# ---------------------------------------------------------------------------
+# chain oracle: chain_graph as it was before it assembled the copies by
+# offset, every edge listed and the graph built by Graph.from_edges
+
+def chain_graph_oracle(delta: int, g: int, k: int,
+                       cut_edge: tuple[int, int] | None = None) -> tuple[eb.Graph, ChainSpec]:
+    if k < 1:
+        raise ValueError("copy count must be at least 1")
+    hit = eb.moore_catalog(delta, g)
+    if hit is None:
+        raise ValueError(f"no catalog graph for delta={delta}, g={g}")
+    base, spec = hit
+    order = spec.order
+    if cut_edge is None:
+        a, b = base.edges[0]
+    else:
+        a, b = sorted(cut_edge)
+        if not base.has_edge(a, b):
+            raise ValueError(f"cut edge {cut_edge} not in the base graph")
+
+    deleted = {(i * order + a, i * order + b) for i in range(1, k - 1)}
+    pairs = [(i * order + u, i * order + v)
+             for i in range(k) for u, v in base.edges
+             if (i * order + u, i * order + v) not in deleted]
+    links = tuple(((i + 1) * order + a, i * order + b) for i in range(k - 1))
+    pairs.extend(links)
+    graph = eb.Graph.from_edges(k * order, pairs)
+    return graph, ChainSpec(delta=delta, g=g, k=k, base_order=order,
+                            link_edges=links, deleted_edges=tuple(sorted(deleted)))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,12 @@ def test_matching_heawood_single():
     assert len(eb.build_spaced_matching(eb.heawood_graph(), 6)) == 1
 
 
+@pytest.mark.parametrize("start", [(-1, 0), (0, -1), (13, 14), (99, 100)])
+def test_matching_rejects_start_edge_off_the_vertex_range(start):
+    with pytest.raises(ValueError, match="not in graph"):
+        eb.build_spaced_matching(eb.heawood_graph(), 6, start)
+
+
 def test_matching_spacing_and_coverage_random():
     rng = random.Random(31)
     for _ in range(10):

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 import eccbounds as eb
+import eccbounds.extremal as extremal_module
 from eccbounds.bounds import GraphParams, bound_thm_girth, lower_bound_chain
+from conftest import chain_graph_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +68,37 @@ def test_catalog_emissions_verified():
         assert g.n == spec.order
 
 
+def test_catalog_is_built_and_verified_once(monkeypatch):
+    calls = []
+    real = eb.girth
+    monkeypatch.setattr(extremal_module, "girth", lambda g: calls.append(g) or real(g))
+    eb.moore_catalog.cache_clear()
+    eb.sharpness_report(3, 6, range(1, 8))
+    assert len(calls) == 1
+
+
+def test_catalog_hands_out_one_shared_object():
+    assert eb.moore_catalog(3, 5) is eb.moore_catalog(3, 5)
+
+
+def _prism():
+    """C5 x K2: 3-regular on 10 vertices like the Petersen graph, girth 4."""
+    return eb.Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                               + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                               + [(i, i + 5) for i in range(5)])
+
+
+def test_catalog_failed_verification_raises_and_is_not_cached(monkeypatch):
+    eb.moore_catalog.cache_clear()
+    monkeypatch.setattr(extremal_module, "petersen_graph", _prism)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="girth 4, expected 5"):
+            eb.moore_catalog(3, 5)
+    assert eb.moore_catalog.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert eb.moore_catalog(3, 5)[0] == eb.petersen_graph()
+
+
 # ---------------------------------------------------------------------------
 # chains
 
@@ -118,6 +151,28 @@ def test_chain_cut_edge_override():
     base = eb.petersen_graph()
     g, spec = eb.chain_graph(3, 5, 2, cut_edge=base.edges[5])
     assert eb.is_connected(g) and g.n == 20
+
+
+@pytest.mark.parametrize("delta,g", [(3, 5), (3, 6), (7, 5), (4, 6), (2, 5), (4, 3), (3, 4)])
+def test_chain_equals_from_edges_oracle(delta, g):
+    for k in range(1, 9):
+        assert eb.chain_graph(delta, g, k) == chain_graph_oracle(delta, g, k), k
+
+
+@pytest.mark.parametrize("delta,g", [(3, 5), (3, 6)])  # Petersen, Heawood
+def test_chain_equals_oracle_on_every_cut_edge(delta, g):
+    base, _ = eb.moore_catalog(delta, g)
+    for u, v in base.edges:
+        for cut in ((u, v), (v, u)):
+            for k in range(1, 6):
+                assert eb.chain_graph(delta, g, k, cut) == \
+                    chain_graph_oracle(delta, g, k, cut), (cut, k)
+
+
+@pytest.mark.parametrize("cut", [(-1, 0), (4, -1), (99, 100), (9, 10)])
+def test_chain_rejects_cut_edge_off_the_vertex_range(cut):
+    with pytest.raises(ValueError, match="not in the base graph"):
+        eb.chain_graph(3, 5, 3, cut)
 
 
 def test_chain_rejects_uncataloged():

@@ -158,6 +158,16 @@ def test_generator_equals_oracle_on_failures_and_large_orders():
     assert failures >= 3
 
 
+@pytest.mark.parametrize("n,delta,g", [(400, 3, 6), (300, 3, 5)])
+def test_generator_equals_oracle_at_batch_shapes(n, delta, g):
+    # the configurations `eccb batch --seed 1 --n N --delta 3 --g G` draws
+    for i in range(4):
+        cfg = eb.GeneratorConfig(n=n, delta=delta, g=g, seed=1_000_003 + i)
+        out = eb.random_min_degree_girth(cfg)
+        assert isinstance(out, eb.Graph)
+        assert out == random_min_degree_girth_oracle(cfg)
+
+
 def test_generator_config_validation():
     with pytest.raises(ValueError):
         eb.random_min_degree_girth(eb.GeneratorConfig(n=3, delta=3, g=4, seed=1))

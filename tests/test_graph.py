@@ -385,6 +385,26 @@ def test_from_edges_rejects_self_loop():
         eb.Graph.from_edges(3, [(1, 1)])
 
 
+def test_has_edge_is_false_off_the_vertex_range():
+    g = eb.petersen_graph()
+    u, v = g.edges[0]
+    assert g.has_edge(u, v) and g.has_edge(v, u)
+    # a negative id must not wrap around to the last vertex's list
+    assert not any(g.has_edge(-1, v) or g.has_edge(v, -1) for v in range(10))
+    assert not g.has_edge(99, 100) and not g.has_edge(0, 10) and not g.has_edge(10, 0)
+
+
+def test_from_ascending_rebuilds_every_graph():
+    rng = random.Random(43)
+    graphs = [g for _, g in named_small()] + [eb.Graph.from_edges(4, [(1, 2)])]
+    graphs += [random_connected(rng, rng.randint(1, 40), extra_edges=rng.randint(0, 30))
+               for _ in range(20)]
+    for g in graphs:
+        assert eb.Graph._from_ascending(g.adj) == g
+        line, _ = eb.line_graph(g)
+        assert line == eb.Graph.from_edges(line.n, line.edges)
+
+
 def test_adjacency_symmetric_and_degree_sum():
     for name, g in named_small():
         for u in range(g.n):
