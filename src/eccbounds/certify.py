@@ -305,7 +305,7 @@ def _fallback_connectors(g: Graph, cell_of: list[int], depth: list[int],
 # ---------------------------------------------------------------------------
 # anchors: one grower, three pick rules
 
-def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int, int]] | None,
+def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int, int]],
                                          list[int]]:
     """Anchors grown from the vertex group ``first`` on one distance array.
 
@@ -314,23 +314,42 @@ def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int,
     the anchor's discovery path, from the anchors before it to its nearest
     vertex (lowest id on ties), is replayed on it by :func:`_replay_path`,
     and the path's middle edge is recorded as a connector of the tree.
-    Returns ``(groups, connectors, dist)``, with ``connectors`` ``None``
-    once an anchor touches an earlier one and ``dist`` every vertex's
-    distance to all the anchors' vertices.
+    Returns ``(groups, connectors, dist)``: one connector per anchor after
+    the first, and every vertex's distance to all the anchors' vertices.
+
+    Every caller hands in anchors that touch no earlier one, so a discovery
+    path has length ``t >= 1`` and a middle edge: the packing rule picks
+    vertices ``girth_value >= 1`` away, the matching rule edges
+    ``girth_value - 1 >= 1`` away, and ``build_spanning_tree_from_packing``
+    rejects repeated members.
+
+    On the pipeline's path these connectors stitch the final cells into a
+    tree.  Let ``S`` be the earlier anchors' vertices and ``N`` the new
+    anchor's.  Its path has length ``t = 2h + 1``: ``t = g`` for a packing
+    member (odd girth ``g``), ``t = g - 1`` for a matching edge (even ``g``).
+    Its middle edge ``xy`` (``x = path[h]``, ``y = path[h + 1]``) lies on a
+    shortest path from ``S``, so ``d(x, S) = h`` and ``d(y, S) = h + 1``.
+    Every vertex of ``N`` is at least ``t`` from ``S`` (a matching edge's
+    other end is no closer than its target), so by the triangle inequality
+    ``d(y, N) >= h`` and ``d(x, N) >= h + 1``, and the path attains both.
+    Every later anchor vertex ``z`` is at least ``t`` from ``S`` and from
+    ``N``, so ``d(z, x) >= t - h = h + 1`` and ``d(z, y) >= h + 1``.  In the
+    final distances ``x`` is therefore strictly nearer to ``S`` than to any
+    other anchor vertex, and ``y`` to ``N``, so nearest-anchor (Voronoi)
+    cells, as :func:`_deterministic_cells` draws them, put ``x`` in an
+    earlier anchor's cell, whichever a tie picks, and ``y`` in the new one's.
+    Each connector joins the new cell ``i`` to a cell ``j < i``, so the
+    ``k - 1`` connectors form a tree on the ``k`` cells.
     """
     dist = multi_source_distances(g, first)
     if UNREACHABLE in dist:
         raise ValueError("graph must be connected")
     groups, connectors = [tuple(first)], []
     while (group := pick(dist)) is not None:
-        if connectors is not None:
-            target = min(group, key=lambda x: (dist[x], x))
-            t = dist[target]
-            if t:
-                path = _replay_path(g, dist, target)
-                connectors.append((path[t // 2], path[t // 2 + 1]))
-            else:
-                connectors = None
+        target = min(group, key=lambda x: (dist[x], x))
+        t = dist[target]
+        path = _replay_path(g, dist, target)
+        connectors.append((path[t // 2], path[t // 2 + 1]))
         groups.append(group)
         for x in group:
             _lower_distances(g, dist, x)
@@ -421,9 +440,16 @@ def _anchor_tree(g: Graph, groups, connectors, dist):
     ``(u, v)`` per matching edge, whose edge joins the tree), the recorded
     connectors and every vertex's distance to the anchors.  Cells, labelled
     by anchor index, come from :func:`_deterministic_cells` on ``dist``; the
-    connectors join them, or a quotient-graph spanning tree when those are
-    ``None`` or do not stitch the cells into a tree.  Spanning shape and
-    distance preservation are verified, not assumed.
+    connectors join them, or a quotient-graph spanning tree when they do not
+    stitch the cells into a tree.
+
+    On the pipeline's anchors they always do: the ``i``-th connector joins
+    cell ``i`` to a cell below ``i`` (the proof is in :func:`_grow`), so in
+    discovery order each union takes in a cell not yet joined, the
+    union-find check passes and the fallback is never taken.  The check and
+    the fallback serve :func:`build_spanning_tree_from_packing`, whose
+    arbitrary members give no such spacing.  Spanning shape and distance
+    preservation are verified, not assumed.
 
     Returns ``(tree, parent, assignment, connectors, vertices)``: tree
     parents toward the cell roots (-1 on anchor vertices), cell roots and
@@ -436,7 +462,7 @@ def _anchor_tree(g: Graph, groups, connectors, dist):
     cells = range(len(groups))
 
     uf = _UnionFind(cells)
-    stitched = connectors is not None and all(
+    stitched = all(
         cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y]) for x, y in connectors)
     if not stitched:
         connectors = _fallback_connectors(g, cell_of, dist, cells)

@@ -350,7 +350,7 @@ def main(argv=None) -> int:
             parser.error(f"batch needs --dir or a generator spec; missing: {', '.join(missing)}")
     try:
         return args.func(args)
-    except (EdgeListParseError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (EdgeListParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DisconnectedGraphError:

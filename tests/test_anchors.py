@@ -182,11 +182,12 @@ def test_replay_at_chain_distances():
     assert _replayed(g, groups) == prefix_connectors_oracle(g, groups)
 
 
-def test_replay_stops_when_an_anchor_touches_an_earlier_one():
-    g = eb.petersen_graph()
-    groups = [(0, 1), (1, 2)]
-    assert _replayed(g, groups) is None
-    assert prefix_connectors_oracle(g, groups) is None
+def test_packing_tree_rejects_empty_or_repeated_members():
+    # distinct members are what give every discovery path an edge to record
+    for members in ([], [0, 0], [3, 1, 3]):
+        with pytest.raises(ValueError) as info:
+            eb.build_spanning_tree_from_packing(eb.petersen_graph(), members)
+        assert str(info.value) == "packing must be a nonempty list of distinct vertices"
 
 
 def test_tree_builders_reject_disconnected_input():
@@ -437,13 +438,9 @@ def test_certify_measures_girth_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the pipeline's replayed connectors always form the tree
-#
-# Each new anchor lies an odd distance from the earlier ones, exactly g (odd
-# girth) or g - 1 (even girth), and later anchors lie at least that far, so
-# the middle edge of its discovery path has no tied end: it joins the new
-# anchor's cell to an older one, and the Kruskal fallback is never needed.
-# Arbitrary member lists still need it (see the prefix-replay tests above).
+# the pipeline's replayed connectors always form the tree, by the proof in
+# the docstring of eccbounds.certify._grow; arbitrary member lists still
+# need the Kruskal fallback (see the prefix-replay tests above)
 
 def _no_fallback(mp):
     def refuse(*args):
@@ -465,6 +462,50 @@ def test_golden_certificates_take_no_fallback(name, monkeypatch):
     g = INSTANCES[name]()
     for use_max_degree in (False, True):
         assert certify(g, use_max_degree=use_max_degree).all_steps_hold
+
+
+def _record_discoveries(mp) -> list:
+    """Make the pipeline's grower record each anchor it picks after the
+    first, with the distance array to the anchors before it."""
+    certify_module = sys.modules["eccbounds.certify"]
+    grow, seen = certify_module._grow, []
+
+    def recording_grow(g, first, pick):
+        def recording_pick(dist):
+            group = pick(dist)
+            if group is not None:
+                seen.append((group, list(dist)))
+            return group
+        return grow(g, first, recording_pick)
+
+    mp.setattr(certify_module, "_grow", recording_grow)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_pipeline_connectors_obey_the_stitching_proof(name, monkeypatch):
+    # each claim of the proof in _grow's docstring, on every connector
+    _no_fallback(monkeypatch)
+    seen = _record_discoveries(monkeypatch)
+    g = INSTANCES[name]()
+    for use_max_degree in (False, True):
+        seen.clear()
+        cert = certify(g, use_max_degree=use_max_degree)
+        gi = cert.girth_value
+        groups = [(a,) for a in cert.members] if gi % 2 else list(cert.members)
+        anchor_of = {x: i for i, group in enumerate(groups) for x in group}
+        cell = [anchor_of[r] for r in cert.assignment]
+        assert [group for group, _ in seen] == groups[1:]
+        assert len(cert.connector_edges) == len(groups) - 1
+        for i, ((group, dist), (x, y)) in enumerate(zip(seen, cert.connector_edges), 1):
+            earlier = sorted(v for prior in groups[:i] for v in prior)
+            assert dist == eb.multi_source_distances(g, earlier)
+            t = min(dist[v] for v in group)
+            h = t // 2
+            assert t == (gi if gi % 2 else gi - 1) == 2 * h + 1
+            new = eb.multi_source_distances(g, group)
+            assert (dist[x], dist[y], new[y], new[x]) == (h, h + 1, h, h + 1)
+            assert cell[y] == i and cell[x] < i
 
 
 @st.composite

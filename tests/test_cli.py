@@ -426,3 +426,20 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["certify", "generate", "chain", "batch"])
+def test_out_naming_a_file_exits_2(command, petersen_file, capsys):
+    # --out names an existing file, or a path below one: mkdir raises
+    # FileExistsError or NotADirectoryError, one input-error line each
+    argv = {
+        "certify": ["certify", str(petersen_file)],
+        "generate": ["generate", "--n", "24", "--delta", "3", "--g", "5", "--seed", "5"],
+        "chain": ["chain", "--delta", "3", "--g", "5", "--k", "2"],
+        "batch": ["batch", "--delta", "3", "--g", "5", "--n", "24", "--count", "1"],
+    }[command]
+    for out in (petersen_file, petersen_file / "sub"):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
