@@ -65,15 +65,15 @@ class ChainStep:
     """One recomputed inequality (or identity) from the argument chain."""
 
     name: str
-    lhs: Fraction | None
-    rhs: Fraction | None
+    lhs: Fraction
+    rhs: Fraction
     holds: bool
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "lhs": str(self.lhs) if self.lhs is not None else None,
-            "rhs": str(self.rhs) if self.rhs is not None else None,
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
             "holds": self.holds,
         }
 
@@ -89,10 +89,7 @@ class StructuralCheck:
 
 
 def _step(name: str, lhs, rhs, equality: bool = False) -> ChainStep:
-    if lhs is None or rhs is None:
-        return ChainStep(name, lhs, rhs, holds=False)
-    holds = (lhs == rhs) if equality else (lhs <= rhs)
-    return ChainStep(name, lhs, rhs, holds)
+    return ChainStep(name, lhs, rhs, lhs == rhs if equality else lhs <= rhs)
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class _Certificate:
     use_max_degree: bool
     girth_value: int
     constants: dict[str, int]
-    chain: dict[str, Fraction | None]
+    chain: dict[str, Fraction]
     steps: tuple[ChainStep, ...]
     checks: tuple[StructuralCheck, ...]
     bound_id: str
@@ -123,7 +120,7 @@ class _Certificate:
             "connectorEdges": [[u, v] for u, v in self.connector_edges],
             "assignment": {str(v): a for v, a in enumerate(self.assignment)},
             "constants": {k: str(v) for k, v in self.constants.items()},
-            "chain": {k: (str(v) if v is not None else None) for k, v in self.chain.items()},
+            "chain": {k: str(v) for k, v in self.chain.items()},
             "steps": [s.to_json_dict() for s in self.steps],
             "checks": [c.to_json_dict() for c in self.checks],
             "allStepsHold": self.all_steps_hold,
@@ -340,6 +337,12 @@ def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int,
     earlier anchor's cell, whichever a tie picks, and ``y`` in the new one's.
     Each connector joins the new cell ``i`` to a cell ``j < i``, so the
     ``k - 1`` connectors form a tree on the ``k`` cells.
+
+    The radius-``g`` contracted power contains that tree, so it is
+    connected.  Tree parents follow shortest paths to the cell roots, ``h``
+    edges from ``x`` and from ``y``, so ``T`` joins ``root[x]`` (anchor
+    ``j``) to ``root[y]`` (anchor ``i``) by ``t`` edges: ``d_T(a_j, a_i) <=
+    t = g`` for a packing, ``d_L(T)(e_j, e_i) <= t + 1 = g`` for a matching.
     """
     dist = multi_source_distances(g, first)
     if UNREACHABLE in dist:
@@ -642,12 +645,10 @@ def _certify(g: Graph, gi: int, profile: EccentricityProfile | None,
         avec_host = Fraction(sum(w * _line_eccentricity(tree_prof.ecc, e)
                                  for w, e in zip(weights, members)), n)
     power = _contracted_power(host, host_anchors, gi)
-    power_connected = is_connected(power)
-    if power_connected:
-        pecc = eccentricity_profile(power).ecc
-        avec_power = Fraction(sum(w * x for w, x in zip(weights, pecc)), n)
-    else:
-        avec_power = None
+    if not is_connected(power):  # it contains the connector tree: see _grow
+        raise RuntimeError("construction invariant violated: contracted power is disconnected")
+    pecc = eccentricity_profile(power).ecc
+    avec_power = Fraction(sum(w * x for w, x in zip(weights, pecc)), n)
 
     host_key, power_key = ("avecC_T", "avecC_power") if odd else ("avecCbar_L", "avecCbar_power")
     cover = 1 if odd else 2  # every vertex lies within g - cover of an anchor vertex
@@ -658,8 +659,7 @@ def _certify(g: Graph, gi: int, profile: EccentricityProfile | None,
     if not odd:
         steps.append(_step("avecC_T<=avecCbar_L+1", avec_c_t, avec_host + 1))
     steps += [
-        _step(f"{host_key}<=g*{power_key}+(g-1)", avec_host,
-              gi * avec_power + (gi - 1) if avec_power is not None else None),
+        _step(f"{host_key}<=g*{power_key}+(g-1)", avec_host, gi * avec_power + (gi - 1)),
         _step(f"{power_key}<=powerBound", avec_power, power_bound),
         _step("finalBound==g*powerBound+2(g-1)", final_bound,
               gi * power_bound + 2 * (gi - 1), equality=True),
@@ -671,8 +671,7 @@ def _certify(g: Graph, gi: int, profile: EccentricityProfile | None,
         chain["avecCbar_L"] = avec_host
     chain.update({power_key: avec_power, "Nprime": nprime, "finalBound": final_bound})
 
-    checks = _checks(g, groups, msd, assignment, c, weights, gi, unit, excess,
-                     tree, power_connected, use_max_degree)
+    checks = _checks(g, groups, msd, assignment, c, weights, gi, unit, excess, tree, use_max_degree)
     common = dict(tree=tree, connector_edges=connectors,
                   assignment=assignment, use_max_degree=use_max_degree, girth_value=gi,
                   constants=constants, chain=chain, steps=tuple(steps), checks=checks,
@@ -716,18 +715,17 @@ def _spacing_and_assignment(g: Graph, groups, msd: list[int], assignment) -> tup
     return spacing, all(near[v] >> a & 1 for v, a in enumerate(assignment))
 
 
-def _checks(g, groups, msd, assignment, c, weights, gi, unit, excess, tree,
-            power_connected, use_max_degree):
+def _checks(g, groups, msd, assignment, c, weights, gi, unit, excess, tree, use_max_degree):
     """Structural checks of either certificate, ``g`` connected: the packing
     lemma on one-member ``groups`` (odd girth), the matching lemma on edges.
     ``c`` gives each anchor vertex's cell size and ``weights`` each anchor's
     weight; ``msd`` is every vertex's distance to the anchor vertices in
     ``g``, and ``tree`` passed :func:`_verify_tree`, so it spans ``g`` and
-    keeps ``msd``.  Both lemmas are one weight
-    rule: every anchor weighs at least ``unit`` (K, L, K1 or 2*L1), the hub's
-    (the first) at least ``unit + excess`` (K2 - K1 or L2 - L1 under the
-    max-degree variant, else 0), so there are at most ``(n - excess) / unit``
-    anchors.
+    keeps ``msd``; its contracted power passed :func:`_certify`'s
+    connectivity check.  Both lemmas are one weight rule: every anchor
+    weighs at least ``unit`` (K, L, K1 or 2*L1), the hub's (the first) at
+    least ``unit + excess`` (K2 - K1 or L2 - L1 under the max-degree
+    variant, else 0), so there are at most ``(n - excess) / unit`` anchors.
     """
     n, odd, size = g.n, len(groups[0]) == 1, len(groups)
     spacing, assign_ok = _spacing_and_assignment(g, groups, msd, assignment)
@@ -753,8 +751,7 @@ def _checks(g, groups, msd, assignment, c, weights, gi, unit, excess, tree,
         None if odd else StructuralCheck("tree_contains_matching",
                                          all(tree.has_edge(u, v) for u, v in groups)),
         StructuralCheck("distance_preservation", True),
-        StructuralCheck("tree_power_connected" if odd else "line_power_connected",
-                        power_connected),
+        StructuralCheck("tree_power_connected" if odd else "line_power_connected", True),
     ]
     if use_max_degree:
         size_ok = size <= Fraction(n - excess, unit)

@@ -47,7 +47,8 @@ def _read_graph(path: str, certifying: bool = False) -> Graph:
     """The graph of an edge-list file, or of stdin for ``-``.  A header ``n m``
     with ``m < n - 1`` cannot be connected, so it raises before ``n`` vertices
     are allocated; when ``certifying``, a forest raises what certify would."""
-    n, pairs = _edge_list_pairs(sys.stdin.read() if path == "-" else Path(path).read_bytes())
+    n, pairs = _edge_list_pairs(
+        sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes())
     if len(pairs) < n - 1:
         if certifying:
             distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
@@ -120,9 +121,10 @@ def cmd_certify(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = "stdin" if args.input == "-" else Path(args.input).stem
     out_path = out_dir / f"{stem}.cert.json"
-    out_path.write_text(cert.to_json() + "\n")
+    text = cert.to_json()
+    out_path.write_text(text + "\n")
     if args.json:
-        print(cert.to_json())
+        print(text)
     print(f"{cert.bound_id}: allStepsHold={cert.all_steps_hold} "
           f"bound={cert.chain['finalBound']} avec={cert.chain['avecG']} -> {out_path}")
     return EXIT_OK if cert.all_steps_hold else EXIT_VIOLATION

@@ -361,10 +361,10 @@ def spaced_matching_oracle(g: eb.Graph, girth_value: int, start_edge=None):
         members.append(min(e for e, d in zip(g.edges, far) if d == girth_value - 1))
 
 
-def packing_checks_oracle(g, members, assignment, c, gi, constants, tree,
-                          power_connected, use_max_degree):
+def packing_checks_oracle(g, members, assignment, c, gi, constants, tree, use_max_degree):
     """The checks ``_checks`` emits for a packing (odd girth), with one full
-    BFS per member and the weight rule stated in K, or in K1 and K2."""
+    BFS per member and the weight rule stated in K, or in K1 and K2.  The
+    power check is true: the pipeline raises before a disconnected power."""
     n = g.n
     member_dist = {a: eb.bfs_distances(g, a) for a in members}
     spacing_ok = all(member_dist[a][b] >= gi
@@ -397,15 +397,15 @@ def packing_checks_oracle(g, members, assignment, c, gi, constants, tree,
                         tree.m == n - 1 and -1 not in eb.bfs_distances(tree, 0)),
         StructuralCheck("distance_preservation",
                         eb.multi_source_distances(tree, members) == msd),
-        StructuralCheck("tree_power_connected", power_connected),
+        StructuralCheck("tree_power_connected", True),
     ) + extra
 
 
 def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constants,
-                           tree, power_connected, use_max_degree):
+                           tree, use_max_degree):
     """The checks ``_checks`` emits for a matching (even girth), with one
     full BFS per matched vertex and the weight rule stated in L, or in L1
-    and L2."""
+    and L2.  The power check is true, as in ``packing_checks_oracle``."""
     n = g.n
     vert_dist = {u: eb.bfs_distances(g, u) for u in vm}
     spacing_ok = all(
@@ -441,7 +441,7 @@ def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constan
                         tree.m == n - 1 and -1 not in eb.bfs_distances(tree, 0)),
         StructuralCheck("tree_contains_matching", all(tree.has_edge(u, v) for u, v in members)),
         StructuralCheck("distance_preservation", eb.multi_source_distances(tree, vm) == msd),
-        StructuralCheck("line_power_connected", power_connected),
+        StructuralCheck("line_power_connected", True),
     ) + extra
 
 

@@ -1,17 +1,19 @@
-"""Run every digest check of ``test_golden.py`` without pytest.
+"""Run every digest check of ``test_golden.py`` and ``test_demos.py``
+without pytest.
 
-``python tests/run_golden.py`` imports ``test_golden.py`` with a stub
-``pytest`` module, whose ``mark.parametrize`` returns the test itself after
-noting its parameter values on it, and calls each test once per combination
-of those values.  The ``tmp_path`` and ``capsys`` fixtures are a fresh
-temporary directory and the captured stdout.  It needs only the standard
-library and the package's source, so it runs under any supported
-interpreter.  It prints each failing check and a summary, and exits 1 if a
-check failed.
+``python tests/run_golden.py`` imports both modules with a stub ``pytest``
+module, whose ``mark.parametrize`` returns the test itself after noting its
+parameter values on it, and calls each test once per combination of those
+values.  The ``tmp_path`` and ``capsys`` fixtures are a fresh temporary
+directory and the captured stdout.  The demos run under ``sys.executable``,
+the interpreter that runs this script.  It needs only the standard library
+and the package's source, so it runs under any supported interpreter.  It
+prints each failing check and a summary, and exits 1 if a check failed.
 """
 from __future__ import annotations
 
 import contextlib
+import importlib
 import inspect
 import io
 import itertools
@@ -55,12 +57,12 @@ class _Capsys:
 def main() -> int:
     sys.modules["pytest"] = types.SimpleNamespace(
         mark=types.SimpleNamespace(parametrize=_parametrize))
-    import test_golden
+    tests = [(name, test) for module in ("test_golden", "test_demos")
+             for name, test in vars(importlib.import_module(module)).items()
+             if name.startswith("test_")]
 
     checks, failed = 0, []
-    for name, test in vars(test_golden).items():
-        if not name.startswith("test_"):
-            continue
+    for name, test in tests:
         wants = inspect.signature(test).parameters
         for kwargs in _cases(test):
             checks += 1

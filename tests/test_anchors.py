@@ -92,23 +92,22 @@ def _checks_on_packing(case):
     """``_checks`` on a ``packing_checks_oracle`` case: one group and one
     weight ``c(a)`` per member, the members' distances in ``g``, and K (or
     K1 and K2 - K1) as unit and excess."""
-    g, members, assignment, c, gi, constants, tree, power_connected, use_max_degree = case
+    g, members, assignment, c, gi, constants, tree, use_max_degree = case
     return _checks(g, [(a,) for a in members], eb.multi_source_distances(g, members),
                    assignment, c, [c[a] for a in members], gi,
                    *_unit_and_excess(constants, use_max_degree, odd=True),
-                   tree, power_connected, use_max_degree)
+                   tree, use_max_degree)
 
 
 def _checks_on_matching(case):
     """``_checks`` on a ``matching_checks_oracle`` case: the matching edges
     as groups weighing ``cbar(e)``, and L (or 2*L1 and L2 - L1) as unit and
     excess; ``c``'s keys are the matched vertices ``vm``."""
-    (g, members, vm, msd, assignment, c, cbar, gi, constants, tree, power_connected,
-     use_max_degree) = case
+    g, members, vm, msd, assignment, c, cbar, gi, constants, tree, use_max_degree = case
     assert list(c) == list(vm)
     return _checks(g, members, msd, assignment, c, [cbar[e] for e in members], gi,
                    *_unit_and_excess(constants, use_max_degree, odd=False),
-                   tree, power_connected, use_max_degree)
+                   tree, use_max_degree)
 
 
 def _matching_oracle(case):
@@ -190,6 +189,28 @@ def test_packing_tree_rejects_empty_or_repeated_members():
         assert str(info.value) == "packing must be a nonempty list of distinct vertices"
 
 
+K4 = eb.complete_graph(4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: eb.build_packing(K4, 0), ValueError, "girth parameter must be positive"),
+    (lambda: eb.build_packing(K4, 3, start=4), ValueError, "start vertex 4 out of range"),
+    (lambda: eb.build_spaced_matching(eb.Graph.from_edges(3, []), 4), ValueError,
+     "graph has no edges"),
+    (lambda: _verify_tree(K4, eb.Graph.from_edges(4, [(0, 1), (1, 2)]), [0],
+                          eb.bfs_distances(K4, 0)),
+     RuntimeError, "construction invariant violated: not a spanning tree"),
+    (lambda: _verify_tree(K4, eb.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]), [0],
+                          eb.bfs_distances(K4, 0)),
+     RuntimeError, "construction invariant violated: tree is disconnected"),
+], ids=["packing-girth-0", "packing-start-n", "matching-edgeless", "tree-short-an-edge",
+        "tree-with-a-cycle"])
+def test_input_validation_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_tree_builders_reject_disconnected_input():
     g = eb.Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     with pytest.raises(ValueError, match="connected"):
@@ -231,7 +252,8 @@ def _packing_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool
     c = eb.weight_function(members, assignment)
     k = rng.randint(1, 12)
     constants = {"K1": k, "K2": k + rng.randint(0, 4)} if use_max_degree else {"K": k}
-    return (g, members, assignment, c, gi, constants, tree, rng.random() < 0.5, use_max_degree)
+    rng.random()  # a spare draw keeps the cases each seed gives
+    return (g, members, assignment, c, gi, constants, tree, use_max_degree)
 
 
 def _matching_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool):
@@ -249,8 +271,8 @@ def _matching_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: boo
     cbar = {e: c[e[0]] + c[e[1]] for e in members}
     k = rng.randint(1, 12)
     constants = {"L1": k, "L2": k + rng.randint(0, 4)} if use_max_degree else {"L": 2 * k}
-    return (g, members, vm, msd, assignment, c, cbar, gi, constants, tree,
-            rng.random() < 0.5, use_max_degree)
+    rng.random()  # as in _packing_case
+    return (g, members, vm, msd, assignment, c, cbar, gi, constants, tree, use_max_degree)
 
 
 def test_packing_checks_match_full_bfs_oracle():
@@ -281,7 +303,7 @@ def test_checks_on_non_maximal_packing():
     g = eb.path_graph(12)
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, [0, 6])
     c = eb.weight_function([0, 6], assignment)
-    case = (g, [0, 6], assignment, c, 3, {"K": 3}, tree, True, False)
+    case = (g, [0, 6], assignment, c, 3, {"K": 3}, tree, False)
     got = _checks_on_packing(case)
     assert got == packing_checks_oracle(*case)
     by_name = {check.name: check for check in got}
@@ -298,7 +320,7 @@ def test_packing_checks_accept_a_tied_assignment():
     g = eb.Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     members, assignment = [0, 2], [0, 0, 2, 2]
     case = (g, members, assignment, eb.weight_function(members, assignment), 3, {"K": 2},
-            g, True, False)
+            g, False)
     got = _checks_on_packing(case)
     assert got == packing_checks_oracle(*case)
     assert {check.name: check.ok for check in got}["assignment_nearest_member"]
@@ -312,7 +334,7 @@ def test_matching_checks_accept_a_tied_assignment():
     c = eb.weight_function(vm, assignment)
     cbar = {e: c[e[0]] + c[e[1]] for e in members}
     case = (g, members, vm, eb.multi_source_distances(g, vm), assignment, c, cbar, 4,
-            {"L": 2}, g, True, False)
+            {"L": 2}, g, False)
     got = _checks_on_matching(case)
     assert got == matching_checks_oracle(*case)
     assert {check.name: check.ok for check in got}["assignment_nearest_matched_vertex"]
@@ -335,14 +357,14 @@ def test_weight_rule_boundaries_under_max_degree(odd, n, weights, verdicts):
     if odd:
         tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, starts)
         case = (g, starts, list(assignment), dict(zip(starts, weights)), 5,
-                {"K1": 4, "K2": 12}, tree, True, True)
+                {"K1": 4, "K2": 12}, tree, True)
         got, want = _checks_on_packing(case), packing_checks_oracle(*case)
         names = ("hub_weight>=K2", "cell_lower_bounds", "packing_size<=(n-K2)/K1+1")
     else:
         members = [(a, a + 1) for a in starts]
         tree, _, assignment, _, vm, msd = _tree(g, members)
         case = (g, members, vm, msd, list(assignment), eb.weight_function(vm, assignment),
-                dict(zip(members, weights)), 6, {"L1": 2, "L2": 10}, tree, True, True)
+                dict(zip(members, weights)), 6, {"L1": 2, "L2": 10}, tree, True)
         got, want = _checks_on_matching(case), matching_checks_oracle(*case)
         names = ("hub_edge_weight>=L1+L2", "edge_weight_lower_bounds",
                  "matching_size<=(n-L2+L1)/(2L1)")
@@ -508,6 +530,40 @@ def test_pipeline_connectors_obey_the_stitching_proof(name, monkeypatch):
             assert cell[y] == i and cell[x] < i
 
 
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_pipeline_power_contains_the_connector_tree(name, monkeypatch):
+    # the last step of the proof in _grow's docstring, on every connector
+    _no_fallback(monkeypatch)
+    g = INSTANCES[name]()
+    for use_max_degree in (False, True):
+        cert = certify(g, use_max_degree=use_max_degree)
+        gi, root = cert.girth_value, cert.assignment
+        if gi % 2:
+            groups, host, anchors = [(a,) for a in cert.members], cert.tree, cert.members
+        else:
+            line_id = {e: i for i, e in enumerate(cert.tree.edges)}
+            groups, host = list(cert.members), cert.line
+            anchors = [line_id[e] for e in cert.members]
+        anchor_of = {x: i for i, group in enumerate(groups) for x in group}
+        power = _contracted_power(host, anchors, gi)
+        t = gi if gi % 2 else gi - 1
+        for i, (x, y) in enumerate(cert.connector_edges, 1):
+            j = anchor_of[root[x]]
+            assert j < i == anchor_of[root[y]]
+            assert eb.bfs_distances(cert.tree, root[x])[root[y]] <= t
+            assert power.has_edge(j, i)
+
+
+@pytest.mark.parametrize("name", ["chain-3-5-4", "chain-3-6-3"], ids=["odd", "even"])
+def test_disconnected_power_raises(name, monkeypatch):
+    # an edgeless power on the several anchors of a chain breaks the invariant
+    monkeypatch.setattr(sys.modules["eccbounds.certify"], "_contracted_power",
+                        lambda host, anchors, radius: eb.Graph.from_edges(len(anchors), []))
+    with pytest.raises(RuntimeError,
+                       match="construction invariant violated: contracted power is disconnected"):
+        certify(INSTANCES[name]())
+
+
 @st.composite
 def certifiable_graphs(draw):
     """Connected graphs of minimum degree at least 3: generated ones of
@@ -591,7 +647,7 @@ def test_property_checks_equal_oracles_under_tied_reassignment(case):
     assignment = list(assignment)
     _reassign_among_ties(rng, g, members, assignment)
     pcase = (g, members, assignment, eb.weight_function(members, assignment), gi,
-             {"K": rng.randint(1, 6)}, tree, True, False)
+             {"K": rng.randint(1, 6)}, tree, False)
     got = _checks_on_packing(pcase)
     assert got == packing_checks_oracle(*pcase)
     assert got[2].ok  # assignment_nearest_member
@@ -602,7 +658,7 @@ def test_property_checks_equal_oracles_under_tied_reassignment(case):
     _reassign_among_ties(rng, g, vm, assignment)
     c = eb.weight_function(vm, assignment)
     mcase = (g, matching, vm, msd, assignment, c, {e: c[e[0]] + c[e[1]] for e in matching},
-             gi, {"L": rng.randint(1, 6)}, tree, True, False)
+             gi, {"L": rng.randint(1, 6)}, tree, False)
     got = _checks_on_matching(mcase)
     assert got == matching_checks_oracle(*mcase)
     assert got[3].ok  # assignment_nearest_matched_vertex

@@ -299,6 +299,18 @@ def test_lower_bound_chain_order_mismatch():
         lower_bound_chain(GraphParams(n=21, delta=3, g=5), 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: lower_bound_chain(GraphParams(n=20, delta=3, g=5), 0),
+     "copy count must be positive"),
+    (lambda: girth6_reduction_forms(GraphParams(n=20, delta=2, g=6)),
+     "minimum degree >= 3 required"),
+], ids=["chain-no-copies", "girth6-delta-2"])
+def test_input_validation_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 

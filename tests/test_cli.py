@@ -1,13 +1,16 @@
 """Command-line surface: outputs, files, exit codes, determinism."""
 from __future__ import annotations
 
+import io
 import json
 import sys
+import types
 from collections import Counter
 
 import pytest
 
 import eccbounds as eb
+from eccbounds import cli
 from eccbounds.cli import _batch_row, main
 
 
@@ -161,6 +164,12 @@ def test_certify_disconnected_forest_exits_3_before_connectivity(tmp_path, capsy
     assert not list(tmp_path.glob("*.cert.json"))
 
 
+def test_certify_json_prints_the_written_certificate(petersen_file, tmp_path, capsys):
+    assert main(["certify", str(petersen_file), "--json", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert printed == (tmp_path / "petersen.cert.json").read_text()[:-1]
+
+
 def test_certify_deterministic_bytes(petersen_file, tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["certify", str(petersen_file), "--out", str(d1)]) == 0
@@ -259,6 +268,45 @@ def test_batch_directory_mode(tmp_path, capsys):
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("k33,") and lines[2].startswith("petersen,")
+
+
+def test_batch_empty_directory_exits_2(tmp_path, capsys):
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "notes.txt").write_text("no edge lists here\n")
+    assert main(["batch", "--dir", str(src), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"input error: no .el files in {src}\n"
+
+
+def test_generate_invalid_spec_exits_2(capsys):
+    assert main(["generate", "--n", "3", "--delta", "3", "--g", "5"]) == 2
+    assert capsys.readouterr().err == "input error: need delta >= 2, g >= 3, n >= delta + 1\n"
+
+
+def _violated_bound(monkeypatch):
+    """Make the first applicable bound of every graph read unsatisfied."""
+    real = cli.evaluate_all
+
+    def evaluate_all(g):
+        results = real(g)
+        k = next(i for i, r in enumerate(results) if r.applicable)
+        results[k] = results[k]._replace(satisfied=False)
+        return results
+    monkeypatch.setattr(cli, "evaluate_all", evaluate_all)
+
+
+def _failing_certificate(monkeypatch):
+    monkeypatch.setattr(cli, "certify", lambda m: types.SimpleNamespace(all_steps_hold=False))
+
+
+@pytest.mark.parametrize("breaks", [_violated_bound, _failing_certificate],
+                         ids=["bound", "certificate"])
+def test_batch_counts_a_violation_and_exits_4(breaks, petersen_file, tmp_path, monkeypatch,
+                                              capsys):
+    breaks(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["batch", "--dir", str(petersen_file.parent), "--out", str(out)]) == 4
+    assert "(violations=1, generationFailures=0)" in capsys.readouterr().out
 
 
 def test_batch_generation_failures_strict(tmp_path, capsys):
@@ -409,11 +457,29 @@ def test_batch_row_measures_its_graph_once(graph, monkeypatch):
     assert calls["eccentricity_profile"] == 1 and calls["girth"] == 1
 
 
+def _stdin(monkeypatch, data: bytes):
+    """Make ``data`` the bytes of stdin, as a text stream over a buffer."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
 def test_compute_stdin(monkeypatch, capsys):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
+    _stdin(monkeypatch, b"3 2\n0 1\n1 2\n")
     assert main(["compute", "-"]) == 0
     assert "n=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("data, err", [
+    (b"# caf\xe9\n3 2\n0 1\n1 2\n", "input error: line 1: not UTF-8 text\n"),
+    (b"3 2\n0 1\n1 \xff2\n", "input error: line 3: not UTF-8 text\n"),
+], ids=["comment", "edge"])
+def test_stdin_reads_the_bytes_a_file_would(data, err, tmp_path, monkeypatch, capsys):
+    # stdin is decoded by the parser, as a file is, not by the locale
+    p = tmp_path / "g.el"
+    p.write_bytes(data)
+    from_file = main(["compute", str(p)]), capsys.readouterr().err
+    _stdin(monkeypatch, data)
+    from_stdin = main(["compute", "-"]), capsys.readouterr().err
+    assert from_file == from_stdin == (2, err)
 
 
 def test_batch_missing_spec_exits_1(capsys):

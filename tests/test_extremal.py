@@ -180,6 +180,20 @@ def test_chain_rejects_uncataloged():
         eb.chain_graph(4, 5, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: eb.chain_graph(3, 5, 0), "copy count must be at least 1"),
+    (lambda: eb.moore_catalog(1, 5), None),   # degree below 2
+    (lambda: eb.moore_catalog(3, 2), None),   # girth below 3
+], ids=["chain-no-copies", "catalog-delta-1", "catalog-girth-2"])
+def test_input_validation_messages(call, message):
+    if message is None:
+        assert call() is None
+        return
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_chain_sandwich():
     for (d, gv, k) in [(3, 5, 1), (3, 5, 3), (3, 5, 6), (3, 6, 2), (3, 6, 4), (3, 4, 5)]:
         g, spec = eb.chain_graph(d, gv, k)

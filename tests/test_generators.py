@@ -21,6 +21,18 @@ def test_path_cycle_complete_shapes():
     assert eb.complete_graph(6).m == 15
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: eb.path_graph(0), "path needs at least one vertex"),
+    (lambda: eb.cycle_graph(2), "cycle needs at least three vertices"),
+    (lambda: eb.complete_graph(0), "complete graph needs at least one vertex"),
+    (lambda: eb.complete_bipartite(0, 3), "both parts must be nonempty"),
+], ids=["path-0", "cycle-2", "complete-0", "bipartite-0-3"])
+def test_input_validation_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_complete_bipartite_shape():
     g = eb.complete_bipartite(3, 3)
     assert g.n == 6 and g.m == 9 and eb.girth(g) == 4

@@ -385,6 +385,31 @@ def test_from_edges_rejects_self_loop():
         eb.Graph.from_edges(3, [(1, 1)])
 
 
+EMPTY = eb.Graph.from_edges(0, [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eb.parse_edge_list("3"), "line 1: expected header 'n m', got '3'"),
+    (lambda: eb.parse_edge_list("a b"), "line 1: non-integer header 'a b'"),
+    (lambda: eb.parse_edge_list("0 0"), "line 1: vertex count must be positive, got 0"),
+    (lambda: eb.parse_edge_list("3 -1"), "line 1: edge count must be nonnegative, got -1"),
+    (lambda: eb.Graph.from_edges(-1, []), "vertex count must be nonnegative"),
+    (lambda: eb.Graph.from_edges(3, [(0, 3)]), "edge (0,3) out of range for n=3"),
+    (EMPTY.min_degree, "degree undefined on the empty graph"),
+    (EMPTY.max_degree, "degree undefined on the empty graph"),
+    (lambda: eb.bfs_distances(eb.path_graph(3), 3), "source 3 out of range"),
+    (lambda: eb.multi_source_distances(eb.path_graph(3), []), "sources must be nonempty"),
+    (lambda: eb.weighted_avec(eb.path_graph(3), eb.WeightFunction((1, 1))),
+     "weight vector length must equal the vertex count"),
+], ids=["header-one-token", "header-non-integer", "header-no-vertices", "header-negative-m",
+        "negative-n", "edge-out-of-range", "min-degree-empty", "max-degree-empty",
+        "bfs-source-out-of-range", "no-sources", "weight-length"])
+def test_input_validation_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_has_edge_is_false_off_the_vertex_range():
     g = eb.petersen_graph()
     u, v = g.edges[0]

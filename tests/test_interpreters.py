@@ -1,7 +1,9 @@
-"""The golden digests under every other supported interpreter found here.
+"""The golden and demo digests under every other supported interpreter
+found here.
 
 ``pyproject.toml`` says ``requires-python = ">=3.10"``, and the suite runs
-under one interpreter.  This test runs ``run_golden.py`` under each other
+under one interpreter.  This test runs ``run_golden.py``, which checks the
+digests of ``test_golden.py`` and ``test_demos.py``, under each other
 CPython of version 3.10 or later that it finds, one executable per version:
 ``~/.pyenv/versions/*/bin/python``, then ``python3.10`` to ``python3.13`` on
 ``PATH``.  The runs go in parallel.  Where it finds none, it skips and says
