@@ -30,6 +30,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .bounds import (
     BoundId,
@@ -470,10 +471,20 @@ def _anchor_tree(g: Graph, groups, connectors, dist):
     if not stitched:
         connectors = _fallback_connectors(g, cell_of, dist, cells)
 
-    edges = [(v, parent[v]) for v in range(g.n) if parent[v] != -1]
-    edges.extend(group for group in groups if len(group) == 2)
-    edges.extend(connectors)
-    tree = Graph.from_edges(g.n, edges)
+    # parent edges, matching edges and connectors, each listed once at both
+    # ends; a missing or repeated one leaves n - 1 edges short or
+    # disconnected, which _verify_tree rejects
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for v, p in enumerate(parent):
+        if p != -1:
+            adj[v].append(p)
+            adj[p].append(v)
+    for x, y in chain((group for group in groups if len(group) == 2), connectors):
+        adj[x].append(y)
+        adj[y].append(x)
+    for around in adj:
+        around.sort()
+    tree = Graph._from_ascending(adj)
     _verify_tree(g, tree, vertices, dist)
     return tree, tuple(parent), tuple(root), tuple(connectors), vertices
 

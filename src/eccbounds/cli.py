@@ -23,6 +23,7 @@ from .graph import (
     EdgeListParseError,
     Graph,
     _edge_list_pairs,
+    _emitted_graph,
     eccentricity_profile,
 )
 # these stay importable from here for the same tracer, which also wraps girth
@@ -44,11 +45,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str, certifying: bool = False) -> Graph:
-    """The graph of an edge-list file, or of stdin for ``-``.  A header ``n m``
-    with ``m < n - 1`` cannot be connected, so it raises before ``n`` vertices
-    are allocated; when ``certifying``, a forest raises what certify would."""
-    n, pairs = _edge_list_pairs(
-        sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes())
+    """The graph of an edge-list file, or of stdin for ``-``.  Text as
+    ``eccb generate`` writes it takes the fast path; the rest goes to the line
+    parser.  A header ``n m`` with ``m < n - 1`` cannot be connected, so it
+    raises before ``n`` vertices are allocated; when ``certifying``, a forest
+    raises what certify would."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    g = _emitted_graph(data)  # None when m < n - 1, among others
+    if g is not None:
+        return g
+    n, pairs = _edge_list_pairs(data)
     if len(pairs) < n - 1:
         if certifying:
             distinct = {(u, v) if u < v else (v, u) for u, v in pairs}

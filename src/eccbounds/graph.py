@@ -7,6 +7,8 @@ caller renders a report.
 """
 from __future__ import annotations
 
+import operator
+import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -52,14 +54,19 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             seen.add((u, v) if u < v else (v, u))
-        edges = tuple(sorted(seen))
+        return Graph._from_sorted_edges(n, sorted(seen))
+
+    @staticmethod
+    def _from_sorted_edges(n: int, edges) -> "Graph":
+        """Build a graph from distinct pairs ``u < v < n`` in ascending order,
+        for builders that hold them; nothing is checked."""
         neigh: list[list[int]] = [[] for _ in range(n)]
         # each list fills ascending, with no sort: x gets every w < x from the
         # edges (w, x), ascending in w, before the edges (x, y), ascending in y
         for u, v in edges:
             neigh[u].append(v)
             neigh[v].append(u)
-        return Graph(n=n, edges=edges, adj=tuple(map(tuple, neigh)))
+        return Graph(n=n, edges=tuple(edges), adj=tuple(map(tuple, neigh)))
 
     @staticmethod
     def _from_ascending(adj) -> "Graph":
@@ -142,9 +149,62 @@ def parse_edge_list(text) -> Graph:
     are ``"u v"`` with ``0 <= u,v < n`` and ``u != v``.  Lines starting with
     ``#`` are comments.  Repeated edges are silently deduplicated; self-loops
     and malformed or out-of-range lines raise :class:`EdgeListParseError`
-    naming the line, as do bytes that are not UTF-8.
+    naming the line, as do bytes that are not UTF-8.  Lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r``, and ids and counts are ASCII decimals with an
+    optional ``-``.
     """
-    return Graph.from_edges(*_edge_list_pairs(text))
+    g = _emitted_graph(text)
+    return g if g is not None else Graph.from_edges(*_edge_list_pairs(text))
+
+
+# what emit_edge_list writes: a header line, one line per edge and at most
+# one comment line at the end, in printable ASCII, every line ending in \n
+_EMITTED = re.compile(rb"(?:[0-9]+ [0-9]+\n)+(?:#[ -~]*\n)?")
+# int() also reads "_", "+" and non-ASCII digits, which ids and counts may
+# not hold: tokens that strip to nothing by these and that int() takes are
+# ASCII decimals "-?[0-9]+"
+_DECIMAL_CHARS = "-0123456789"
+
+
+def _emitted_graph(text) -> Graph | None:
+    """The graph of ``text`` when it is an edge list as :func:`emit_edge_list`
+    writes it, else ``None``: the fast path of :func:`parse_edge_list`.
+
+    Accepted is a header ``n m`` with ``n >= 1`` and ``m >= n - 1``, then
+    exactly ``m`` pairs ``0 <= u < v < n`` in strictly increasing order, one
+    per ``\\n``-ended line, and at most one printable-ASCII comment line at
+    the end.  Such text repeats no edge, so the adjacency lists fill with no
+    dedup set and no sort, and :func:`_edge_list_pairs` reads the same graph
+    from it.  Everything else, every malformed text included, is left to
+    that line parser and its diagnostics.
+    """
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode()
+    if not _EMITTED.fullmatch(text):
+        return None
+    comment = text.find(b"#")
+    try:
+        tokens = list(map(int, (text if comment < 0 else text[:comment]).split()))
+    except ValueError:  # a number past CPython's digit limit for int
+        return None
+    n, m = tokens[0], tokens[1]
+    if n < 1 or m < n - 1 or len(tokens) != 2 * m + 2:
+        return None
+    us, vs = tokens[2::2], tokens[3::2]
+    edges = list(zip(us, vs))
+    if not (all(map(operator.lt, us, vs)) and max(vs, default=0) < n
+            and all(map(operator.lt, edges, edges[1:]))):
+        return None
+    return Graph._from_sorted_edges(n, edges)
+
+
+def _unix_breaks(text: str) -> str:
+    """``text`` with every ``\\r\\n`` and lone ``\\r`` made a ``\\n``: the only
+    line breaks of an edge list (``str.splitlines`` also breaks at ``\\f``,
+    ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 and U+2029)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
@@ -153,13 +213,20 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = text.count(b"\n", 0, exc.start) + 1
+            # the bytes before the first bad one decode, and its line is theirs
+            line = _unix_breaks(text[:exc.start].decode("utf-8")).count("\n") + 1
             raise EdgeListParseError(line, "not UTF-8 text") from None
+    # all-ASCII text with no "_" or "+" needs no token checked by strip:
+    # int() takes its tokens only in the form "-?[0-9]+"
+    plain = text.isascii() and "_" not in text and "+" not in text
+    lines = _unix_breaks(text).split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final line break ends the last line and starts none
     n = m = None
     pairs: list[tuple[int, int]] = []
     listed = 0
     last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         last_line = line_no
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -169,6 +236,8 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
             if len(parts) != 2:
                 raise EdgeListParseError(line_no, f"expected header 'n m', got {s!r}")
             try:
+                if not plain and (parts[0] + parts[1]).strip(_DECIMAL_CHARS):
+                    raise ValueError
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListParseError(line_no, f"non-integer header {s!r}") from None
@@ -180,6 +249,8 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected edge 'u v', got {s!r}")
         try:
+            if not plain and (parts[0] + parts[1]).strip(_DECIMAL_CHARS):
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(line_no, f"non-integer edge {s!r}") from None

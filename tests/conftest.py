@@ -326,6 +326,18 @@ def _stitched_tree(g, anchors, cells, cell_of, dist, parent, connectors, extra_e
     return tree, tuple(connectors)
 
 
+def anchor_tree_oracle(g: eb.Graph, groups, connectors, dist):
+    """``_anchor_tree`` with the tree assembled from its edge list by
+    ``Graph.from_edges``, which dedups and sorts the pairs."""
+    vertices = sorted({x for group in groups for x in group})
+    root, parent = _deterministic_cells(g, dist, vertices)
+    anchor_of = {x: i for i, group in enumerate(groups) for x in group}
+    cell_of = [anchor_of[root[v]] for v in range(g.n)]
+    tree, connectors = _stitched_tree(g, vertices, range(len(groups)), cell_of, dist, parent,
+                                      connectors, [group for group in groups if len(group) == 2])
+    return tree, tuple(parent), tuple(root), connectors, vertices
+
+
 def packing_tree_oracle(g: eb.Graph, members):
     """``build_spanning_tree_from_packing`` with the per-prefix replay."""
     members = list(members)

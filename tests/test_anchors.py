@@ -28,6 +28,7 @@ from eccbounds.certify import (
     certify,
 )
 from conftest import (
+    anchor_tree_oracle,
     contracted_power_oracle,
     line_ecc_oracle,
     matching_checks_oracle,
@@ -179,6 +180,79 @@ def test_replay_at_chain_distances():
     ends = [0, g.n - 1, g.n // 2]
     groups = [(a,) for a in ends]
     assert _replayed(g, groups) == prefix_connectors_oracle(g, groups)
+
+
+def test_anchor_tree_matches_from_edges_oracle_on_arbitrary_members():
+    # the tree built from its parents against the assembly through
+    # Graph.from_edges, on the replayed connectors and the Kruskal fallback
+    rng = random.Random(3141)
+    fallbacks = 0
+    trials = 300
+    for _ in range(trials):
+        g = _random_graph(rng)
+        if rng.random() < 0.5:
+            groups = [(a,) for a in rng.sample(range(g.n), rng.randint(1, min(8, g.n)))]
+        else:
+            groups = _random_matching(rng, g)
+        grown = _grown(g, groups)
+        got = _anchor_tree(g, *grown)
+        assert got == anchor_tree_oracle(g, *grown)
+        fallbacks += _fell_back(g, groups, got[3])
+    assert trials // 5 < fallbacks < trials - trials // 5
+
+
+def _checked_anchor_tree(mp) -> list:
+    """Make the pipeline check each tree it builds against the oracle's;
+    the returned list counts the trees."""
+    certify_module = sys.modules["eccbounds.certify"]
+    real, built = certify_module._anchor_tree, []
+
+    def checked(g, groups, connectors, dist):
+        got = real(g, groups, connectors, dist)
+        assert got == anchor_tree_oracle(g, groups, connectors, dist)
+        built.append(got)
+        return got
+
+    mp.setattr(certify_module, "_anchor_tree", checked)
+    return built
+
+
+def _chain_packing():
+    """A chain with several packing members: the members and the grower's output."""
+    g = INSTANCES["chain-3-5-4"]()
+    groups = [(a,) for a in eb.build_packing(g, 5)]
+    assert len(groups) > 2
+    return g, _grown(g, groups)
+
+
+def _drop_a_parent_edge(mp):
+    certify_module = sys.modules["eccbounds.certify"]
+    real = certify_module._deterministic_cells
+
+    def dropping(g, dist, sources):
+        root, parent = real(g, dist, sources)
+        parent[next(v for v in range(g.n) if parent[v] != -1)] = -1
+        return root, parent
+
+    mp.setattr(certify_module, "_deterministic_cells", dropping)
+
+
+@pytest.mark.parametrize("repeat, drop, message", [
+    (True, False, "not a spanning tree"),
+    (False, True, "not a spanning tree"),
+    (True, True, "tree is disconnected"),  # n - 1 entries, one edge twice
+], ids=["repeated-connector", "dropped-parent-edge", "both"])
+def test_anchor_tree_rejects_a_repeated_or_missing_edge(repeat, drop, message, monkeypatch):
+    g, (groups, connectors, dist) = _chain_packing()
+    if repeat:
+        # a repeated connector fails the stitching check; the fallback repeats it too
+        connectors = connectors + connectors[:1]
+        monkeypatch.setattr(sys.modules["eccbounds.certify"], "_fallback_connectors",
+                            lambda *args: connectors)
+    if drop:
+        _drop_a_parent_edge(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"construction invariant violated: {message}"):
+        _anchor_tree(g, groups, connectors, dist)
 
 
 def test_packing_tree_rejects_empty_or_repeated_members():
@@ -506,9 +580,11 @@ def _record_discoveries(mp) -> list:
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_pipeline_connectors_obey_the_stitching_proof(name, monkeypatch):
-    # each claim of the proof in _grow's docstring, on every connector
+    # each claim of the proof in _grow's docstring, on every connector, and
+    # each tree as the assembly through Graph.from_edges gives it
     _no_fallback(monkeypatch)
     seen = _record_discoveries(monkeypatch)
+    built = _checked_anchor_tree(monkeypatch)
     g = INSTANCES[name]()
     for use_max_degree in (False, True):
         seen.clear()
@@ -528,6 +604,7 @@ def test_pipeline_connectors_obey_the_stitching_proof(name, monkeypatch):
             new = eb.multi_source_distances(g, group)
             assert (dist[x], dist[y], new[y], new[x]) == (h, h + 1, h, h + 1)
             assert cell[y] == i and cell[x] < i
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -594,10 +671,13 @@ def certifiable_graphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(certifiable_graphs())
 def test_property_pipeline_takes_no_fallback(g):
+    # and builds each tree as the assembly through Graph.from_edges does
     with pytest.MonkeyPatch.context() as mp:
         _no_fallback(mp)
+        built = _checked_anchor_tree(mp)
         for use_max_degree in (False, True):
             certify(g, use_max_degree=use_max_degree)
+        assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 import eccbounds as eb
 from eccbounds import cli
-from eccbounds.cli import _batch_row, main
+from eccbounds.cli import _batch_row, _read_graph, main
+from eccbounds.graph import _edge_list_pairs
 
 
 @pytest.fixture()
@@ -186,6 +187,36 @@ def test_generate_writes_parseable_file(tmp_path, capsys):
     path = tmp_path / "gen_n24_d3_g5_s5.el"
     g = eb.parse_edge_list(path.read_text())
     assert g.min_degree() >= 3 and eb.girth(g) >= 5
+
+
+def test_generated_file_takes_the_fast_path(tmp_path, capsys, monkeypatch):
+    # the bytes eccb generate writes, provenance comment included, never
+    # reach the line parser, and give the graph it would give
+    assert main(["generate", "--n", "60", "--delta", "3", "--g", "5",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "gen_n60_d3_g5_s7.el"
+    assert path.read_bytes().splitlines()[-1] == b"# seed=7 delta=3 g=5"
+    want = eb.Graph.from_edges(*_edge_list_pairs(path.read_bytes()))
+
+    def refuse(text):
+        raise AssertionError("line parser called")
+    for module in ("eccbounds.cli", "eccbounds.graph"):
+        monkeypatch.setattr(sys.modules[module], "_edge_list_pairs", refuse)
+    assert _read_graph(str(path)) == want
+    assert eb.parse_edge_list(path.read_bytes()) == want
+
+
+@pytest.mark.parametrize("text, certifying, error", [
+    ("4 2\n0 1\n2 3\n", False, eb.DisconnectedGraphError),
+    ("4 2\n0 1\n2 3\n", True, eb.NotCertifiableError),
+    ("5 3\n0 1\n0 2\n1 2\n", True, eb.DisconnectedGraphError),
+], ids=["forest", "forest-certifying", "triangle-certifying"])
+def test_emitted_short_header_still_raises_on_read(text, certifying, error, tmp_path):
+    # text the fast path would take but for m < n - 1
+    p = tmp_path / "short.el"
+    p.write_text(text)
+    with pytest.raises(error):
+        _read_graph(str(p), certifying=certifying)
 
 
 def test_generate_measures_girth_once(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eccbounds as eb
+from eccbounds.graph import _edge_list_pairs, _emitted_graph
 from conftest import (
     floyd_warshall,
     girth_oracle,
@@ -93,6 +94,173 @@ def test_property_edge_list_round_trip(data):
 def test_parse_missing_header():
     with pytest.raises(eb.EdgeListParseError):
         eb.parse_edge_list("# only a comment\n")
+
+
+def _error_line(text) -> int:
+    with pytest.raises(eb.EdgeListParseError) as exc:
+        eb.parse_edge_list(text)
+    return exc.value.line
+
+
+# str.splitlines also breaks at these; a line ends at \n, \r\n or \r only
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", OTHER_BREAKS, ids=[hex(ord(c)) for c in OTHER_BREAKS])
+def test_parse_breaks_lines_at_line_feeds_and_returns_only(sep):
+    with pytest.raises(eb.EdgeListParseError) as exc:
+        eb.parse_edge_list(f"3 2\n0 1{sep}1 2\n")
+    assert str(exc.value) == f"line 2: expected edge 'u v', got {f'0 1{sep}1 2'!r}"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("3 2\r\n0 1\r1 2\n", None),
+    ("3 2\n0 1\n", 2),            # no phantom line after the final newline
+    ("3 2\r\n0 1\r\n", 2),
+    ("3 2\r0 1\r\r", 3),
+    ("3 2\n0 1\n\n", 3),
+], ids=["mixed-breaks", "lf-final", "crlf-final", "cr-blank", "lf-blank"])
+def test_parse_line_numbers_count_each_break_once(text, line):
+    if line is None:
+        assert eb.parse_edge_list(text).edges == ((0, 1), (1, 2))
+    else:
+        assert _error_line(text) == line
+
+
+@pytest.mark.parametrize("prefix", [b"3 2\r\n0 1\r1 ", b"3 2\n0 1\x0c1 ", b"3 2\n0 1\xe2\x80\xa81 "],
+                         ids=["cr", "form-feed", "line-separator"])
+def test_utf8_error_counts_lines_as_the_parser_does(prefix):
+    # the bad byte sits where the non-integer token sits, on the same line
+    assert _error_line(prefix + b"\xff\n") == _error_line(prefix + b"x\n")
+
+
+# ---------------------------------------------------------------------------
+# the fast path for emitted text, against the line parser as the oracle
+
+def _line_parsed(data):
+    """The graph the line parser reads from ``data``, or its error's line and message."""
+    try:
+        return eb.Graph.from_edges(*_edge_list_pairs(data))
+    except eb.EdgeListParseError as exc:
+        return exc.line, str(exc)
+
+
+def _parsed(data):
+    try:
+        return eb.parse_edge_list(data)
+    except eb.EdgeListParseError as exc:
+        return exc.line, str(exc)
+
+
+@pytest.mark.parametrize("data, n, edges", [
+    (b"1 0\n", 1, ()),
+    (b"2 1\n0 1\n", 2, ((0, 1),)),
+    (b"003 02\n00 01\n1 002\n", 3, ((0, 1), (1, 2))),
+    (b"3 2\n0 1\n1 2\n# seed=1 delta=3 g=5\n", 3, ((0, 1), (1, 2))),
+    (b"3 2\n0 1\n1 2\n#\n", 3, ((0, 1), (1, 2))),
+], ids=["one-vertex", "one-edge", "leading-zeros", "generator-comment", "empty-comment"])
+def test_fast_path_takes_emitted_text(data, n, edges):
+    g = _emitted_graph(data)
+    assert g is not None and (g.n, g.edges) == (n, edges)
+    assert g == _line_parsed(data) == _emitted_graph(data.decode())
+
+
+@pytest.mark.parametrize("data", [
+    b"3 1\n0 1\n",                       # m < n - 1: the read path's early rejection
+    b"0 0\n",
+    b"3 3\n0 1\n0 1\n1 2\n",             # a duplicate
+    b"3 2\n1 2\n0 1\n",                  # unsorted
+    b"3 2\n0 1\n2 1\n",                  # u > v
+    b"3 2\n0 1\n1 1\n",                  # u = v
+    b"3 2\n0 1\n1 3\n",                  # v = n
+    b"3 2\n0 1\n1 2",                    # no final newline
+    b"3 2\r\n0 1\r\n1 2\r\n",
+    b"# first\n3 2\n0 1\n1 2\n",         # a comment before the end
+    b"3 2\n0 1\n1 2\n# one\n# two\n",
+    b"3 2\n0 1\n1 2\n# caf\xc3\xa9\n",   # a comment beyond printable ASCII
+    b"3 2\n0 1\n1 2\n# tab\there\n",
+    b"3 2\n0 1\n1 2\n0 2\n",             # one pair too many
+    b"3 3\n0 1\n1 2\n",                  # one pair too few
+    b"3 2\n0  1\n1 2\n",
+    b"1" * 5000 + b" 0\n",               # past CPython's digit limit for int
+], ids=["short-header", "no-vertices", "duplicate", "unsorted", "reversed", "self-loop",
+        "v-is-n", "no-final-newline", "crlf", "leading-comment", "two-comments",
+        "utf8-comment", "tab-comment", "one-too-many", "one-too-few", "two-spaces",
+        "huge-number"])
+def test_fast_path_leaves_other_text_to_the_line_parser(data):
+    assert _emitted_graph(data) is None
+    assert _parsed(data) == _line_parsed(data)
+
+
+@st.composite
+def emitted_texts(draw):
+    """``(g, mutation, text)``: an edge list of ``g`` as emit_edge_list writes
+    it, with or without the generator's comment, then one of ``MUTATIONS``
+    (``"none"`` and those that need an edge where ``g`` has none change
+    nothing)."""
+    g = draw(any_graphs())
+    cfg = None
+    if draw(st.booleans()):
+        cfg = eb.GeneratorConfig(n=g.n, delta=3, g=draw(st.integers(3, 9)),
+                                 seed=draw(st.integers(0, 10 ** 6)))
+    text = eb.emit_edge_list(g, cfg)
+    lines = text.splitlines()
+    m = g.m
+    mutation = draw(st.sampled_from(MUTATIONS))
+    at = draw(st.integers(1, max(m, 1)))   # an edge line, when there is one
+    if m and mutation == "comment":
+        lines.insert(draw(st.integers(0, len(lines))), "# note")
+    elif mutation == "crlf":
+        return g, mutation, text.replace("\n", "\r\n")
+    elif m and mutation == "duplicate":
+        lines.insert(at, lines[at])
+        lines[0] = f"{g.n} {m + 1}"
+    elif m >= 2 and mutation == "unsorted":
+        other = draw(st.integers(1, m))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif m and mutation == "reversed":
+        u, v = lines[at].split()
+        lines[at] = f"{v} {u}"
+    elif m and mutation == "self-loop":
+        u = lines[at].split()[0]
+        lines[at] = f"{u} {u}"
+    elif m and mutation == "v-is-n":
+        u = lines[at].split()[0]
+        lines[at] = f"{u} {g.n}"
+    elif mutation == "split-header":
+        lines[0:1] = lines[0].split()
+    elif mutation == "third-token":
+        lines[at if m else 0] += " 0"
+    elif mutation == "no-final-newline":
+        return g, mutation, text.rstrip("\n")
+    elif mutation == "one-too-many":
+        lines.insert(m + 1, "0 1" if g.n > 1 else "0 0")
+    elif m and mutation == "one-too-few":
+        del lines[at]
+    elif mutation == "leading-zeros":
+        lines = [" ".join("0" + t for t in line.split()) if line[0] != "#" else line
+                 for line in lines]
+    return g, mutation, "\n".join(lines) + "\n"
+
+
+MUTATIONS = ["none", "comment", "crlf", "duplicate", "unsorted", "reversed", "self-loop",
+             "v-is-n", "split-header", "third-token", "no-final-newline", "one-too-many",
+             "one-too-few", "leading-zeros"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(emitted_texts())
+def test_property_fast_path_equals_the_line_parser(case):
+    g, mutation, text = case
+    data = text.encode()
+    want = _line_parsed(data)
+    fast = _emitted_graph(data)
+    if fast is not None:
+        assert fast == want
+    assert _parsed(data) == _parsed(text) == want
+    if mutation == "none":
+        # every emitted graph whose header could be connected takes the fast path
+        assert want == g and (fast is not None) == (g.m >= g.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +561,13 @@ EMPTY = eb.Graph.from_edges(0, [])
     (lambda: eb.parse_edge_list("a b"), "line 1: non-integer header 'a b'"),
     (lambda: eb.parse_edge_list("0 0"), "line 1: vertex count must be positive, got 0"),
     (lambda: eb.parse_edge_list("3 -1"), "line 1: edge count must be nonnegative, got -1"),
+    (lambda: eb.parse_edge_list("-1 0"), "line 1: vertex count must be positive, got -1"),
+    (lambda: eb.parse_edge_list("1_0 9"), "line 1: non-integer header '1_0 9'"),
+    (lambda: eb.parse_edge_list("3 +1\n0 1"), "line 1: non-integer header '3 +1'"),
+    (lambda: eb.parse_edge_list("30 1\n1 2_0"), "line 2: non-integer edge '1 2_0'"),
+    (lambda: eb.parse_edge_list("3 1\n1 +2"), "line 2: non-integer edge '1 +2'"),
+    (lambda: eb.parse_edge_list("3 1\n1 \u0662"), "line 2: non-integer edge '1 \u0662'"),
+    (lambda: eb.parse_edge_list("3 1\n0 -1"), "line 2: vertex id out of range in edge (0,-1)"),
     (lambda: eb.Graph.from_edges(-1, []), "vertex count must be nonnegative"),
     (lambda: eb.Graph.from_edges(3, [(0, 3)]), "edge (0,3) out of range for n=3"),
     (EMPTY.min_degree, "degree undefined on the empty graph"),
@@ -402,6 +577,8 @@ EMPTY = eb.Graph.from_edges(0, [])
     (lambda: eb.weighted_avec(eb.path_graph(3), eb.WeightFunction((1, 1))),
      "weight vector length must equal the vertex count"),
 ], ids=["header-one-token", "header-non-integer", "header-no-vertices", "header-negative-m",
+        "header-negative-n", "header-underscore", "header-plus", "edge-underscore", "edge-plus",
+        "edge-arabic-indic", "edge-negative",
         "negative-n", "edge-out-of-range", "min-degree-empty", "max-degree-empty",
         "bfs-source-out-of-range", "no-sources", "weight-length"])
 def test_input_validation_messages(call, message):
