@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -213,15 +213,14 @@ def _lower_distances(g: Graph, dist: list[int], source: int) -> None:
     distances from the source set grown by ``source``.  The BFS from
     ``source`` stops wherever the old distance is already no larger."""
     dist[source] = 0
-    q = deque([source])
+    order = [source]  # also the BFS queue: the loop reads what it appends
     adj = g.adj
-    while q:
-        u = q.popleft()
+    for u in order:
         du1 = dist[u] + 1
         for v in adj[u]:
             if du1 < dist[v]:
                 dist[v] = du1
-                q.append(v)
+                order.append(v)
 
 
 def _replay_path(g: Graph, dist: list[int], target: int) -> list[int]:
@@ -303,8 +302,8 @@ def _fallback_connectors(g: Graph, cell_of: list[int], depth: list[int],
 # ---------------------------------------------------------------------------
 # anchors: one grower, three pick rules
 
-def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int, int]],
-                                         list[int]]:
+def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
+        list[tuple[int, ...]], list[tuple[int, int]], list[int]]:
     """Anchors grown from the vertex group ``first`` on one distance array.
 
     ``pick(dist)`` gives the next anchor's vertices from the distances to
@@ -314,6 +313,8 @@ def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int,
     and the path's middle edge is recorded as a connector of the tree.
     Returns ``(groups, connectors, dist)``: one connector per anchor after
     the first, and every vertex's distance to all the anchors' vertices.
+    With ``replay`` false no path is replayed and ``connectors`` stays
+    empty, for the anchor builders that return the groups alone.
 
     Every caller hands in anchors that touch no earlier one, so a discovery
     path has length ``t >= 1`` and a middle edge: the packing rule picks
@@ -350,10 +351,11 @@ def _grow(g: Graph, first, pick) -> tuple[list[tuple[int, ...]], list[tuple[int,
         raise ValueError("graph must be connected")
     groups, connectors = [tuple(first)], []
     while (group := pick(dist)) is not None:
-        target = min(group, key=lambda x: (dist[x], x))
-        t = dist[target]
-        path = _replay_path(g, dist, target)
-        connectors.append((path[t // 2], path[t // 2 + 1]))
+        if replay:
+            target = min(group, key=lambda x: (dist[x], x))
+            t = dist[target]
+            path = _replay_path(g, dist, target)
+            connectors.append((path[t // 2], path[t // 2 + 1]))
         groups.append(group)
         for x in group:
             _lower_distances(g, dist, x)
@@ -404,7 +406,7 @@ def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[
     a1 = 0 if start is None else start
     if not (0 <= a1 < g.n):
         raise ValueError(f"start vertex {a1} out of range")
-    groups = _grow(g, (a1,), _spaced_vertex(girth_value))[0]
+    groups = _grow(g, (a1,), _spaced_vertex(girth_value), replay=False)[0]
     return [a for (a,) in groups]
 
 
@@ -430,7 +432,7 @@ def build_spaced_matching(g: Graph, girth_value: int,
         e1 = (u, v) if u < v else (v, u)
         if not g.has_edge(*e1):
             raise ValueError(f"start edge {start_edge} not in graph")
-    return _grow(g, e1, _spaced_edge(g, girth_value))[0]
+    return _grow(g, e1, _spaced_edge(g, girth_value), replay=False)[0]
 
 
 # ---------------------------------------------------------------------------

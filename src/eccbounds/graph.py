@@ -10,7 +10,6 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,8 +149,10 @@ def parse_edge_list(text) -> Graph:
     ``#`` are comments.  Repeated edges are silently deduplicated; self-loops
     and malformed or out-of-range lines raise :class:`EdgeListParseError`
     naming the line, as do bytes that are not UTF-8.  Lines end at ``\\n``,
-    ``\\r\\n`` or ``\\r``, and ids and counts are ASCII decimals with an
-    optional ``-``.
+    ``\\r\\n`` or ``\\r``, ids and counts are ASCII decimals with an
+    optional ``-``, and they are separated by ASCII whitespace only: space,
+    ``\\t``, ``\\v`` and ``\\f``.  A line that is blank or a comment once
+    stripped of any whitespace, Unicode spaces included, is skipped.
     """
     g = _emitted_graph(text)
     return g if g is not None else Graph.from_edges(*_edge_list_pairs(text))
@@ -160,10 +161,15 @@ def parse_edge_list(text) -> Graph:
 # what emit_edge_list writes: a header line, one line per edge and at most
 # one comment line at the end, in printable ASCII, every line ending in \n
 _EMITTED = re.compile(rb"(?:[0-9]+ [0-9]+\n)+(?:#[ -~]*\n)?")
-# int() also reads "_", "+" and non-ASCII digits, which ids and counts may
+# int() of a bytes token also reads "_" and "+", which ids and counts may
 # not hold: tokens that strip to nothing by these and that int() takes are
 # ASCII decimals "-?[0-9]+"
-_DECIMAL_CHARS = "-0123456789"
+_DECIMAL_CHARS = b"-0123456789"
+# ids and counts are separated by ASCII whitespace only, as bytes.split()
+# takes it: a header or edge line is split as bytes and stripped of this for
+# its messages (str.split() and str.strip() also take \x1c-\x1f and the
+# non-ASCII spaces)
+_ASCII_SPACE = " \t\v\f"
 
 
 def _emitted_graph(text) -> Graph | None:
@@ -216,9 +222,9 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
             # the bytes before the first bad one decode, and its line is theirs
             line = _unix_breaks(text[:exc.start].decode("utf-8")).count("\n") + 1
             raise EdgeListParseError(line, "not UTF-8 text") from None
-    # all-ASCII text with no "_" or "+" needs no token checked by strip:
-    # int() takes its tokens only in the form "-?[0-9]+"
-    plain = text.isascii() and "_" not in text and "+" not in text
+    # text with no "_" or "+" needs no token checked by strip: int() takes
+    # its bytes tokens only in the form "-?[0-9]+"
+    plain = "_" not in text and "+" not in text
     lines = _unix_breaks(text).split("\n")
     if not lines[-1]:
         lines.pop()  # a final line break ends the last line and starts none
@@ -230,8 +236,9 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
         last_line = line_no
         s = raw.strip()
         if not s or s.startswith("#"):
-            continue
-        parts = s.split()
+            continue  # blank and comment lines may be indented by any whitespace
+        s = raw.strip(_ASCII_SPACE)
+        parts = s.encode("utf-8", "surrogatepass").split()
         if n is None:
             if len(parts) != 2:
                 raise EdgeListParseError(line_no, f"expected header 'n m', got {s!r}")
@@ -278,20 +285,19 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 def multi_source_distances(g: Graph, sources) -> list[int]:
     """Hop distance to the nearest of ``sources`` (simultaneous BFS)."""
-    q = deque(sorted(set(sources)))
-    if not q:
+    order = sorted(set(sources))  # also the BFS queue: the loop reads what it appends
+    if not order:
         raise ValueError("sources must be nonempty")
     dist = [UNREACHABLE] * g.n
-    for s in q:
+    for s in order:
         dist[s] = 0
     adj = g.adj
-    while q:
-        u = q.popleft()
+    for u in order:
         du1 = dist[u] + 1
         for v in adj[u]:
             if dist[v] == UNREACHABLE:
                 dist[v] = du1
-                q.append(v)
+                order.append(v)
     return dist
 
 
@@ -328,12 +334,22 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     - trees (``m == n - 1``) take the double sweep: with ``a`` farthest from
       0 and ``b`` farthest from ``a``, the path ``a..b`` is a diameter and
       ``ecc(v) = max(d(a, v), d(b, v))``, so two more BFS runs replace n;
-    - other graphs with ``e0 > _BOUNDED_MIN_E0`` take the eccentricity
-      bounding of :func:`_bounded_eccentricities`, which needs a few BFS runs
-      where the bitset kernel would need at least ``e0`` rounds;
-    - every other graph, and a long-diameter one whose bounds do not close
-      within the run cap, takes the bit-parallel frontier expansion of
+    - other graphs with ``e0 > _BOUNDED_MIN_RUNS`` try the eccentricity
+      bounding of :func:`_bounded_eccentricities`, which closed every Moore
+      chain in 6-14 BFS runs where the bitset kernel needs at least ``e0``
+      rounds;
+    - every other graph, and one whose bounds do not close within the run
+      cap, takes the bit-parallel frontier expansion of
       :func:`_bitset_eccentricities`.
+
+    A bounding run with its bound update costs one to two bitset rounds
+    (0.9-1.9 of a mean round, measured on chains, cycles and n = 300 and
+    1000 expanders), so bounding is tried only where its floor of
+    ``_BOUNDED_MIN_RUNS`` runs costs about what the bitset kernel's least
+    work does.  The worst case is a graph the bounds cannot close with
+    ``16 < e0 <= 64``: it wastes 16 runs before the fallback, and a cycle
+    ``C34`` takes 2.7 times as long as the bitset kernel alone (``C64``
+    1.9 times, ``C129`` 1.5 times).
     """
     if g.n == 0:
         raise ValueError("eccentricity undefined on the empty graph")
@@ -346,7 +362,7 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
         ecc = [max(da, db) for da, db in zip(from_a, from_b)]
     else:
         ecc = None
-        if max(first) > _BOUNDED_MIN_E0:
+        if max(first) > _BOUNDED_MIN_RUNS:
             ecc = _bounded_eccentricities(g, first)
         if ecc is None:
             ecc = _bitset_eccentricities(g)
@@ -360,18 +376,16 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     )
 
 
-# The bitset kernel runs one round per unit of diameter, at least e0 rounds,
-# and the bounding kernel closed every Moore chain of the benchmark within
-# 6-14 BFS runs.  Past this e0 the bounds win by a wide margin; at or below
-# it sit the expanders (e0 <= 13), where the bitset kernel is cheaper than
-# even a few BFS runs with their bound updates.
-_BOUNDED_MIN_E0 = 64
-
-# BFS runs the bounding kernel may spend before it gives up; the cap is
-# max(_BOUNDED_MIN_RUNS, e0 // 8).  A run plus its bound update costs about
-# two bitset rounds, so e0 // 8 runs waste at most about a quarter of the
-# fallback's own time on graphs the bounds cannot close (cycles); the floor
-# keeps the (3,6,k) chains with odd k, which need 14 runs, off the fallback.
+# BFS runs the bounding kernel may spend before it gives up, and the e0
+# past which it is tried; the cap is max(_BOUNDED_MIN_RUNS, e0 // 8).  The
+# bitset kernel runs one round per unit of diameter, at least e0 rounds, and
+# a bounding run plus its bound update costs one to two bitset rounds, so
+# past this e0 the floor of runs costs about what the bitset kernel's least
+# work does.  On graphs the bounds cannot close (cycles) the wasted runs
+# cost up to about 1.7 times the fallback's own time at e0 = 17 and at most
+# about a quarter of it past e0 = 128.  The floor keeps the (3,6,k) chains
+# with odd k, which need 14 runs, off the fallback.  Every expander the
+# benchmark profiles has e0 <= 12 and keeps the bitset kernel.
 _BOUNDED_MIN_RUNS = 16
 
 
@@ -466,8 +480,13 @@ def girth(g: Graph) -> int | None:
     shortest cycle lies in the subgraph above its least vertex ``r``, and the
     BFS from ``r`` there finds a walk of exactly its length.  A root with at
     most one neighbour above it lies on no cycle of its subgraph and is
-    skipped.  One ``dist``/``parent`` pair serves every root: only the
-    vertices a root's BFS reached are reset.  Overall O(n*m).
+    skipped.  When the BFS reaches depth ``du`` it has seen every walk of
+    length ``2*du`` or less that it closes, so it stops once ``2*du + 1 >=
+    best``; when ``best == 2*du + 2`` only an edge between two vertices at
+    depth ``du``, a walk of length ``2*du + 1``, can still beat it, and that
+    level is checked without discovering new vertices.  One
+    ``dist``/``parent`` pair serves every root: only the vertices a root's
+    BFS reached are reset.  Overall O(n*m).
     """
     best: int | None = None
     adj = g.adj
@@ -479,14 +498,19 @@ def girth(g: Graph) -> int | None:
             continue
         dist[root] = 0
         parent[root] = -1
-        reached = [root]  # also the BFS queue, read from ``head``
-        head = 0
-        while head < len(reached):
-            u = reached[head]
-            head += 1
+        reached = [root]  # also the BFS queue: the loop reads what it appends
+        for u in reached:
             du = dist[u]
-            if best is not None and 2 * du >= best:
-                break  # any cycle found below is >= 2*du + 1
+            if best is not None and 2 * du + 1 >= best:
+                break  # any walk closed from here is >= 2*du + 1
+            if best == 2 * du + 2:
+                # every vertex at depth du is known, above root and not
+                # u's parent
+                for v in adj[u]:
+                    if dist[v] == du:
+                        best = 2 * du + 1
+                        break
+                continue
             for v in adj[u]:
                 if v < root:
                     continue

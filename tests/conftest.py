@@ -97,6 +97,73 @@ def girth_per_root_oracle(g: eb.Graph):
     return best
 
 
+def girth_above_root_oracle(g: eb.Graph):
+    """The per-root BFS restricted to the vertices above the root, stopping
+    at depth ``du`` once ``2*du >= best``: the form ``eb.girth`` had before
+    it checked its last useful level without expanding it."""
+    best = None
+    adj = g.adj
+    dist = [eb.UNREACHABLE] * g.n
+    parent = [-1] * g.n
+    for root in range(g.n):
+        around = adj[root]
+        if len(around) < 2 or around[-2] < root:
+            continue
+        dist[root] = 0
+        parent[root] = -1
+        reached = [root]  # also the BFS queue, read from ``head``
+        head = 0
+        while head < len(reached):
+            u = reached[head]
+            head += 1
+            du = dist[u]
+            if best is not None and 2 * du >= best:
+                break  # any cycle found below is >= 2*du + 1
+            for v in adj[u]:
+                if v < root:
+                    continue
+                if dist[v] == eb.UNREACHABLE:
+                    dist[v] = du + 1
+                    parent[v] = u
+                    reached.append(v)
+                elif parent[u] != v and parent[v] != u:
+                    c = du + dist[v] + 1
+                    if best is None or c < best:
+                        best = c
+        for x in reached:
+            dist[x] = eb.UNREACHABLE
+    return best
+
+
+def multi_source_distances_oracle(g: eb.Graph, sources) -> list[int]:
+    """Multi-source BFS on a ``deque``: the form ``eb.multi_source_distances``
+    had before it read its queue from the list it appends to."""
+    q = deque(sorted(set(sources)))
+    dist = [eb.UNREACHABLE] * g.n
+    for s in q:
+        dist[s] = 0
+    while q:
+        u = q.popleft()
+        for v in g.adj[u]:
+            if dist[v] == eb.UNREACHABLE:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
+
+
+def lower_distances_oracle(g: eb.Graph, dist: list[int], source: int) -> None:
+    """``certify._lower_distances`` on a ``deque``, the form it had before it
+    read its queue from the list it appends to: lowers ``dist`` in place."""
+    dist[source] = 0
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v in g.adj[u]:
+            if dist[u] + 1 < dist[v]:
+                dist[v] = dist[u] + 1
+                q.append(v)
+
+
 # ---------------------------------------------------------------------------
 # generator oracle: the O(n)-per-attempt form of random_min_degree_girth,
 # which rebuilds the deficient and eligible lists on every attempt

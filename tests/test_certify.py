@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth, bound_thm_girth_maxdeg
-from eccbounds.certify import certify
-from conftest import prefix_connectors_oracle, random_connected
+from eccbounds.certify import _lower_distances, certify
+from conftest import lower_distances_oracle, prefix_connectors_oracle, random_connected
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +383,38 @@ def _generated(girth_floor: int) -> eb.Graph:
 def _groups(cert) -> list[tuple[int, ...]]:
     odd = isinstance(cert, eb.PackingCertificate)
     return [(a,) for a in cert.members] if odd else list(cert.members)
+
+
+def test_lower_distances_matches_the_deque_oracle():
+    rng = random.Random(2013)
+    graphs = [eb.petersen_graph(), eb.chain_graph(3, 5, 6)[0], _generated(5), _generated(6)]
+    graphs += [random_connected(rng, rng.randint(2, 80), rng.randint(0, 50)) for _ in range(30)]
+    for g in graphs:
+        sources = rng.sample(range(g.n), min(g.n, 6))
+        dist = eb.multi_source_distances(g, sources[:1])
+        want = dist.copy()
+        for x in sources[1:]:
+            _lower_distances(g, dist, x)
+            lower_distances_oracle(g, want, x)
+            assert dist == want
+        assert dist == eb.multi_source_distances(g, sources)
+
+
+def test_anchor_builders_replay_no_discovery_path(monkeypatch):
+    # the public builders discard the connectors, so only the pipeline replays
+    certify_module = sys.modules["eccbounds.certify"]
+    replayed = []
+    real = certify_module._replay_path
+    monkeypatch.setattr(certify_module, "_replay_path",
+                        lambda g, dist, target: replayed.append(target) or real(g, dist, target))
+    for gi in (5, 6):
+        g = _generated(gi)
+        anchors = (eb.build_packing if gi % 2 else eb.build_spaced_matching)(g, gi)
+        assert replayed == []
+        cert = certify(g)
+        assert len(replayed) == len(anchors) - 1 > 5
+        assert list(cert.members) == anchors
+        replayed.clear()
 
 
 def test_pipeline_connectors_equal_prefix_replay_oracle(monkeypatch):

@@ -12,8 +12,10 @@ import eccbounds as eb
 from eccbounds.graph import _edge_list_pairs, _emitted_graph
 from conftest import (
     floyd_warshall,
+    girth_above_root_oracle,
     girth_oracle,
     girth_per_root_oracle,
+    multi_source_distances_oracle,
     named_small,
     random_connected,
 )
@@ -111,6 +113,42 @@ def test_parse_breaks_lines_at_line_feeds_and_returns_only(sep):
     with pytest.raises(eb.EdgeListParseError) as exc:
         eb.parse_edge_list(f"3 2\n0 1{sep}1 2\n")
     assert str(exc.value) == f"line 2: expected edge 'u v', got {f'0 1{sep}1 2'!r}"
+
+
+# str.split() and str.strip() also take these for whitespace; bytes.split() does not
+OTHER_SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                *map(chr, range(0x2000, 0x200B)), "\u3000"]
+
+
+@pytest.mark.parametrize("space", OTHER_SPACES, ids=[hex(ord(c)) for c in OTHER_SPACES])
+def test_parse_separates_ids_by_ascii_whitespace_only(space):
+    for text, line in [(f"3 1\n1{space}2\n", 2), (f"3 1\n1 2{space}\n", 2),
+                       (f"3 1\n{space}1 2\n", 2), (f"3{space}1\n1 2\n", 1),
+                       (f"3 1{space}\n1 2\n", 1), (f"{space}3 1\n1 2\n", 1),
+                       (f"# note\n3 1\n0 1\n1{space}2\n", 4)]:
+        assert _error_line(text) == line
+        assert _error_line(text.encode()) == line
+
+
+@pytest.mark.parametrize("space", OTHER_SPACES, ids=[hex(ord(c)) for c in OTHER_SPACES])
+def test_parse_skips_blank_and_comment_lines_of_any_whitespace(space):
+    # only ids and counts are held to ASCII separators
+    for text in [f"{space}# note\n3 1\n{space}\n1 2\n", f"3 1\n {space}\t# note\n1 2\n{space}{space}\n"]:
+        assert eb.parse_edge_list(text).edges == ((1, 2),)
+        assert eb.parse_edge_list(text.encode()).edges == ((1, 2),)
+
+
+def test_parse_rejects_a_lone_surrogate_in_an_id():
+    with pytest.raises(eb.EdgeListParseError) as exc:
+        eb.parse_edge_list("3 1\n1 \ud800\n")
+    assert str(exc.value) == "line 2: non-integer edge '1 \\ud800'"
+
+
+def test_parse_takes_ascii_whitespace_and_non_ascii_comments():
+    for text in ["3 1\n1\t2\n", "3\x0b1\n\x0c1  2\t\n", "3 1\n# caf\xe9\xa0\u3000\n1 2\n",
+                 "3 1\n1 2\n# \x1c\u2003\n"]:
+        assert eb.parse_edge_list(text).edges == ((1, 2),)
+        assert eb.parse_edge_list(text.encode()).edges == ((1, 2),)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -295,6 +333,20 @@ def test_bfs_unreachable_sentinel():
     assert d[2] == eb.UNREACHABLE and d[3] == eb.UNREACHABLE
 
 
+def test_multi_source_bfs_matches_the_deque_oracle():
+    rng = random.Random(1041)
+    graphs = [g for _, g in named_small()] + [eb.chain_graph(3, 6, 4)[0]]
+    graphs += [random_connected(rng, rng.randint(1, 90), rng.randint(0, 60)) for _ in range(40)]
+    # disconnected graphs: unreached vertices keep the sentinel
+    for _ in range(10):
+        pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(25)]
+        graphs.append(eb.Graph.from_edges(40, [(u, v) for u, v in pairs if u != v]))
+    for g in graphs:
+        for k in (1, 2, 5):
+            sources = [rng.randrange(g.n) for _ in range(k)]
+            assert eb.multi_source_distances(g, sources) == multi_source_distances_oracle(g, sources)
+
+
 # ---------------------------------------------------------------------------
 # eccentricity profile
 
@@ -412,6 +464,44 @@ def test_girth_matches_per_root_oracle_large():
         graphs.append(out)
     for g in graphs:
         assert eb.girth(g) == girth_per_root_oracle(g)
+
+
+def chorded_cycle(rng: random.Random, n: int) -> eb.Graph:
+    """The cycle C_n plus up to three random chords."""
+    pairs = [(v, (v + 1) % n) for v in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        pairs.append((u, v))
+    return eb.Graph.from_edges(n, pairs)
+
+
+def random_graph_of_girth(rng: random.Random, n: int, g: int) -> eb.Graph:
+    """A cycle of length ``g`` on random vertices plus random edges whose ends
+    are at least ``g - 1`` apart when added: girth exactly ``g``, not
+    necessarily connected, degrees uneven."""
+    cycle = rng.sample(range(n), g)
+    pairs = [(cycle[i], cycle[i - 1]) for i in range(g)]
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        d = eb.bfs_distances(eb.Graph.from_edges(n, pairs), u)[v]
+        if d == eb.UNREACHABLE or d >= g - 1:
+            pairs.append((u, v))
+    return eb.Graph.from_edges(n, pairs)
+
+
+def test_girth_matches_the_unchecked_level_oracle():
+    # girth against its form that expanded the last useful BFS level
+    rng = random.Random(1978)
+    graphs = [chorded_cycle(rng, n) for n in range(3, 13) for _ in range(12)]
+    graphs += [random_graph_of_girth(rng, rng.randint(g, 50), g)
+               for g in range(3, 9) for _ in range(15)]
+    graphs += [eb.petersen_graph(), eb.heawood_graph(), eb.hoffman_singleton_graph(),
+               eb.projective_plane_incidence(3), eb.projective_plane_incidence(4)]
+    graphs += [eb.chain_graph(d, gf, k)[0]
+               for d, gf in [(3, 5), (3, 6), (4, 6), (7, 5), (2, 7)] for k in (1, 2, 5)]
+    for g in graphs:
+        assert eb.girth(g) == girth_above_root_oracle(g)
+    assert {girth_above_root_oracle(g) for g in graphs} >= set(range(3, 9))
 
 
 def test_networkx_girth():

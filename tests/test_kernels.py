@@ -1,7 +1,7 @@
 """Differential tests of the eccentricity kernels behind ``eccentricity_profile``.
 
 Trees take the double sweep, other graphs whose BFS from vertex 0 reaches
-past ``_BOUNDED_MIN_E0`` take eccentricity bounding, and the rest, or a
+past ``_BOUNDED_MIN_RUNS`` take eccentricity bounding, and the rest, or a
 graph the bounding gives up on, take the bit-parallel frontier expansion.
 Every kernel must reproduce the one-BFS-per-vertex oracle exactly, and an
 independent library where it is installed.
@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 import eccbounds as eb
 import eccbounds.graph as graph_module
 from eccbounds.graph import (
-    _BOUNDED_MIN_E0,
     _BOUNDED_MIN_RUNS,
     _bitset_eccentricities,
     _bounded_eccentricities,
     bfs_distances,
 )
 from conftest import ecc_oracle, named_small, random_connected
+from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
 def _assert_matches_oracle(g: eb.Graph):
@@ -124,23 +124,35 @@ def _kernels_taken(g: eb.Graph, want: tuple[int, ...], monkeypatch) -> list[str]
     return taken
 
 
-LONG_CHAINS = [(3, 5, k) for k in (15, 16, 60, 300)] + [(3, 6, k) for k in (12, 13, 45, 151)]
+# (3,5,5) has e0 = 19 and (3,6,4) e0 = 17, the shortest chains past the cutoff
+LONG_CHAINS = ([(3, 5, k) for k in (*range(5, 17), 60, 300)]
+               + [(3, 6, k) for k in (*range(4, 14), 45, 151)])
 
 
 @pytest.mark.parametrize("delta,girth,k", LONG_CHAINS, ids=[f"{d}-{g}-{k}" for d, g, k in LONG_CHAINS])
 def test_long_chains_take_the_bounding_kernel(delta, girth, k, monkeypatch):
     g = eb.chain_graph(delta, girth, k)[0]
     first = bfs_distances(g, 0)
-    assert max(first) > _BOUNDED_MIN_E0
+    assert max(first) > _BOUNDED_MIN_RUNS
     want = ecc_oracle(g)
     assert _bounded_eccentricities(g, first) == list(want)
     assert _kernels_taken(g, want, monkeypatch) == ["_bounded_eccentricities"]
 
 
-@pytest.mark.parametrize("delta,girth,k", [(3, 5, 14), (3, 6, 11)])
-def test_chains_at_the_cutoff_keep_the_bitset_kernel(delta, girth, k, monkeypatch):
+@pytest.mark.parametrize("delta,girth,k,e0", [(3, 5, 4, 14), (3, 5, 5, 19), (3, 6, 3, 11),
+                                              (3, 6, 4, 17)],
+                         ids=["3-5-4", "3-5-5", "3-6-3", "3-6-4"])
+def test_chains_either_side_of_the_cutoff(delta, girth, k, e0, monkeypatch):
     g = eb.chain_graph(delta, girth, k)[0]
-    assert max(bfs_distances(g, 0)) <= _BOUNDED_MIN_E0
+    assert max(bfs_distances(g, 0)) == e0
+    kernel = "_bounded_eccentricities" if e0 > _BOUNDED_MIN_RUNS else "_bitset_eccentricities"
+    assert _kernels_taken(g, ecc_oracle(g), monkeypatch) == [kernel]
+
+
+@pytest.mark.parametrize("name", ["gen-n1000-d3-g5-s1", "gen-n1000-d3-g6-s1"])
+def test_golden_expanders_keep_the_bitset_kernel(name, monkeypatch):
+    g = GOLDEN_INSTANCES[name]()
+    assert max(bfs_distances(g, 0)) <= _BOUNDED_MIN_RUNS
     assert _kernels_taken(g, ecc_oracle(g), monkeypatch) == ["_bitset_eccentricities"]
 
 
@@ -148,19 +160,20 @@ def test_chains_at_the_cutoff_keep_the_bitset_kernel(delta, girth, k, monkeypatc
                          ids=["grid-10x100", "grid-3x70", "ladder-150"])
 def test_grids_and_ladders_take_the_bounding_kernel(g, monkeypatch):
     first = bfs_distances(g, 0)
-    assert max(first) > _BOUNDED_MIN_E0
+    assert max(first) > _BOUNDED_MIN_RUNS
     want = ecc_oracle(g)
     assert _bounded_eccentricities(g, first) == list(want)
     assert _kernels_taken(g, want, monkeypatch) == ["_bounded_eccentricities"]
 
 
-@pytest.mark.parametrize("g", [eb.cycle_graph(151), eb.cycle_graph(200), eb.cycle_graph(601),
+@pytest.mark.parametrize("g", [eb.cycle_graph(35), eb.cycle_graph(64), eb.cycle_graph(129),
+                               eb.cycle_graph(151), eb.cycle_graph(200), eb.cycle_graph(601),
                                chorded_cycle(800, 40, seed=1)],
-                         ids=["C151", "C200", "C601", "C800-40-chords"])
+                         ids=["C35", "C64", "C129", "C151", "C200", "C601", "C800-40-chords"])
 def test_cycles_fall_back_after_the_run_cap(g, monkeypatch):
     first = bfs_distances(g, 0)
     e0 = max(first)
-    assert e0 > _BOUNDED_MIN_E0
+    assert e0 > _BOUNDED_MIN_RUNS
     runs = []
     with monkeypatch.context() as mp:
         mp.setattr(graph_module, "bfs_distances", lambda h, s: runs.append(s) or bfs_distances(h, s))
@@ -172,16 +185,16 @@ def test_cycles_fall_back_after_the_run_cap(g, monkeypatch):
 
 @st.composite
 def long_diameter_graphs(draw):
-    """A path or cycle backbone on 130..260 vertices plus chords spanning at
+    """A path or cycle backbone on 40..260 vertices plus chords spanning at
     most 6 backbone edges.  A chord shortens a walk by at most 5, so with at
-    most ``(reach - 65) // 5`` chords vertex 0 stays more than 64 hops from
+    most ``(reach - 17) // 5`` chords vertex 0 stays more than 16 hops from
     the backbone's far end."""
-    n = draw(st.integers(min_value=130, max_value=260))
+    n = draw(st.integers(min_value=40, max_value=260))
     cycle = draw(st.booleans())
     pairs = [(v, v + 1) for v in range(n - 1)] + ([(n - 1, 0)] if cycle else [])
     reach = n // 2 if cycle else n - 1
     chord = st.tuples(st.integers(min_value=0, max_value=n - 1), st.integers(min_value=2, max_value=6))
-    for u, span in draw(st.lists(chord, max_size=(reach - 65) // 5)):
+    for u, span in draw(st.lists(chord, max_size=(reach - 17) // 5)):
         if cycle or u + span < n:
             pairs.append((u, (u + span) % n))
     return eb.Graph.from_edges(n, pairs)
@@ -191,7 +204,7 @@ def long_diameter_graphs(draw):
 @given(long_diameter_graphs())
 def test_property_long_diameter_kernels_equal_oracle(g):
     first = bfs_distances(g, 0)
-    assert max(first) > _BOUNDED_MIN_E0
+    assert max(first) > _BOUNDED_MIN_RUNS
     want = ecc_oracle(g)
     bounded = _bounded_eccentricities(g, first)
     assert bounded is None or tuple(bounded) == want
