@@ -179,21 +179,21 @@ class MatchingCertificate(_Certificate):
 # ---------------------------------------------------------------------------
 # deterministic multi-source machinery
 
-def _deterministic_cells(g: Graph, dist: list[int], sources) -> tuple[list[int], list[int]]:
-    """A deterministic cell decomposition around ``sources``, from ``dist``,
-    every vertex's (finite) distance to them.
+def _deterministic_cells(g: Graph, dist: list[int], order) -> tuple[list[int], list[int]]:
+    """A deterministic cell decomposition around the sources of ``dist`` (the
+    vertices at distance 0), over ``order``: ascending in ``dist``, it holds
+    every neighbour one closer of each of its vertices.
 
-    Every vertex gets a root (its nearest source) and a parent on a shortest
-    path toward that root.  Ties go to the lowest-id root, then the lowest-id
-    parent, so repeated runs agree byte for byte.
+    Each vertex of ``order`` gets a root (its nearest source) and a parent on
+    a shortest path toward that root, -1 elsewhere.  Ties go to the lowest-id
+    root, then the lowest-id parent, so repeated runs agree byte for byte.
     """
     n = g.n
     root = [-1] * n
     parent = [-1] * n
-    for s in set(sources):
-        root[s] = s
-    for v in sorted(range(n), key=dist.__getitem__):  # stable: ties stay by id
+    for v in order:
         if dist[v] == 0:
+            root[v] = v
             continue
         target = dist[v] - 1
         best_root = -1
@@ -224,14 +224,14 @@ def _lower_distances(g: Graph, dist: list[int], source: int) -> None:
 
 
 def _replay_path(g: Graph, dist: list[int], target: int) -> list[int]:
-    """The path :func:`_deterministic_cells` would give from the sources of
-    ``dist`` (the vertices at distance 0) to ``target``, first element a
-    source.
+    """The path from the sources of ``dist`` (the vertices at distance 0) to
+    ``target`` along the parents :func:`_deterministic_cells` gives, first
+    element a source.
 
     Only the shortest-path DAG below ``target`` is walked, layer by layer
-    toward the sources, so long paths need no recursion.  Each DAG vertex's
-    root is the lowest source on a shortest path to it; the path then steps
-    from ``target`` to the lowest-id neighbour one closer with the same root.
+    toward the sources, so long paths need no recursion.  The DAG holds
+    every shortest path from its vertices to the sources, so the parents
+    drawn over it are those drawn over the whole graph.
     """
     adj = g.adj
     layers = [[target]]
@@ -244,16 +244,9 @@ def _replay_path(g: Graph, dist: list[int], target: int) -> list[int]:
                     seen.add(u)
                     below.append(u)
         layers.append(below)
-    root = {s: s for s in layers[-1]}
-    for layer in reversed(layers[:-1]):
-        for v in layer:
-            d = dist[v] - 1
-            root[v] = min(root[u] for u in adj[v] if dist[u] == d)
+    parent = _deterministic_cells(g, dist, chain.from_iterable(reversed(layers)))[1]
     path = [target]
-    v = target
-    while dist[v]:
-        d, r = dist[v] - 1, root[v]
-        v = next(u for u in adj[v] if dist[u] == d and root[u] == r)
+    while (v := parent[path[-1]]) != -1:
         path.append(v)
     path.reverse()
     return path
@@ -309,8 +302,9 @@ def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
     ``pick(dist)`` gives the next anchor's vertices from the distances to
     the anchors so far, or ``None`` to stop.  Before they lower the array,
     the anchor's discovery path, from the anchors before it to its nearest
-    vertex (lowest id on ties), is replayed on it by :func:`_replay_path`,
-    and the path's middle edge is recorded as a connector of the tree.
+    vertex (lowest id on ties), is replayed on it along the parents of
+    :func:`_deterministic_cells` (:func:`_replay_path`), and the path's
+    middle edge is recorded as a connector of the tree.
     Returns ``(groups, connectors, dist)``: one connector per anchor after
     the first, and every vertex's distance to all the anchors' vertices.
     With ``replay`` false no path is replayed and ``connectors`` stays
@@ -445,9 +439,10 @@ def _anchor_tree(g: Graph, groups, connectors, dist):
     each anchor's vertices in discovery order (``(a,)`` per packing member,
     ``(u, v)`` per matching edge, whose edge joins the tree), the recorded
     connectors and every vertex's distance to the anchors.  Cells, labelled
-    by anchor index, come from :func:`_deterministic_cells` on ``dist``; the
-    connectors join them, or a quotient-graph spanning tree when they do not
-    stitch the cells into a tree.
+    by anchor index, come from :func:`_deterministic_cells` over every vertex
+    sorted by ``dist``, the rule the replay follows; the connectors join
+    them, or a quotient-graph spanning tree when they do not stitch the
+    cells into a tree.
 
     On the pipeline's anchors they always do: the ``i``-th connector joins
     cell ``i`` to a cell below ``i`` (the proof is in :func:`_grow`), so in
@@ -462,7 +457,7 @@ def _anchor_tree(g: Graph, groups, connectors, dist):
     the sorted anchor vertices.
     """
     vertices = sorted({x for group in groups for x in group})
-    root, parent = _deterministic_cells(g, dist, vertices)
+    root, parent = _deterministic_cells(g, dist, sorted(range(g.n), key=dist.__getitem__))
     anchor_of = {x: i for i, group in enumerate(groups) for x in group}
     cell_of = [anchor_of[root[v]] for v in range(g.n)]
     cells = range(len(groups))
@@ -564,8 +559,8 @@ def certify(g: Graph | Measured,
     """
     if isinstance(g, Measured):
         g, gi, profile = g.graph, g.params.g, g.profile
-    else:
-        gi, profile = girth(g), None
+    elif (gi := girth(g)) is not None:  # a forest is rejected before its profile
+        profile = eccentricity_profile(g)  # raises on disconnected input
     if gi is None:
         raise NotCertifiableError("graph is acyclic: nothing to certify")
     return _certify(g, gi, profile, use_max_degree)
@@ -578,7 +573,7 @@ def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
     and the sharper bound (constants K1, K2) is certified; otherwise the
     packing starts at vertex 0 and the uniform bound (constant K) is used.
     """
-    return _certify(g, girth(g), None, use_max_degree, want_odd=True)
+    return _certify(g, girth(g), eccentricity_profile(g), use_max_degree, want_odd=True)
 
 
 def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
@@ -588,17 +583,15 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
     maximum-degree vertex and the sharper bound (constants L1, L2) is
     certified; otherwise the uniform bound (constant L) is used.
     """
-    return _certify(g, girth(g), None, use_max_degree, want_odd=False)
+    return _certify(g, girth(g), eccentricity_profile(g), use_max_degree, want_odd=False)
 
 
-def _certify(g: Graph, gi: int, profile: EccentricityProfile | None,
+def _certify(g: Graph, gi: int, profile: EccentricityProfile,
              use_max_degree: bool, want_odd: bool | None = None):
     """The pipeline of both girth bounds, branching on the girth's parity only
     for the anchors, the host of the contracted power and the certificate
-    class.  ``profile`` is measured here when ``None``; ``want_odd`` rejects
-    a girth of the other parity."""
-    if profile is None:
-        profile = eccentricity_profile(g)  # raises on disconnected input
+    class.  ``profile`` is ``g``'s, so ``g`` is connected; ``want_odd``
+    rejects a girth of the other parity."""
     delta, Delta = g.min_degree(), g.max_degree()
     if delta < 3:
         raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")

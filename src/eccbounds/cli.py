@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import UPPER_BOUND_IDS, Measured, evaluate_all, measure
+from .bounds import UPPER_BOUND_IDS, evaluate_all, measure
 from .certify import NotCertifiableError, _UnionFind, certify
 # certify_odd and certify_even stay importable from here: the benchmark's
 # tracer (perfbench/spans.py) looks both names up in this module
@@ -218,12 +218,12 @@ def _batch_row(graph_id: str, item) -> dict:
     if isinstance(item, OSError):
         print(f"{graph_id}: unreadable: {item}", file=sys.stderr)
         return {"graphId": graph_id, "status": "unreadable"}
-    m = item if isinstance(item, Measured) else measure(item)  # once, for bounds and certificate
-    p, avec = m.params, m.profile.avec
-    results = {r.bound.value: r for r in evaluate_all(m)}
+    # a Measured graph: measured once by _batch_sources, for bounds and certificate
+    p, avec = item.params, item.profile.avec
+    results = {r.bound.value: r for r in evaluate_all(item)}
     status, cert_ok = "ok", ""
     try:
-        cert = certify(m)
+        cert = certify(item)
         cert_ok = "true" if cert.all_steps_hold else "false"
     except NotCertifiableError:
         status = "not-certifiable"  # the bounds still apply; the certificate does not

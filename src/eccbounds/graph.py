@@ -222,47 +222,34 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
             # the bytes before the first bad one decode, and its line is theirs
             line = _unix_breaks(text[:exc.start].decode("utf-8")).count("\n") + 1
             raise EdgeListParseError(line, "not UTF-8 text") from None
-    # text with no "_" or "+" needs no token checked by strip: int() takes
-    # its bytes tokens only in the form "-?[0-9]+"
-    plain = "_" not in text and "+" not in text
     lines = _unix_breaks(text).split("\n")
     if not lines[-1]:
         lines.pop()  # a final line break ends the last line and starts none
     n = m = None
     pairs: list[tuple[int, int]] = []
-    listed = 0
-    last_line = 0
     for line_no, raw in enumerate(lines, start=1):
-        last_line = line_no
         s = raw.strip()
         if not s or s.startswith("#"):
             continue  # blank and comment lines may be indented by any whitespace
+        what, form = ("header", "'n m'") if n is None else ("edge", "'u v'")
         s = raw.strip(_ASCII_SPACE)
         parts = s.encode("utf-8", "surrogatepass").split()
+        if len(parts) != 2:
+            raise EdgeListParseError(line_no, f"expected {what} {form}, got {s!r}")
+        try:
+            if (parts[0] + parts[1]).strip(_DECIMAL_CHARS):
+                raise ValueError
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(line_no, f"non-integer {what} {s!r}") from None
         if n is None:
-            if len(parts) != 2:
-                raise EdgeListParseError(line_no, f"expected header 'n m', got {s!r}")
-            try:
-                if not plain and (parts[0] + parts[1]).strip(_DECIMAL_CHARS):
-                    raise ValueError
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(line_no, f"non-integer header {s!r}") from None
+            n, m = u, v
             if n < 1:
                 raise EdgeListParseError(line_no, f"vertex count must be positive, got {n}")
             if m < 0:
                 raise EdgeListParseError(line_no, f"edge count must be nonnegative, got {m}")
             continue
-        if len(parts) != 2:
-            raise EdgeListParseError(line_no, f"expected edge 'u v', got {s!r}")
-        try:
-            if not plain and (parts[0] + parts[1]).strip(_DECIMAL_CHARS):
-                raise ValueError
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, f"non-integer edge {s!r}") from None
-        listed += 1
-        if listed > m:
+        if len(pairs) == m:
             raise EdgeListParseError(line_no, f"more than the declared {m} edges")
         if u == v:
             raise EdgeListParseError(line_no, f"self-loop at vertex {u}")
@@ -270,9 +257,9 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
             raise EdgeListParseError(line_no, f"vertex id out of range in edge ({u},{v})")
         pairs.append((u, v))
     if n is None:
-        raise EdgeListParseError(max(last_line, 1), "missing 'n m' header")
-    if listed < m:
-        raise EdgeListParseError(last_line, f"declared {m} edges but found {listed}")
+        raise EdgeListParseError(max(len(lines), 1), "missing 'n m' header")
+    if len(pairs) < m:
+        raise EdgeListParseError(len(lines), f"declared {m} edges but found {len(pairs)}")
     return n, pairs
 
 

@@ -17,7 +17,6 @@ import eccbounds as eb
 from eccbounds.bounds import GraphParams
 from eccbounds.certify import (
     StructuralCheck,
-    _deterministic_cells,
     _fallback_connectors,
     _UnionFind,
     _verify_tree,
@@ -353,8 +352,138 @@ def field_tables_oracle(q: int) -> tuple[list[list[int]], list[list[int]]]:
 
 
 # ---------------------------------------------------------------------------
+# line-parser oracle: eccbounds.graph._edge_list_pairs as it was with one
+# token block per line kind, and with the ASCII-decimal check skipped on
+# text holding no "_" or "+"
+
+# the characters an id or count may hold, and the separators between them
+_DECIMAL_CHARS_ORACLE = b"-0123456789"
+_ASCII_SPACE_ORACLE = " \t\v\f"
+
+
+def edge_list_pairs_oracle(text):
+    """``(n, pairs)`` of an edge list, or its ``EdgeListParseError``."""
+    def unix_breaks(t):
+        return t.replace("\r\n", "\n").replace("\r", "\n")
+
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = unix_breaks(text[:exc.start].decode("utf-8")).count("\n") + 1
+            raise eb.EdgeListParseError(line, "not UTF-8 text") from None
+    plain = "_" not in text and "+" not in text
+    lines = unix_breaks(text).split("\n")
+    if not lines[-1]:
+        lines.pop()
+    n = m = None
+    pairs = []
+    listed = 0
+    last_line = 0
+    for line_no, raw in enumerate(lines, start=1):
+        last_line = line_no
+        s = raw.strip()
+        if not s or s.startswith("#"):
+            continue
+        s = raw.strip(_ASCII_SPACE_ORACLE)
+        parts = s.encode("utf-8", "surrogatepass").split()
+        if n is None:
+            if len(parts) != 2:
+                raise eb.EdgeListParseError(line_no, f"expected header 'n m', got {s!r}")
+            try:
+                if not plain and (parts[0] + parts[1]).strip(_DECIMAL_CHARS_ORACLE):
+                    raise ValueError
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise eb.EdgeListParseError(line_no, f"non-integer header {s!r}") from None
+            if n < 1:
+                raise eb.EdgeListParseError(line_no, f"vertex count must be positive, got {n}")
+            if m < 0:
+                raise eb.EdgeListParseError(line_no, f"edge count must be nonnegative, got {m}")
+            continue
+        if len(parts) != 2:
+            raise eb.EdgeListParseError(line_no, f"expected edge 'u v', got {s!r}")
+        try:
+            if not plain and (parts[0] + parts[1]).strip(_DECIMAL_CHARS_ORACLE):
+                raise ValueError
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise eb.EdgeListParseError(line_no, f"non-integer edge {s!r}") from None
+        listed += 1
+        if listed > m:
+            raise eb.EdgeListParseError(line_no, f"more than the declared {m} edges")
+        if u == v:
+            raise eb.EdgeListParseError(line_no, f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise eb.EdgeListParseError(line_no, f"vertex id out of range in edge ({u},{v})")
+        pairs.append((u, v))
+    if n is None:
+        raise eb.EdgeListParseError(max(last_line, 1), "missing 'n m' header")
+    if listed < m:
+        raise eb.EdgeListParseError(last_line, f"declared {m} edges but found {listed}")
+    return n, pairs
+
+
+# ---------------------------------------------------------------------------
 # certificate oracles: the per-prefix and full-BFS forms that the incremental
 # anchor machinery in eccbounds.certify replaces, kept as references
+
+def deterministic_cells_oracle(g: eb.Graph, dist, sources):
+    """The cell decomposition ``_deterministic_cells`` draws, in its form
+    with explicit ``sources`` and one pass over every vertex sorted by
+    ``dist``: roots and parents, ties to the lowest root, then the lowest
+    parent."""
+    n = g.n
+    root = [-1] * n
+    parent = [-1] * n
+    for s in set(sources):
+        root[s] = s
+    for v in sorted(range(n), key=dist.__getitem__):  # stable: ties stay by id
+        if dist[v] == 0:
+            continue
+        target = dist[v] - 1
+        best_root = -1
+        best_parent = -1
+        for u in g.adj[v]:
+            if dist[u] == target:
+                r = root[u]
+                if best_root == -1 or r < best_root or (r == best_root and u < best_parent):
+                    best_root, best_parent = r, u
+        root[v] = best_root
+        parent[v] = best_parent
+    return root, parent
+
+
+def replay_path_oracle(g: eb.Graph, dist, target):
+    """``_replay_path`` with its own root pass and step rule over the
+    shortest-path DAG below ``target``: each DAG vertex's root is the lowest
+    source on a shortest path to it, and the path steps from ``target`` to
+    the lowest-id neighbour one closer with the same root."""
+    adj = g.adj
+    layers = [[target]]
+    seen = {target}
+    for d in range(dist[target] - 1, -1, -1):
+        below = []
+        for v in layers[-1]:
+            for u in adj[v]:
+                if dist[u] == d and u not in seen:
+                    seen.add(u)
+                    below.append(u)
+        layers.append(below)
+    root = {s: s for s in layers[-1]}
+    for layer in reversed(layers[:-1]):
+        for v in layer:
+            d = dist[v] - 1
+            root[v] = min(root[u] for u in adj[v] if dist[u] == d)
+    path = [target]
+    v = target
+    while dist[v]:
+        d, r = dist[v] - 1, root[v]
+        v = next(u for u in adj[v] if dist[u] == d and root[u] == r)
+        path.append(v)
+    path.reverse()
+    return path
+
 
 def prefix_connectors_oracle(g: eb.Graph, groups):
     """Middle edges of the anchors' discovery paths, each replayed with a
@@ -364,7 +493,7 @@ def prefix_connectors_oracle(g: eb.Graph, groups):
     for i in range(1, len(groups)):
         prefix = sorted({x for group in groups[:i] for x in group})
         dist = eb.multi_source_distances(g, prefix)
-        _, parent = _deterministic_cells(g, dist, prefix)
+        _, parent = deterministic_cells_oracle(g, dist, prefix)
         target = min(groups[i], key=lambda x: (dist[x], x))
         if dist[target] == 0:
             return None
@@ -397,7 +526,7 @@ def anchor_tree_oracle(g: eb.Graph, groups, connectors, dist):
     """``_anchor_tree`` with the tree assembled from its edge list by
     ``Graph.from_edges``, which dedups and sorts the pairs."""
     vertices = sorted({x for group in groups for x in group})
-    root, parent = _deterministic_cells(g, dist, vertices)
+    root, parent = deterministic_cells_oracle(g, dist, vertices)
     anchor_of = {x: i for i, group in enumerate(groups) for x in group}
     cell_of = [anchor_of[root[v]] for v in range(g.n)]
     tree, connectors = _stitched_tree(g, vertices, range(len(groups)), cell_of, dist, parent,
@@ -409,7 +538,7 @@ def packing_tree_oracle(g: eb.Graph, members):
     """``build_spanning_tree_from_packing`` with the per-prefix replay."""
     members = list(members)
     dist = eb.multi_source_distances(g, members)
-    root, parent = _deterministic_cells(g, dist, members)
+    root, parent = deterministic_cells_oracle(g, dist, members)
     replayed = prefix_connectors_oracle(g, [(a,) for a in members])
     tree, connectors = _stitched_tree(g, members, members, root, dist, parent, replayed)
     return tree, tuple(parent), tuple(root), connectors
@@ -419,7 +548,7 @@ def matching_tree_oracle(g: eb.Graph, members):
     """``_anchor_tree`` on a matching, with the per-prefix replay."""
     vm = sorted({x for e in members for x in e})
     dist = eb.multi_source_distances(g, vm)
-    root, parent = _deterministic_cells(g, dist, vm)
+    root, parent = deterministic_cells_oracle(g, dist, vm)
     member_of = {x: i for i, e in enumerate(members) for x in e}
     cell_of = [member_of[root[v]] for v in range(g.n)]
     replayed = prefix_connectors_oracle(g, members)

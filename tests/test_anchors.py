@@ -226,12 +226,16 @@ def _chain_packing():
 
 
 def _drop_a_parent_edge(mp):
+    """Drop one tree parent edge from ``_anchor_tree``'s cells, the one call
+    whose order spans every vertex; the replay's DAG calls pass through."""
     certify_module = sys.modules["eccbounds.certify"]
     real = certify_module._deterministic_cells
 
-    def dropping(g, dist, sources):
-        root, parent = real(g, dist, sources)
-        parent[next(v for v in range(g.n) if parent[v] != -1)] = -1
+    def dropping(g, dist, order):
+        order = list(order)
+        root, parent = real(g, dist, order)
+        if len(order) == g.n:
+            parent[next(v for v in range(g.n) if parent[v] != -1)] = -1
         return root, parent
 
     mp.setattr(certify_module, "_deterministic_cells", dropping)

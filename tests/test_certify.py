@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth, bound_thm_girth_maxdeg
-from eccbounds.certify import _lower_distances, certify
-from conftest import lower_distances_oracle, prefix_connectors_oracle, random_connected
+from eccbounds.certify import _lower_distances, _replay_path, certify
+from conftest import (
+    lower_distances_oracle,
+    prefix_connectors_oracle,
+    random_connected,
+    replay_path_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +117,7 @@ def test_fallback_connectors_build_valid_quotient_trees():
         g = random_connected(rng, rng.randint(8, 30), rng.randint(2, 15))
         members = sorted(rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
         dist = eb.multi_source_distances(g, members)
-        root, parent = _deterministic_cells(g, dist, members)
+        root, parent = _deterministic_cells(g, dist, sorted(range(g.n), key=dist.__getitem__))
         chosen = _fallback_connectors(g, root, dist, members)
         assert len(chosen) == len(members) - 1
         uf = _UnionFind(members)
@@ -398,6 +403,24 @@ def test_lower_distances_matches_the_deque_oracle():
             lower_distances_oracle(g, want, x)
             assert dist == want
         assert dist == eb.multi_source_distances(g, sources)
+
+
+def test_replay_path_matches_its_oracle():
+    # every target at distance >= 1 from random sources; ties between roots
+    # and between parents, and even distances, all occur
+    rng = random.Random(2020)
+    graphs = [eb.petersen_graph(), eb.cycle_graph(12), eb.chain_graph(3, 6, 3)[0], _generated(6)]
+    graphs += [random_connected(rng, rng.randint(2, 60), rng.randint(0, 40)) for _ in range(40)]
+    ties = even = 0
+    for g in graphs:
+        sources = rng.sample(range(g.n), rng.randint(1, min(g.n, 5)))
+        dist = eb.multi_source_distances(g, sources)
+        for v in range(g.n):
+            if dist[v]:
+                assert _replay_path(g, dist, v) == replay_path_oracle(g, dist, v)
+                ties += sum(dist[u] == dist[v] - 1 for u in g.adj[v]) > 1
+                even += dist[v] % 2 == 0
+    assert ties > 100 and even > 100
 
 
 def test_anchor_builders_replay_no_discovery_path(monkeypatch):

@@ -483,7 +483,7 @@ def test_batch_row_measures_its_graph_once(graph, monkeypatch):
                 return _real(h)
 
             monkeypatch.setattr(sys.modules[module], name, counted)
-    row = _batch_row("g", graph)
+    row = _batch_row("g", eb.measure(graph))  # as _batch_sources yields it
     assert row["certificateOk"] == "true"
     assert calls["eccentricity_profile"] == 1 and calls["girth"] == 1
 

@@ -1,6 +1,7 @@
 """Graph core: parsing, distances, eccentricity, girth, line graphs, weights."""
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import eccbounds as eb
 from eccbounds.graph import _edge_list_pairs, _emitted_graph
 from conftest import (
+    edge_list_pairs_oracle,
     floyd_warshall,
     girth_above_root_oracle,
     girth_oracle,
@@ -175,19 +177,21 @@ def test_utf8_error_counts_lines_as_the_parser_does(prefix):
 # ---------------------------------------------------------------------------
 # the fast path for emitted text, against the line parser as the oracle
 
-def _line_parsed(data):
-    """The graph the line parser reads from ``data``, or its error's line and message."""
+def _or_error(parse, data):
+    """What ``parse`` returns for ``data``, or its error's line and message."""
     try:
-        return eb.Graph.from_edges(*_edge_list_pairs(data))
+        return parse(data)
     except eb.EdgeListParseError as exc:
         return exc.line, str(exc)
+
+
+def _line_parsed(data):
+    """The graph the line parser reads from ``data``, or its error's line and message."""
+    return _or_error(lambda d: eb.Graph.from_edges(*_edge_list_pairs(d)), data)
 
 
 def _parsed(data):
-    try:
-        return eb.parse_edge_list(data)
-    except eb.EdgeListParseError as exc:
-        return exc.line, str(exc)
+    return _or_error(eb.parse_edge_list, data)
 
 
 @pytest.mark.parametrize("data, n, edges", [
@@ -203,7 +207,8 @@ def test_fast_path_takes_emitted_text(data, n, edges):
     assert g == _line_parsed(data) == _emitted_graph(data.decode())
 
 
-@pytest.mark.parametrize("data", [
+# texts the fast path leaves to the line parser
+NOT_EMITTED = [
     b"3 1\n0 1\n",                       # m < n - 1: the read path's early rejection
     b"0 0\n",
     b"3 3\n0 1\n0 1\n1 2\n",             # a duplicate
@@ -221,7 +226,11 @@ def test_fast_path_takes_emitted_text(data, n, edges):
     b"3 3\n0 1\n1 2\n",                  # one pair too few
     b"3 2\n0  1\n1 2\n",
     b"1" * 5000 + b" 0\n",               # past CPython's digit limit for int
-], ids=["short-header", "no-vertices", "duplicate", "unsorted", "reversed", "self-loop",
+]
+
+
+@pytest.mark.parametrize("data", NOT_EMITTED, ids=[
+        "short-header", "no-vertices", "duplicate", "unsorted", "reversed", "self-loop",
         "v-is-n", "no-final-newline", "crlf", "leading-comment", "two-comments",
         "utf8-comment", "tab-comment", "one-too-many", "one-too-few", "two-spaces",
         "huge-number"])
@@ -248,6 +257,8 @@ def emitted_texts(draw):
     at = draw(st.integers(1, max(m, 1)))   # an edge line, when there is one
     if m and mutation == "comment":
         lines.insert(draw(st.integers(0, len(lines))), "# note")
+    elif mutation == "comment-with-underscore-and-plus":
+        lines.insert(draw(st.integers(0, len(lines))), "# 1_0 +2")
     elif mutation == "crlf":
         return g, mutation, text.replace("\n", "\r\n")
     elif m and mutation == "duplicate":
@@ -281,9 +292,9 @@ def emitted_texts(draw):
     return g, mutation, "\n".join(lines) + "\n"
 
 
-MUTATIONS = ["none", "comment", "crlf", "duplicate", "unsorted", "reversed", "self-loop",
-             "v-is-n", "split-header", "third-token", "no-final-newline", "one-too-many",
-             "one-too-few", "leading-zeros"]
+MUTATIONS = ["none", "comment", "comment-with-underscore-and-plus", "crlf", "duplicate",
+             "unsorted", "reversed", "self-loop", "v-is-n", "split-header", "third-token",
+             "no-final-newline", "one-too-many", "one-too-few", "leading-zeros"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -299,6 +310,35 @@ def test_property_fast_path_equals_the_line_parser(case):
     if mutation == "none":
         # every emitted graph whose header could be connected takes the fast path
         assert want == g and (fast is not None) == (g.m >= g.n - 1)
+
+
+def _both_forms(text):
+    """``text`` as given and as its other type, str or UTF-8 bytes (a lone
+    surrogate kept as its bytes, which are not UTF-8)."""
+    if isinstance(text, str):
+        return text, text.encode("utf-8", "surrogatepass")
+    return text, text.decode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=400, deadline=None)
+@given(emitted_texts())
+def test_property_line_parser_equals_its_oracle(case):
+    _, _, text = case
+    for data in _both_forms(text):
+        assert _or_error(_edge_list_pairs, data) == _or_error(edge_list_pairs_oracle, data)
+
+
+def test_line_parser_equals_its_oracle_on_the_error_rows():
+    texts = [text for text, _ in PARSE_ERRORS] + NOT_EMITTED + [
+        b"3 2\n0 1\n1 \xff\n", "3 2\n0 1\n2 2", "3 1\n0 7", "3 1\n0 1 2", "3 2\n0 1",
+        "3 1\n0 1\n1 2", "# only a comment\n", "", "3 1\n1 \ud800\n", "3 2\r0 1\r\r"]
+    texts += [f"3 2\n0 1{sep}1 2\n" for sep in OTHER_BREAKS]
+    texts += [f"3 1\n1{space}2\n" for space in OTHER_SPACES]
+    texts += [f"3{space}1\n1 2\n" for space in OTHER_SPACES]
+    for text in texts:
+        for data in _both_forms(text):
+            got = _or_error(_edge_list_pairs, data)
+            assert got == _or_error(edge_list_pairs_oracle, data), data
 
 
 # ---------------------------------------------------------------------------
@@ -646,18 +686,24 @@ def test_from_edges_rejects_self_loop():
 EMPTY = eb.Graph.from_edges(0, [])
 
 
+# the line parser's error rows: text, message
+PARSE_ERRORS = [
+    ("3", "line 1: expected header 'n m', got '3'"),
+    ("a b", "line 1: non-integer header 'a b'"),
+    ("0 0", "line 1: vertex count must be positive, got 0"),
+    ("3 -1", "line 1: edge count must be nonnegative, got -1"),
+    ("-1 0", "line 1: vertex count must be positive, got -1"),
+    ("1_0 9", "line 1: non-integer header '1_0 9'"),
+    ("3 +1\n0 1", "line 1: non-integer header '3 +1'"),
+    ("30 1\n1 2_0", "line 2: non-integer edge '1 2_0'"),
+    ("3 1\n1 +2", "line 2: non-integer edge '1 +2'"),
+    ("3 1\n1 \u0662", "line 2: non-integer edge '1 \u0662'"),
+    ("3 1\n0 -1", "line 2: vertex id out of range in edge (0,-1)"),
+]
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: eb.parse_edge_list("3"), "line 1: expected header 'n m', got '3'"),
-    (lambda: eb.parse_edge_list("a b"), "line 1: non-integer header 'a b'"),
-    (lambda: eb.parse_edge_list("0 0"), "line 1: vertex count must be positive, got 0"),
-    (lambda: eb.parse_edge_list("3 -1"), "line 1: edge count must be nonnegative, got -1"),
-    (lambda: eb.parse_edge_list("-1 0"), "line 1: vertex count must be positive, got -1"),
-    (lambda: eb.parse_edge_list("1_0 9"), "line 1: non-integer header '1_0 9'"),
-    (lambda: eb.parse_edge_list("3 +1\n0 1"), "line 1: non-integer header '3 +1'"),
-    (lambda: eb.parse_edge_list("30 1\n1 2_0"), "line 2: non-integer edge '1 2_0'"),
-    (lambda: eb.parse_edge_list("3 1\n1 +2"), "line 2: non-integer edge '1 +2'"),
-    (lambda: eb.parse_edge_list("3 1\n1 \u0662"), "line 2: non-integer edge '1 \u0662'"),
-    (lambda: eb.parse_edge_list("3 1\n0 -1"), "line 2: vertex id out of range in edge (0,-1)"),
+    *((functools.partial(eb.parse_edge_list, text), message) for text, message in PARSE_ERRORS),
     (lambda: eb.Graph.from_edges(-1, []), "vertex count must be nonnegative"),
     (lambda: eb.Graph.from_edges(3, [(0, 3)]), "edge (0,3) out of range for n=3"),
     (EMPTY.min_degree, "degree undefined on the empty graph"),

@@ -1,6 +1,6 @@
 """Every name a library module, test file or demo imports is used in that
-file, and every module-level private function or class of the library is
-referenced somewhere in the package.
+file, and every module-level private function, class or constant of the
+library is referenced somewhere in the package.
 
 An import kept only for other code to look up marks its line with
 ``# noqa: F401`` and says why in a comment, as ``cli`` does for the names
@@ -55,17 +55,28 @@ def test_script_uses_every_name_it_imports(script):
     assert _unused_imports((ROOT / script).read_text()) == []
 
 
+def _defined_names(node) -> list[str]:
+    """The names a module-level statement defines: a function's, a class's,
+    or those of an assignment's plain name targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_private`` functions and classes of ``sources`` (file
-    name -> text) that no name, attribute or import in any of the files
-    refers to, references inside their own definition left out."""
+    """Module-level ``_private`` functions, classes and assignments of
+    ``sources`` (file name -> text) that no name, attribute or import in any
+    of the files refers to, references inside their own definition left
+    out."""
     defs, refs = [], []
     for file, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defs.append((file, node))
+            for name in _defined_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    defs.append((file, name, node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.append((file, node.id, node.lineno))
@@ -74,10 +85,10 @@ def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.alias):
                 refs.append((file, node.name, node.lineno))
     return sorted(
-        f"{file}: {node.name} (line {node.lineno})" for file, node in defs
-        if not any(name == node.name and not (
+        f"{file}: {name} (line {node.lineno})" for file, name, node in defs
+        if not any(ref == name and not (
                    where == file and node.lineno <= line <= node.end_lineno)
-                   for where, name, line in refs))
+                   for where, ref, line in refs))
 
 
 def test_scan_finds_an_unreferenced_private_def():
@@ -90,6 +101,18 @@ def test_scan_finds_an_unreferenced_private_def():
         "a.py: _Dead (line 9)", "a.py: _recursive (line 5)"]
     sources["b.py"] += "x = a._recursive\n"
     assert _unreferenced_private_defs(sources) == ["a.py: _Dead (line 9)"]
+
+
+def test_scan_finds_an_unreferenced_private_constant():
+    sources = {
+        "a.py": "_USED = 1\n_ORPHAN = b\"-09\"\n_TYPED: int = 2\n__dunder__ = 3\n"
+                "_SELF = [_SELF for _ in ()]\n\n\ndef f():\n    return _USED\n",
+        "b.py": "from .a import _TYPED\n",
+    }
+    assert _unreferenced_private_defs(sources) == [
+        "a.py: _ORPHAN (line 2)", "a.py: _SELF (line 5)"]
+    sources["b.py"] += "y = a._ORPHAN\n"
+    assert _unreferenced_private_defs(sources) == ["a.py: _SELF (line 5)"]
 
 
 def test_package_references_every_private_def():
