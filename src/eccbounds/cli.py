@@ -356,6 +356,8 @@ def main(argv=None) -> int:
         missing = [f for f in ("n", "delta", "g", "count") if getattr(args, f) is None]
         if missing:
             parser.error(f"batch needs --dir or a generator spec; missing: {', '.join(missing)}")
+        if args.count < 0:
+            parser.error(f"batch needs --count >= 0, got {args.count}")
     try:
         return args.func(args)
     except (EdgeListParseError, OSError) as exc:

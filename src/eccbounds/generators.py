@@ -12,7 +12,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .graph import Graph, ball, girth, is_connected
+from .graph import Graph, girth, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +194,28 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
     output is then re-verified from scratch, and its measured girth is
     returned with it.
 
-    An attempt costs O(ball), the girth-guard ball around ``u``, not O(n):
-    the deficient vertices are kept in one sorted list per degree below
-    ``delta`` and one sorted list of all of them, updated with ``bisect`` as
-    edges land.  The partner's index into the pool (the deficient list, or
-    every vertex) is drawn with ``rng.randrange`` over the pool's size less
-    the ball members in it, then stepped past their pool positions; only the
-    ball members still short of ``delta`` are looked up in the deficient
-    list.  ``randrange(size)`` consumes the stream as ``rng.choice`` does
-    over a sequence of that length, so a seed gives the same graph, or the
-    same failure, draw for draw as the O(n)-per-attempt formulation that
-    filters the lists and calls ``rng.choice``.
+    An attempt costs O(ball), the girth-guard ball around ``u``, not O(n).
+    The ball is a BFS to depth ``g - 2`` that stamps the vertices it reaches
+    with the attempt number in one ``seen`` list per restart, so no set or
+    dict is built, and the degrees live in one ``deg`` list.  The deficient
+    vertices are kept in one sorted list per degree below ``delta`` and one
+    sorted list of all of them, updated with ``bisect`` as edges land.  The
+    partner's index into the pool (the deficient list, or every vertex once
+    the ball holds all of those) is drawn with ``rng.randrange`` over the
+    pool's size less the ball members in it.  It is then stepped past those
+    members in ascending id order: the pool is ascending and holds each of
+    them, so a member ``x`` sits at or before index ``j`` exactly when ``x <=
+    pool[j]``, and no member's index is looked up.  ``randrange(size)``
+    consumes the stream as ``rng.choice`` does over a sequence of that
+    length, so a seed gives the same graph, or the same failure, draw for
+    draw as the O(n)-per-attempt formulation that filters the lists and
+    calls ``rng.choice``.
     """
     if cfg.delta < 2 or cfg.g < 3 or cfg.n < cfg.delta + 1:
         raise ValueError("need delta >= 2, g >= 3, n >= delta + 1")
-    n, delta, floor = cfg.n, cfg.delta, cfg.g - 1
+    if cfg.max_restarts < 1:
+        raise ValueError("need max_restarts >= 1")
+    n, delta, radius = cfg.n, cfg.delta, cfg.g - 2
     budget = cfg.attempts_budget()
     total_attempts = 0
     everyone = range(n)
@@ -216,6 +223,8 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
     for restart in range(cfg.max_restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
         adj: list[list[int]] = [[] for _ in range(n)]
+        deg = [0] * n
+        seen = [0] * n  # the last attempt whose ball reached the vertex
         deficient = list(everyone)
         by_deg = [deficient.copy()] + [[] for _ in range(delta - 1)]
         attempts = 0
@@ -231,13 +240,28 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
                 if bucket:
                     break
             u = rng.choice(bucket)
-            near = ball(adj, u, floor - 1)  # adding an edge into this set closes a short cycle
-            skip = [bisect_left(deficient, x) for x in near if len(adj[x]) < delta]
+            # the ball of radius g - 2: an edge into it closes a short cycle
+            seen[u] = attempts
+            near = [u]
+            skip = [u]  # the members short of delta; u came from a bucket
+            level = 0
+            for _ in range(radius):
+                top = len(near)
+                for x in near[level:top]:
+                    for y in adj[x]:
+                        if seen[y] != attempts:
+                            seen[y] = attempts
+                            near.append(y)
+                            if deg[y] < delta:
+                                skip.append(y)
+                if len(near) == top:
+                    break
+                level = top
             pool = deficient
             if len(skip) == len(deficient):
                 # endgame relaxation: a partner that already met its quota
                 # only gains degree, and the distance guard still holds
-                skip, pool = list(near), everyone
+                skip, pool = near, everyone
             size = len(pool) - len(skip)
             if not size:
                 stalls += 1
@@ -245,13 +269,14 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
             stalls = 0
             skip.sort()
             j = rng.randrange(size)
-            for i in skip:
-                if i > j:
+            for x in skip:
+                if x > pool[j]:
                     break
                 j += 1
             v = pool[j]
             for x in (u, v):
-                d = len(adj[x])
+                d = deg[x]
+                deg[x] = d + 1
                 if d < delta:
                     bucket = by_deg[d]
                     del bucket[bisect_left(bucket, x)]
@@ -265,12 +290,19 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
         if wedged:
             continue
 
-        # bridge components at their least vertices; new edges cannot create cycles
-        roots, seen = [], set()
-        for s in range(n):
-            if s not in seen:
+        # bridge components at their least vertices; new edges cannot create
+        # cycles.  A stamp of -1 marks the vertices already in a component.
+        roots = []
+        for s in everyone:
+            if seen[s] != -1:
                 roots.append(s)
-                seen.update(ball(adj, s, n))
+                seen[s] = -1
+                reached = [s]  # also the BFS queue
+                for x in reached:
+                    for y in adj[x]:
+                        if seen[y] != -1:
+                            seen[y] = -1
+                            reached.append(y)
         for r in roots[1:]:
             adj[roots[0]].append(r)
             adj[r].append(roots[0])

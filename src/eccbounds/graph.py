@@ -333,10 +333,10 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     (0.9-1.9 of a mean round, measured on chains, cycles and n = 300 and
     1000 expanders), so bounding is tried only where its floor of
     ``_BOUNDED_MIN_RUNS`` runs costs about what the bitset kernel's least
-    work does.  The worst case is a graph the bounds cannot close with
-    ``16 < e0 <= 64``: it wastes 16 runs before the fallback, and a cycle
-    ``C34`` takes 2.7 times as long as the bitset kernel alone (``C64``
-    1.9 times, ``C129`` 1.5 times).
+    work does.  A graph whose vertices share one eccentricity, such as a
+    cycle, is given up after two runs; a cycle ``C34`` then takes about 1.45
+    times as long as the bitset kernel alone (``C64`` 1.22 times, ``C129``
+    1.12 times).
     """
     if g.n == 0:
         raise ValueError("eccentricity undefined on the empty graph")
@@ -368,18 +368,19 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
 # bitset kernel runs one round per unit of diameter, at least e0 rounds, and
 # a bounding run plus its bound update costs one to two bitset rounds, so
 # past this e0 the floor of runs costs about what the bitset kernel's least
-# work does.  On graphs the bounds cannot close (cycles) the wasted runs
+# work does.  Runs wasted up to the cap, on a graph the bounds cannot close,
 # cost up to about 1.7 times the fallback's own time at e0 = 17 and at most
-# about a quarter of it past e0 = 128.  The floor keeps the (3,6,k) chains
-# with odd k, which need 14 runs, off the fallback.  Every expander the
-# benchmark profiles has e0 <= 12 and keeps the bitset kernel.
+# about a quarter of it past e0 = 128 (measured on cycles run to the cap).
+# The floor keeps the (3,6,k) chains with odd k, which need 14 runs, off the
+# fallback.  Every expander the benchmark profiles has e0 <= 12 and keeps
+# the bitset kernel.
 _BOUNDED_MIN_RUNS = 16
 
 
 def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     """Eccentricities of a connected graph by eccentricity bounding (Takes
     and Kosters, *Computing the eccentricity distribution of large graphs*,
-    Algorithms 6(1), 2013), or ``None`` past the run cap.
+    Algorithms 6(1), 2013), or ``None`` when it gives up.
 
     ``first`` holds the distances from vertex 0, with largest value ``e0``.
     By the triangle inequality a BFS from ``s`` with eccentricity ``e`` gives
@@ -389,17 +390,31 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     lower bound, the lowest id on ties, and a vertex closes when its bounds
     meet.  After ``max(_BOUNDED_MIN_RUNS, e0 // 8)`` runs with vertices
     still open the work is discarded and ``None`` returned.
+
+    It gives up after two runs when fewer than a fifth of the vertices are
+    closed and both runs found the eccentricity ``e0``.  If every vertex
+    has one eccentricity ``e``, then ``d(s, w) <= e`` keeps ``lo[w] <= e <=
+    hi[w]`` and ``hi[w]`` reaches ``e`` only at a source, so only the runs'
+    sources close.  Measured after two runs: the cycles C34 to C601 and
+    C800 with 40 chords closed 3 vertices each, with every run at ``e0``.
+    Every Moore chain with ``e0 > 16`` of the benchmark's (3,5,1..60) and
+    (3,6,1..45), and (3,5,300) and (3,6,151), closed 46-98% (least: (3,6,5)
+    with 32 of 70).  grid-10x100, grid-3x70 and ladder-150 closed 3 vertices
+    too, but their second run, from a central vertex, found 63, 37 and 76
+    against ``e0`` = 108, 71 and 150, and they close after 10, 6 and 8 runs.
     """
     e0 = max(first)
     lo = [max(e0 - d, d) for d in first]
     hi = [e0 + d for d in first]
     still_open = [v for v in range(g.n) if lo[v] < hi[v]]
-    runs_left = max(_BOUNDED_MIN_RUNS, e0 // 8)
+    cap = max(_BOUNDED_MIN_RUNS, e0 // 8)
+    runs = 0
+    flat = True  # every run so far found the eccentricity e0
     take_high = True
     while still_open:
-        if not runs_left:
+        if runs == cap or (runs == 2 and flat and 5 * (g.n - len(still_open)) < g.n):
             return None
-        runs_left -= 1
+        runs += 1
         # max and min return the first extreme, and still_open is ascending
         if take_high:
             s = max(still_open, key=hi.__getitem__)
@@ -408,6 +423,7 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
         take_high = not take_high
         dist = bfs_distances(g, s)
         e = max(dist)
+        flat = flat and e == e0
         remaining = []
         for w in still_open:
             d = dist[w]

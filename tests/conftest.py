@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction as F
 
 import pytest
@@ -183,9 +183,12 @@ def _ball_oracle(adj, u, radius):
     return seen
 
 
-def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig):
+def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig, counts: Counter | None = None):
     """The generator as it was before its bucketed bookkeeping, draw for
-    draw; the output is re-verified with ``girth_per_root_oracle``."""
+    draw; the output is re-verified with ``girth_per_root_oracle``.  A
+    ``counts`` Counter gains ``"endgame"`` for each draw from the eligible
+    list taken from all vertices, and ``"stalls"`` for each stall."""
+    counts = Counter() if counts is None else counts
     if cfg.delta < 2 or cfg.g < 3 or cfg.n < cfg.delta + 1:
         raise ValueError("need delta >= 2, g >= 3, n >= delta + 1")
     n, delta, floor = cfg.n, cfg.delta, cfg.g - 1
@@ -212,8 +215,10 @@ def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig):
             eligible = [v for v in deficient if v not in near]
             if not eligible:
                 eligible = [v for v in range(n) if v not in near]
+                counts["endgame"] += bool(eligible)
             if not eligible:
                 stalls += 1
+                counts["stalls"] += 1
                 continue
             stalls = 0
             v = rng.choice(eligible)

@@ -519,6 +519,18 @@ def test_batch_missing_spec_exits_1(capsys):
     assert exc.value.code == 1
 
 
+def test_batch_negative_count_exits_1(tmp_path, capsys):
+    spec = ["batch", "--delta", "3", "--g", "5", "--n", "30", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(spec + ["--count", "-2"])
+    assert exc.value.code == 1
+    assert "--count >= 0, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+    # a zero count is still a zero-row report
+    assert main(spec + ["--count", "0"]) == 0
+    assert (tmp_path / "report.csv").read_text().count("\n") == 1
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -159,15 +160,23 @@ def test_property_generator_equals_oracle(n, delta, g, seed, max_restarts):
 
 
 def test_generator_equals_oracle_on_failures_and_large_orders():
+    # the last five often draw from every vertex (the ball holds all the
+    # deficient ones) or stall, so the step past the ball members runs on
+    # both pools
     configs = [(4, 3, 4, 1, 3), (8, 3, 5, 2, 2), (12, 4, 5, 3, 2), (40, 5, 6, 4, 1),
-               (300, 3, 5, 5, 50), (300, 3, 7, 6, 50), (500, 4, 5, 7, 50)]
+               (300, 3, 5, 5, 50), (300, 3, 7, 6, 50), (500, 4, 5, 7, 50),
+               (100, 5, 6, 1, 2), (40, 5, 5, 1, 2), (100, 4, 7, 1, 2), (24, 4, 5, 1, 2),
+               (60, 4, 6, 1, 2)]
     failures = 0
+    counts = Counter()
     for n, delta, g, seed, max_restarts in configs:
         cfg = eb.GeneratorConfig(n=n, delta=delta, g=g, seed=seed, max_restarts=max_restarts)
         out = eb.random_min_degree_girth(cfg)
-        assert out == random_min_degree_girth_oracle(cfg)
+        assert out == random_min_degree_girth_oracle(cfg, counts)
         failures += isinstance(out, eb.GenerationFailure)
     assert failures >= 3
+    # 48 endgame draws and 556 stalls when written
+    assert counts["endgame"] >= 40 and counts["stalls"] >= 500
 
 
 @pytest.mark.parametrize("n,delta,g", [(400, 3, 6), (300, 3, 5)])
@@ -185,6 +194,10 @@ def test_generator_config_validation():
         eb.random_min_degree_girth(eb.GeneratorConfig(n=3, delta=3, g=4, seed=1))
     with pytest.raises(ValueError):
         eb.random_min_degree_girth(eb.GeneratorConfig(n=9, delta=1, g=4, seed=1))
+    for max_restarts in (0, -3):  # no attempt at all is not a failed search
+        with pytest.raises(ValueError, match="max_restarts >= 1"):
+            eb.random_min_degree_girth(eb.GeneratorConfig(n=30, delta=3, g=5, seed=1,
+                                                          max_restarts=max_restarts))
 
 
 def test_emit_edge_list_round_trip():

@@ -171,16 +171,39 @@ def test_grids_and_ladders_take_the_bounding_kernel(g, monkeypatch):
                                chorded_cycle(800, 40, seed=1)],
                          ids=["C35", "C64", "C129", "C151", "C200", "C601", "C800-40-chords"])
 def test_cycles_fall_back_after_the_run_cap(g, monkeypatch):
+    # every run finds e0 and closes only its source, so bounding gives up
+    # after two runs, well before the cap
+    first = bfs_distances(g, 0)
+    assert max(first) > _BOUNDED_MIN_RUNS
+    assert _bounding_runs(g, first, monkeypatch) == 2
+    taken = _kernels_taken(g, ecc_oracle(g), monkeypatch)
+    assert taken == ["_bounded_eccentricities", "_bitset_eccentricities"]
+
+
+def cycle_with_pendant(n: int) -> eb.Graph:
+    return eb.Graph.from_edges(n + 1, [(v, (v + 1) % n) for v in range(n)] + [(n // 2, n)])
+
+
+@pytest.mark.parametrize("g", [cycle_with_pendant(64), cycle_with_pendant(200),
+                               chorded_cycle(800, 40, seed=4)],
+                         ids=["C64-pendant", "C200-pendant", "C800-40-chords-s4"])
+def test_uneven_cycles_give_up_at_the_run_cap(g, monkeypatch):
+    # a run finds an eccentricity other than e0, so the bounds run to the cap
     first = bfs_distances(g, 0)
     e0 = max(first)
     assert e0 > _BOUNDED_MIN_RUNS
+    assert _bounding_runs(g, first, monkeypatch) == max(_BOUNDED_MIN_RUNS, e0 // 8)
+    taken = _kernels_taken(g, ecc_oracle(g), monkeypatch)
+    assert taken == ["_bounded_eccentricities", "_bitset_eccentricities"]
+
+
+def _bounding_runs(g: eb.Graph, first: list[int], monkeypatch) -> int:
+    """BFS runs :func:`_bounded_eccentricities` spends before it gives up."""
     runs = []
     with monkeypatch.context() as mp:
         mp.setattr(graph_module, "bfs_distances", lambda h, s: runs.append(s) or bfs_distances(h, s))
         assert _bounded_eccentricities(g, first) is None
-    assert len(runs) == max(_BOUNDED_MIN_RUNS, e0 // 8)
-    taken = _kernels_taken(g, ecc_oracle(g), monkeypatch)
-    assert taken == ["_bounded_eccentricities", "_bitset_eccentricities"]
+    return len(runs)
 
 
 @st.composite
