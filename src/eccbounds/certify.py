@@ -48,7 +48,6 @@ from .graph import (
     UNREACHABLE,
     EccentricityProfile,
     Graph,
-    ball,
     eccentricity_profile,
     girth,
     is_connected,
@@ -179,21 +178,24 @@ class MatchingCertificate(_Certificate):
 # ---------------------------------------------------------------------------
 # deterministic multi-source machinery
 
-def _deterministic_cells(g: Graph, dist: list[int], order) -> tuple[list[int], list[int]]:
+def _deterministic_cells(g: Graph, dist: list[int], order, root=None,
+                         parent=None) -> tuple[list[int], list[int]]:
     """A deterministic cell decomposition around the sources of ``dist`` (the
     vertices at distance 0), over ``order``: ascending in ``dist``, it holds
     every neighbour one closer of each of its vertices.
 
     Each vertex of ``order`` gets a root (its nearest source) and a parent on
-    a shortest path toward that root, -1 elsewhere.  Ties go to the lowest-id
-    root, then the lowest-id parent, so repeated runs agree byte for byte.
+    a shortest path toward that root (-1 at a source) in ``root`` and
+    ``parent``: new lists of -1, or the caller's to reuse, since a pass reads
+    only entries it wrote.  Ties go to the lowest-id root, then the lowest-id
+    parent, so repeated runs agree byte for byte.
     """
-    n = g.n
-    root = [-1] * n
-    parent = [-1] * n
+    if root is None:
+        root, parent = [-1] * g.n, [-1] * g.n
     for v in order:
         if dist[v] == 0:
             root[v] = v
+            parent[v] = -1
             continue
         target = dist[v] - 1
         best_root = -1
@@ -223,10 +225,11 @@ def _lower_distances(g: Graph, dist: list[int], source: int) -> None:
                 order.append(v)
 
 
-def _replay_path(g: Graph, dist: list[int], target: int) -> list[int]:
+def _replay_path(g: Graph, dist: list[int], target: int, root=None,
+                 parent=None) -> list[int]:
     """The path from the sources of ``dist`` (the vertices at distance 0) to
     ``target`` along the parents :func:`_deterministic_cells` gives, first
-    element a source.
+    element a source; ``root`` and ``parent`` are its arrays to reuse.
 
     Only the shortest-path DAG below ``target`` is walked, layer by layer
     toward the sources, so long paths need no recursion.  The DAG holds
@@ -244,7 +247,8 @@ def _replay_path(g: Graph, dist: list[int], target: int) -> list[int]:
                     seen.add(u)
                     below.append(u)
         layers.append(below)
-    parent = _deterministic_cells(g, dist, chain.from_iterable(reversed(layers)))[1]
+    parent = _deterministic_cells(g, dist, chain.from_iterable(reversed(layers)),
+                                  root, parent)[1]
     path = [target]
     while (v := parent[path[-1]]) != -1:
         path.append(v)
@@ -314,7 +318,8 @@ def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
     path has length ``t >= 1`` and a middle edge: the packing rule picks
     vertices ``girth_value >= 1`` away, the matching rule edges
     ``girth_value - 1 >= 1`` away, and ``build_spanning_tree_from_packing``
-    rejects repeated members.
+    rejects repeated members.  The replays share one ``root`` and ``parent``
+    pair, so each costs the size of its shortest-path DAG, not ``n``.
 
     On the pipeline's path these connectors stitch the final cells into a
     tree.  Let ``S`` be the earlier anchors' vertices and ``N`` the new
@@ -344,11 +349,12 @@ def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
     if UNREACHABLE in dist:
         raise ValueError("graph must be connected")
     groups, connectors = [tuple(first)], []
+    root, parent = [-1] * g.n, [-1] * g.n
     while (group := pick(dist)) is not None:
         if replay:
             target = min(group, key=lambda x: (dist[x], x))
             t = dist[target]
-            path = _replay_path(g, dist, target)
+            path = _replay_path(g, dist, target, root, parent)
             connectors.append((path[t // 2], path[t // 2 + 1]))
         groups.append(group)
         for x in group:
@@ -356,10 +362,18 @@ def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
     return groups, connectors, dist
 
 
+def _index(dist: list[int], d: int, start: int = 0) -> int:
+    """The first index from ``start`` on where ``dist`` is ``d``, else ``len(dist)``."""
+    try:
+        return dist.index(d, start)
+    except ValueError:
+        return len(dist)
+
+
 def _spaced_vertex(girth_value: int):
     """Packing pick rule: the lowest vertex at distance ``girth_value``, one
     of which lies on a shortest path toward any farther vertex."""
-    return lambda dist: (dist.index(girth_value),) if girth_value in dist else None
+    return lambda dist: (a,) if (a := _index(dist, girth_value)) < len(dist) else None
 
 
 def _spaced_edge(g: Graph, girth_value: int):
@@ -369,17 +383,11 @@ def _spaced_edge(g: Graph, girth_value: int):
     ``s`` or ``s + 1``: ``dist.index`` jumps through those ``u``, no edge scan."""
     s, adj = girth_value - 1, g.adj
 
-    def index(dist, d, start):
-        try:
-            return dist.index(d, start)
-        except ValueError:
-            return len(dist)
-
     def pick(dist):
-        ahead = {d: index(dist, d, 0) for d in (s, s + 1)}
+        ahead = {d: _index(dist, d) for d in (s, s + 1)}
         while (u := min(ahead.values())) < len(dist):
             du = dist[u]
-            ahead[du] = index(dist, du, u + 1)
+            ahead[du] = _index(dist, du, u + 1)
             for v in adj[u]:
                 if v > u and min(du, dist[v]) == s:
                     return u, v
@@ -524,14 +532,24 @@ def weight_function(members, assignment) -> dict[int, int]:
 
 def _contracted_power(g: Graph, anchors, radius: int) -> Graph:
     """Graph on anchor indices ``0..k-1`` with ``i ~ j`` iff anchors ``i``
-    and ``j`` lie within ``radius`` of each other in ``g``."""
-    index = {a: i for i, a in enumerate(anchors)}
-    pairs = []
+    and ``j`` lie within ``radius`` of each other in ``g``: one BFS per
+    anchor, which stamps what it reaches with the anchor's index in ``seen``."""
+    adj, index, seen, pairs = g.adj, [-1] * g.n, [-1] * g.n, []
     for i, a in enumerate(anchors):
-        for b in ball(g.adj, a, radius):
-            j = index.get(b)
-            if j is not None and j > i:
-                pairs.append((i, j))
+        index[a] = i
+    for i, a in enumerate(anchors):
+        seen[a] = i
+        frontier = [a]
+        for _ in range(radius):
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if seen[v] != i:
+                        seen[v] = i
+                        reached.append(v)
+                        if index[v] > i:
+                            pairs.append((i, index[v]))
+            frontier = reached
     return Graph.from_edges(len(anchors), pairs)
 
 

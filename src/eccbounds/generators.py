@@ -174,6 +174,15 @@ class GenerationFailure:
     reason: str
 
 
+def _below(bits, size: int) -> int:
+    """An index below ``size >= 1`` by the rule of :func:`generate_measured`."""
+    k = size.bit_length()
+    r = bits(k)
+    while r >= size:
+        r = bits(k)
+    return r
+
+
 def random_min_degree_girth(cfg: GeneratorConfig) -> Graph | GenerationFailure:
     """Connected graph with min degree >= delta and girth >= g, or a failure;
     see :func:`generate_measured`."""
@@ -194,22 +203,24 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
     output is then re-verified from scratch, and its measured girth is
     returned with it.
 
-    An attempt costs O(ball), the girth-guard ball around ``u``, not O(n).
-    The ball is a BFS to depth ``g - 2`` that stamps the vertices it reaches
-    with the attempt number in one ``seen`` list per restart, so no set or
-    dict is built, and the degrees live in one ``deg`` list.  The deficient
-    vertices are kept in one sorted list per degree below ``delta`` and one
-    sorted list of all of them, updated with ``bisect`` as edges land.  The
-    partner's index into the pool (the deficient list, or every vertex once
-    the ball holds all of those) is drawn with ``rng.randrange`` over the
-    pool's size less the ball members in it.  It is then stepped past those
-    members in ascending id order: the pool is ascending and holds each of
-    them, so a member ``x`` sits at or before index ``j`` exactly when ``x <=
-    pool[j]``, and no member's index is looked up.  ``randrange(size)``
-    consumes the stream as ``rng.choice`` does over a sequence of that
-    length, so a seed gives the same graph, or the same failure, draw for
-    draw as the O(n)-per-attempt formulation that filters the lists and
-    calls ``rng.choice``.
+    An attempt costs O(ball), the girth-guard ball around ``u``, not O(n): a
+    BFS to depth ``g - 2`` over frontier lists that stamps what it reaches
+    with the attempt number in one ``seen`` list per restart.  Degrees live
+    in one ``deg`` list, the deficient vertices in one sorted list per degree
+    below ``delta`` (the lowest non-empty one found from an index that only
+    rises, as degrees never fall) and one sorted list of all of them, kept
+    with ``bisect``.  The partner's index into the pool (the deficient list,
+    or every vertex once the ball holds all of those) is drawn over the
+    pool's size less the ball members in it, then stepped past them in
+    ascending id order: the pool is ascending and holds each of them, so a
+    member ``x`` sits at or before index ``j`` exactly when ``x <= pool[j]``.
+
+    A draw below ``size`` takes ``k = size.bit_length()`` bits from the
+    restart's ``getrandbits`` and draws again while they read ``>= size``
+    (:func:`_below`): the rule CPython 3.10 to 3.13 apply inside ``choice``
+    and ``randrange``, neither of which is called.  So a seed gives the same
+    graph, or the same failure, draw for draw as the O(n)-per-attempt
+    formulation that filters the lists and calls ``rng.choice``.
     """
     if cfg.delta < 2 or cfg.g < 3 or cfg.n < cfg.delta + 1:
         raise ValueError("need delta >= 2, g >= 3, n >= delta + 1")
@@ -221,12 +232,13 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
     everyone = range(n)
 
     for restart in range(cfg.max_restarts):
-        rng = random.Random(f"{cfg.seed}:{restart}")
+        bits = random.Random(f"{cfg.seed}:{restart}").getrandbits
         adj: list[list[int]] = [[] for _ in range(n)]
         deg = [0] * n
         seen = [0] * n  # the last attempt whose ball reached the vertex
         deficient = list(everyone)
         by_deg = [deficient.copy()] + [[] for _ in range(delta - 1)]
+        low = 0  # the least degree among the deficient: degrees never fall
         attempts = 0
         stalls = 0
         wedged = False
@@ -236,27 +248,26 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
                 break
             attempts += 1
             # keep the degree distribution flat: fill the neediest vertices first
-            for bucket in by_deg:
-                if bucket:
-                    break
-            u = rng.choice(bucket)
+            while not by_deg[low]:
+                low += 1
+            bucket = by_deg[low]
+            u = bucket[_below(bits, len(bucket))]
             # the ball of radius g - 2: an edge into it closes a short cycle
             seen[u] = attempts
             near = [u]
             skip = [u]  # the members short of delta; u came from a bucket
-            level = 0
+            frontier = near
             for _ in range(radius):
-                top = len(near)
-                for x in near[level:top]:
+                reached = []
+                for x in frontier:
                     for y in adj[x]:
                         if seen[y] != attempts:
                             seen[y] = attempts
-                            near.append(y)
+                            reached.append(y)
                             if deg[y] < delta:
                                 skip.append(y)
-                if len(near) == top:
-                    break
-                level = top
+                near += reached
+                frontier = reached
             pool = deficient
             if len(skip) == len(deficient):
                 # endgame relaxation: a partner that already met its quota
@@ -268,7 +279,7 @@ def generate_measured(cfg: GeneratorConfig) -> tuple[Graph, int | None] | Genera
                 continue
             stalls = 0
             skip.sort()
-            j = rng.randrange(size)
+            j = _below(bits, size)
             for x in skip:
                 if x > pool[j]:
                     break

@@ -167,20 +167,24 @@ def lower_distances_oracle(g: eb.Graph, dist: list[int], source: int) -> None:
 # generator oracle: the O(n)-per-attempt form of random_min_degree_girth,
 # which rebuilds the deficient and eligible lists on every attempt
 
-def _ball_oracle(adj, u, radius):
-    seen = {u}
-    frontier = [u]
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if not nxt:
+def ball_oracle(adj, source: int, radius: int) -> dict[int, int]:
+    """Distances from ``source`` to the vertices within ``radius`` hops of it,
+    over the adjacency lists ``adj``: a BFS truncated at ``radius``, the
+    ``ball`` that ``eccbounds.graph`` had while the generator's girth guard
+    and ``certify._contracted_power`` called it."""
+    dist = {source: 0}
+    frontier = [source]
+    for d in range(1, radius + 1):
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        if not reached:
             break
-        frontier = nxt
-    return seen
+        frontier = reached
+    return dist
 
 
 def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig, counts: Counter | None = None):
@@ -211,7 +215,7 @@ def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig, counts: Counter | No
             attempts += 1
             lowest = min(len(adj[v]) for v in deficient)
             u = rng.choice([v for v in deficient if len(adj[v]) == lowest])
-            near = _ball_oracle(adj, u, floor - 1)
+            near = ball_oracle(adj, u, floor - 1)
             eligible = [v for v in deficient if v not in near]
             if not eligible:
                 eligible = [v for v in range(n) if v not in near]
@@ -670,6 +674,19 @@ def contracted_power_oracle(g: eb.Graph, anchors, radius: int) -> eb.Graph:
     k = len(anchors)
     return eb.Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
                                    if dist[i][anchors[j]] <= radius])
+
+
+def ball_contracted_power_oracle(g: eb.Graph, anchors, radius: int) -> eb.Graph:
+    """``certify._contracted_power`` in its form with one ``ball_oracle``
+    dict per anchor and a dict from anchor to index."""
+    index = {a: i for i, a in enumerate(anchors)}
+    pairs = []
+    for i, a in enumerate(anchors):
+        for b in ball_oracle(g.adj, a, radius):
+            j = index.get(b)
+            if j is not None and j > i:
+                pairs.append((i, j))
+    return eb.Graph.from_edges(len(anchors), pairs)
 
 
 # ---------------------------------------------------------------------------

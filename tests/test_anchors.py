@@ -29,6 +29,7 @@ from eccbounds.certify import (
 )
 from conftest import (
     anchor_tree_oracle,
+    ball_contracted_power_oracle,
     contracted_power_oracle,
     line_ecc_oracle,
     matching_checks_oracle,
@@ -38,6 +39,7 @@ from conftest import (
     packing_tree_oracle,
     prefix_connectors_oracle,
     random_connected,
+    replay_path_oracle,
     spaced_matching_oracle,
 )
 from test_golden import INSTANCES
@@ -471,6 +473,39 @@ def test_contracted_power_matches_full_bfs_oracle():
         assert _contracted_power(g, anchors, radius) == contracted_power_oracle(g, anchors, radius)
 
 
+def _power_host(cert):
+    """The host of a certificate's contracted power and its anchors there:
+    the tree and the members (odd girth), or the tree's line graph and the
+    matching edges' line-graph vertices (even girth)."""
+    if cert.girth_value % 2:
+        return cert.tree, list(cert.members)
+    line_id = {e: i for i, e in enumerate(cert.tree.edges)}
+    return cert.line, [line_id[e] for e in cert.members]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_contracted_power_equals_the_ball_built_one_on_golden_hosts(name):
+    g = INSTANCES[name]()
+    for use_max_degree in (False, True):
+        cert = certify(g, use_max_degree=use_max_degree)
+        host, anchors = _power_host(cert)
+        gi = cert.girth_value
+        assert _contracted_power(host, anchors, gi) == ball_contracted_power_oracle(host, anchors, gi)
+
+
+def test_contracted_power_equals_the_ball_built_one_on_random_graphs():
+    rng = random.Random(2023)
+    edges = 0
+    for _ in range(300):
+        g = _random_graph(rng, 2, 60)
+        anchors = rng.sample(range(g.n), rng.randint(1, min(12, g.n)))
+        radius = rng.randint(1, 8)
+        power = _contracted_power(g, anchors, radius)
+        assert power == ball_contracted_power_oracle(g, anchors, radius)
+        edges += power.m
+    assert edges > 1000
+
+
 def _assert_line_identity(tree: eb.Graph):
     ecc = eb.eccentricity_profile(tree).ecc
     want = line_ecc_oracle(tree)
@@ -583,6 +618,38 @@ def _record_discoveries(mp) -> list:
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_replays_on_the_shared_arrays_equal_the_oracle(name, monkeypatch):
+    # every replay of one grower reuses its root/parent pair and must give
+    # the path replay_path_oracle gives on a copy of that step's distances
+    certify_module = sys.modules["eccbounds.certify"]
+    grow, replay = certify_module._grow, certify_module._replay_path
+    replays, grown = [], []
+
+    def checked_replay(g, dist, target, *arrays):
+        want = replay_path_oracle(g, list(dist), target)
+        replays.append(arrays)
+        assert replay(g, dist, target, *arrays) == want
+        return want
+
+    def checked_grow(g, first, pick):
+        replays.clear()
+        groups, connectors, dist = grow(g, first, pick)
+        assert len(replays) == len(groups) - 1 == len(connectors)
+        assert len({tuple(map(id, arrays)) for arrays in replays}) <= 1
+        assert all(len(arrays) == 2 and all(len(array) == g.n for array in arrays)
+                   for arrays in replays)
+        grown.append(len(replays))
+        return groups, connectors, dist
+
+    monkeypatch.setattr(certify_module, "_replay_path", checked_replay)
+    monkeypatch.setattr(certify_module, "_grow", checked_grow)
+    g = INSTANCES[name]()
+    for use_max_degree in (False, True):
+        certify(g, use_max_degree=use_max_degree)
+    assert len(grown) == 2
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_pipeline_connectors_obey_the_stitching_proof(name, monkeypatch):
     # each claim of the proof in _grow's docstring, on every connector, and
     # each tree as the assembly through Graph.from_edges gives it
@@ -619,12 +686,8 @@ def test_pipeline_power_contains_the_connector_tree(name, monkeypatch):
     for use_max_degree in (False, True):
         cert = certify(g, use_max_degree=use_max_degree)
         gi, root = cert.girth_value, cert.assignment
-        if gi % 2:
-            groups, host, anchors = [(a,) for a in cert.members], cert.tree, cert.members
-        else:
-            line_id = {e: i for i, e in enumerate(cert.tree.edges)}
-            groups, host = list(cert.members), cert.line
-            anchors = [line_id[e] for e in cert.members]
+        groups = [(a,) for a in cert.members] if gi % 2 else list(cert.members)
+        host, anchors = _power_host(cert)
         anchor_of = {x: i for i, group in enumerate(groups) for x in group}
         power = _contracted_power(host, anchors, gi)
         t = gi if gi % 2 else gi - 1

@@ -429,7 +429,8 @@ def test_anchor_builders_replay_no_discovery_path(monkeypatch):
     replayed = []
     real = certify_module._replay_path
     monkeypatch.setattr(certify_module, "_replay_path",
-                        lambda g, dist, target: replayed.append(target) or real(g, dist, target))
+                        lambda g, dist, target, *args:
+                        replayed.append(target) or real(g, dist, target, *args))
     for gi in (5, 6):
         g = _generated(gi)
         anchors = (eb.build_packing if gi % 2 else eb.build_spaced_matching)(g, gi)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import eccbounds as eb
 from conftest import field_tables_oracle, random_min_degree_girth_oracle
-from eccbounds.generators import _field_tables
+from eccbounds.generators import _below, _field_tables
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,26 @@ def test_random_forced_k33():
         assert isinstance(out, eb.Graph)
         assert out.m == 9 and eb.girth(out) == 4
         assert out.min_degree() == out.max_degree() == 3
+
+
+# 1, 2, 3 and 2^k - 1, 2^k, 2^k + 1: the sizes where the bit count and the
+# share of redrawn values change
+DRAW_SIZES = [1, 2, 3] + [2 ** k + e for k in (2, 3, 4, 7, 8, 16, 31, 32, 33, 62) for e in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("stdlib", ["randrange", "choice"])
+def test_below_draws_what_the_stdlib_draws(stdlib):
+    # draw for draw from one stream, the sizes mixed, on integer seeds and on
+    # the generator's "seed:restart" strings; the streams end in one state
+    seeds = [*range(60), *(f"{s}:{r}" for s in (0, 1, 1_000_003, 77) for r in range(10))]
+    for seed in seeds:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draw = theirs.randrange if stdlib == "randrange" else (
+            lambda size: theirs.choice(range(size)))
+        sizes = DRAW_SIZES * 3
+        random.Random(repr(seed)).shuffle(sizes)
+        assert [_below(ours.getrandbits, size) for size in sizes] == [draw(size) for size in sizes]
+        assert ours.getstate() == theirs.getstate()
 
 
 @settings(max_examples=150, deadline=None)

@@ -184,11 +184,23 @@ def cycle_with_pendant(n: int) -> eb.Graph:
     return eb.Graph.from_edges(n + 1, [(v, (v + 1) % n) for v in range(n)] + [(n // 2, n)])
 
 
-@pytest.mark.parametrize("g", [cycle_with_pendant(64), cycle_with_pendant(200),
-                               chorded_cycle(800, 40, seed=4)],
-                         ids=["C64-pendant", "C200-pendant", "C800-40-chords-s4"])
+@pytest.mark.parametrize("g", [cycle_with_pendant(34), cycle_with_pendant(64),
+                               cycle_with_pendant(200)],
+                         ids=["C34-pendant", "C64-pendant", "C200-pendant"])
+def test_cycles_with_a_pendant_give_up_after_two_runs(g, monkeypatch):
+    # the eccentricities are e0 and e0 - 1, every run finds one of them and
+    # two runs close 3 vertices, so bounding gives up after two runs
+    first = bfs_distances(g, 0)
+    assert max(first) > _BOUNDED_MIN_RUNS
+    assert {max(first) - 1, max(first)} == set(ecc_oracle(g))
+    assert _bounding_runs(g, first, monkeypatch) == 2
+    taken = _kernels_taken(g, ecc_oracle(g), monkeypatch)
+    assert taken == ["_bounded_eccentricities", "_bitset_eccentricities"]
+
+
+@pytest.mark.parametrize("g", [chorded_cycle(800, 40, seed=4)], ids=["C800-40-chords-s4"])
 def test_uneven_cycles_give_up_at_the_run_cap(g, monkeypatch):
-    # a run finds an eccentricity other than e0, so the bounds run to the cap
+    # a run finds an eccentricity more than one off e0, so the bounds run to the cap
     first = bfs_distances(g, 0)
     e0 = max(first)
     assert e0 > _BOUNDED_MIN_RUNS
