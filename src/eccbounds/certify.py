@@ -34,11 +34,11 @@ from itertools import chain
 
 from .bounds import (
     BoundId,
-    GraphParams,
     Measured,
     bound_thm_girth,
     maxdeg_bound_value,
     maxdeg_constants,
+    measure,
     moore_order,
 )
 # bfs_distances stays importable from here: the benchmark's tracer
@@ -46,7 +46,6 @@ from .bounds import (
 from .graph import bfs_distances  # noqa: F401
 from .graph import (
     UNREACHABLE,
-    EccentricityProfile,
     Graph,
     eccentricity_profile,
     girth,
@@ -184,10 +183,10 @@ def _deterministic_cells(g: Graph, dist: list[int], order, root=None,
     vertices at distance 0), over ``order``: ascending in ``dist``, it holds
     every neighbour one closer of each of its vertices.
 
-    Each vertex of ``order`` gets a root (its nearest source) and a parent on
-    a shortest path toward that root (-1 at a source) in ``root`` and
+    Each vertex of ``order`` gets a root (its nearest source) in ``root``
+    and, unless a source, a parent on a shortest path toward that root in
     ``parent``: new lists of -1, or the caller's to reuse, since a pass reads
-    only entries it wrote.  Ties go to the lowest-id root, then the lowest-id
+    only roots it wrote.  Ties go to the lowest-id root, then the lowest-id
     parent, so repeated runs agree byte for byte.
     """
     if root is None:
@@ -195,7 +194,6 @@ def _deterministic_cells(g: Graph, dist: list[int], order, root=None,
     for v in order:
         if dist[v] == 0:
             root[v] = v
-            parent[v] = -1
             continue
         target = dist[v] - 1
         best_root = -1
@@ -234,7 +232,8 @@ def _replay_path(g: Graph, dist: list[int], target: int, root=None,
     Only the shortest-path DAG below ``target`` is walked, layer by layer
     toward the sources, so long paths need no recursion.  The DAG holds
     every shortest path from its vertices to the sources, so the parents
-    drawn over it are those drawn over the whole graph.
+    drawn over it are those drawn over the whole graph.  The walk takes
+    ``dist[target]`` steps, so it reads no source's parent.
     """
     adj = g.adj
     layers = [[target]]
@@ -250,50 +249,10 @@ def _replay_path(g: Graph, dist: list[int], target: int, root=None,
     parent = _deterministic_cells(g, dist, chain.from_iterable(reversed(layers)),
                                   root, parent)[1]
     path = [target]
-    while (v := parent[path[-1]]) != -1:
-        path.append(v)
+    for _ in range(dist[target]):
+        path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.up = {x: x for x in items}
-
-    def find(self, x):
-        while self.up[x] != x:
-            self.up[x] = self.up[self.up[x]]
-            x = self.up[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.up[rb] = ra
-        return True
-
-
-def _fallback_connectors(g: Graph, cell_of: list[int], depth: list[int],
-                         cells: list) -> list[tuple[int, int]]:
-    """Spanning tree of the cell-quotient graph out of direct edges of ``g``,
-    preferring shallow attachment points (deterministic Kruskal)."""
-    best: dict[tuple, tuple] = {}
-    for x, y in g.edges:  # x < y
-        cx, cy = cell_of[x], cell_of[y]
-        if cx == cy:
-            continue
-        key = (cx, cy) if cx <= cy else (cy, cx)
-        cand = (depth[x] + depth[y], x, y)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    uf = _UnionFind(cells)
-    chosen = []
-    for key in sorted(best, key=lambda k: best[k]):
-        _, a, b = best[key]
-        if uf.union(key[0], key[1]):
-            chosen.append((a, b))
-    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +271,23 @@ def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
     Returns ``(groups, connectors, dist)``: one connector per anchor after
     the first, and every vertex's distance to all the anchors' vertices.
     With ``replay`` false no path is replayed and ``connectors`` stays
-    empty, for the anchor builders that return the groups alone.
+    empty, for the anchor builders that return the groups alone.  The
+    replays share one ``root`` and ``parent`` pair, so each costs the size
+    of its shortest-path DAG, not ``n``.
 
-    Every caller hands in anchors that touch no earlier one, so a discovery
-    path has length ``t >= 1`` and a middle edge: the packing rule picks
-    vertices ``girth_value >= 1`` away, the matching rule edges
-    ``girth_value - 1 >= 1`` away, and ``build_spanning_tree_from_packing``
-    rejects repeated members.  The replays share one ``root`` and ``parent``
-    pair, so each costs the size of its shortest-path DAG, not ``n``.
-
-    On the pipeline's path these connectors stitch the final cells into a
-    tree.  Let ``S`` be the earlier anchors' vertices and ``N`` the new
-    anchor's.  Its path has length ``t = 2h + 1``: ``t = g`` for a packing
-    member (odd girth ``g``), ``t = g - 1`` for a matching edge (even ``g``).
-    Its middle edge ``xy`` (``x = path[h]``, ``y = path[h + 1]``) lies on a
-    shortest path from ``S``, so ``d(x, S) = h`` and ``d(y, S) = h + 1``.
-    Every vertex of ``N`` is at least ``t`` from ``S`` (a matching edge's
-    other end is no closer than its target), so by the triangle inequality
-    ``d(y, N) >= h`` and ``d(x, N) >= h + 1``, and the path attains both.
-    Every later anchor vertex ``z`` is at least ``t`` from ``S`` and from
+    Every replaying caller hands in anchors at an odd distance ``t = 2h + 1``
+    from the anchors before them, and ``t`` never falls: ``t = g`` for a
+    packing member (odd girth ``g``), ``t = g - 1`` for a matching edge
+    (even ``g``), and ``build_spanning_tree_from_packing`` rejects members
+    that break either rule.  Then the connectors stitch the final cells into
+    a tree.  Let ``S`` be the earlier anchors' vertices and ``N`` the new
+    anchor's, whose discovery path has length ``t``.  Its middle edge ``xy``
+    (``x = path[h]``, ``y = path[h + 1]``) lies on a shortest path from
+    ``S``, so ``d(x, S) = h`` and ``d(y, S) = h + 1``.  Every vertex of ``N``
+    is at least ``t`` from ``S`` (a matching edge's other end is no closer
+    than its target), so by the triangle inequality ``d(y, N) >= h`` and
+    ``d(x, N) >= h + 1``, and the path attains both.  As ``t`` never falls,
+    every later anchor vertex ``z`` is at least ``t`` from ``S`` and from
     ``N``, so ``d(z, x) >= t - h = h + 1`` and ``d(z, y) >= h + 1``.  In the
     final distances ``x`` is therefore strictly nearer to ``S`` than to any
     other anchor vertex, and ``y`` to ``N``, so nearest-anchor (Voronoi)
@@ -440,41 +397,22 @@ def build_spaced_matching(g: Graph, girth_value: int,
 # ---------------------------------------------------------------------------
 # distance-preserving spanning tree and cell weights
 
-def _anchor_tree(g: Graph, groups, connectors, dist):
+def _anchor_tree(g: Graph, groups, connectors, dist, order):
     """Spanning tree preserving every vertex's distance to the anchors.
 
-    ``groups``, ``connectors`` and ``dist`` are what :func:`_grow` returned:
-    each anchor's vertices in discovery order (``(a,)`` per packing member,
-    ``(u, v)`` per matching edge, whose edge joins the tree), the recorded
-    connectors and every vertex's distance to the anchors.  Cells, labelled
-    by anchor index, come from :func:`_deterministic_cells` over every vertex
-    sorted by ``dist``, the rule the replay follows; the connectors join
-    them, or a quotient-graph spanning tree when they do not stitch the
-    cells into a tree.
-
-    On the pipeline's anchors they always do: the ``i``-th connector joins
-    cell ``i`` to a cell below ``i`` (the proof is in :func:`_grow`), so in
-    discovery order each union takes in a cell not yet joined, the
-    union-find check passes and the fallback is never taken.  The check and
-    the fallback serve :func:`build_spanning_tree_from_packing`, whose
-    arbitrary members give no such spacing.  Spanning shape and distance
-    preservation are verified, not assumed.
+    ``groups``, ``connectors`` and ``dist`` are what :func:`_grow` returned
+    (``(a,)`` per packing member, ``(u, v)`` per matching edge, whose edge
+    joins the tree), and ``order`` is every vertex sorted by ``dist``.  The
+    cells come from :func:`_deterministic_cells` over ``order``, the rule the
+    replay follows, and connector ``i`` joins cell ``i`` to a cell below it
+    (the proof is in :func:`_grow`).  :func:`_verify_tree` checks the tree.
 
     Returns ``(tree, parent, assignment, connectors, vertices)``: tree
     parents toward the cell roots (-1 on anchor vertices), cell roots and
     the sorted anchor vertices.
     """
     vertices = sorted({x for group in groups for x in group})
-    root, parent = _deterministic_cells(g, dist, sorted(range(g.n), key=dist.__getitem__))
-    anchor_of = {x: i for i, group in enumerate(groups) for x in group}
-    cell_of = [anchor_of[root[v]] for v in range(g.n)]
-    cells = range(len(groups))
-
-    uf = _UnionFind(cells)
-    stitched = all(
-        cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y]) for x, y in connectors)
-    if not stitched:
-        connectors = _fallback_connectors(g, cell_of, dist, cells)
+    root, parent = _deterministic_cells(g, dist, order)
 
     # parent edges, matching edges and connectors, each listed once at both
     # ends; a missing or repeated one leaves n - 1 edges short or
@@ -498,24 +436,41 @@ def build_spanning_tree_from_packing(
     g: Graph, members
 ) -> tuple[Graph, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Spanning tree preserving every vertex's distance to the packing:
-    ``(tree, parent, assignment, connectors)`` of :func:`_anchor_tree`."""
+    ``(tree, parent, assignment, connectors)`` of :func:`_anchor_tree`.
+    Each member after the first must lie at an odd distance from those
+    before it that never falls, the hypothesis of the proof in
+    :func:`_grow`, or ``ValueError`` names it."""
     members = list(members)
     if not members or len(set(members)) != len(members):
         raise ValueError("packing must be a nonempty list of distinct vertices")
-    groups = [(a,) for a in members]
-    rest = iter(groups[1:])
-    return _anchor_tree(g, *_grow(g, groups[0], lambda dist: next(rest, None)))[:4]
+    if bad := [a for a in members if not 0 <= a < g.n]:
+        raise ValueError(f"member {bad[0]} out of range")
+    rest, t = iter(members[1:]), 1
+
+    def pick(dist):
+        nonlocal t
+        if (a := next(rest, None)) is None:
+            return None
+        if dist[a] % 2 == 0 or dist[a] < t:
+            raise ValueError(f"member {a} lies at distance {dist[a]} from the members "
+                             f"before it: the proof needs an odd distance of at least {t}")
+        t = dist[a]
+        return (a,)
+
+    groups, connectors, dist = _grow(g, (members[0],), pick)
+    return _anchor_tree(g, groups, connectors, dist,
+                        sorted(range(g.n), key=dist.__getitem__))[:4]
 
 
 def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g) -> None:
     """Raise unless ``tree`` spans ``g`` and keeps ``dist_in_g``, the
-    distances to ``anchor_vertices``."""
+    distances to ``anchor_vertices``; it must be connected from one vertex,
+    as the anchors reach all of a forest with an anchor in each part."""
     if tree.m != g.n - 1:
         raise RuntimeError("construction invariant violated: not a spanning tree")
-    td = multi_source_distances(tree, anchor_vertices)
-    if -1 in td:
+    if not is_connected(tree):
         raise RuntimeError("construction invariant violated: tree is disconnected")
-    if td != dist_in_g:
+    if multi_source_distances(tree, anchor_vertices) != dist_in_g:
         raise RuntimeError("construction invariant violated: distances to the "
                            "anchor set are not preserved")
 
@@ -575,13 +530,10 @@ def certify(g: Graph | Measured,
     :class:`Measured` graph is not measured again.  A forest raises
     :class:`NotCertifiableError` before anything else is checked.
     """
-    if isinstance(g, Measured):
-        g, gi, profile = g.graph, g.params.g, g.profile
-    elif (gi := girth(g)) is not None:  # a forest is rejected before its profile
-        profile = eccentricity_profile(g)  # raises on disconnected input
-    if gi is None:
+    gi = g.params.g if isinstance(g, Measured) else girth(g)
+    if gi is None:  # a forest is rejected before its profile, which raises if disconnected
         raise NotCertifiableError("graph is acyclic: nothing to certify")
-    return _certify(g, gi, profile, use_max_degree)
+    return _certify(g if isinstance(g, Measured) else measure(g, gi), use_max_degree)
 
 
 def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
@@ -591,7 +543,7 @@ def certify_odd(g: Graph, use_max_degree: bool = False) -> PackingCertificate:
     and the sharper bound (constants K1, K2) is certified; otherwise the
     packing starts at vertex 0 and the uniform bound (constant K) is used.
     """
-    return _certify(g, girth(g), eccentricity_profile(g), use_max_degree, want_odd=True)
+    return _certify(measure(g), use_max_degree, want_odd=True)
 
 
 def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
@@ -601,23 +553,23 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
     maximum-degree vertex and the sharper bound (constants L1, L2) is
     certified; otherwise the uniform bound (constant L) is used.
     """
-    return _certify(g, girth(g), eccentricity_profile(g), use_max_degree, want_odd=False)
+    return _certify(measure(g), use_max_degree, want_odd=False)
 
 
-def _certify(g: Graph, gi: int, profile: EccentricityProfile,
-             use_max_degree: bool, want_odd: bool | None = None):
+def _certify(measured: Measured, use_max_degree: bool, want_odd: bool | None = None):
     """The pipeline of both girth bounds, branching on the girth's parity only
     for the anchors, the host of the contracted power and the certificate
-    class.  ``profile`` is ``g``'s, so ``g`` is connected; ``want_odd``
-    rejects a girth of the other parity."""
-    delta, Delta = g.min_degree(), g.max_degree()
+    class.  ``measured`` carries the graph's profile, so it is connected,
+    and the parameters every step reads; ``want_odd`` rejects a girth of the
+    other parity."""
+    g, profile, params = measured.graph, measured.profile, measured.params
+    n, delta, Delta, gi = params
     if delta < 3:
         raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")
     odd = gi % 2 == 1
     parity = "odd" if odd else "even"
     if want_odd is not None and want_odd != odd:
         raise ValueError(f"girth {gi} is {parity}; use certify_{parity}")
-    n = g.n
 
     # anchors: members spaced g apart (odd), or edges spaced g - 1 apart (even)
     hub = min(v for v in range(n) if g.degree(v) == Delta) if use_max_degree else None
@@ -628,7 +580,8 @@ def _certify(g: Graph, gi: int, profile: EccentricityProfile,
         e1 = g.edges[0] if hub is None else min(tuple(sorted((hub, w))) for w in g.adj[hub])
         groups, connectors, msd = _grow(g, e1, _spaced_edge(g, gi))
         members = groups
-    tree, _, assignment, connectors, vertices = _anchor_tree(g, groups, connectors, msd)
+    order = sorted(range(n), key=msd.__getitem__)
+    tree, _, assignment, connectors, vertices = _anchor_tree(g, groups, connectors, msd, order)
     c = weight_function(vertices, assignment)
     weights = [sum(c[x] for x in group) for group in groups]  # c, or cbar on edges
 
@@ -644,7 +597,7 @@ def _certify(g: Graph, gi: int, profile: EccentricityProfile,
         final_bound = maxdeg_bound_value(n, gi, c1, c2)
         bound_id = BoundId.THM_GIRTH_MAXDEG_ODD if odd else BoundId.THM_GIRTH_MAXDEG_EVEN
     else:
-        plain = bound_thm_girth(GraphParams(n=n, delta=delta, Delta=Delta, g=gi))
+        plain = bound_thm_girth(params)
         constants, excess = plain.constants, 0  # K or L
         nprime = Fraction(n, unit)
         power_bound = Fraction(3 * math.ceil(nprime), 4) - Fraction(1, 2)
@@ -695,7 +648,8 @@ def _certify(g: Graph, gi: int, profile: EccentricityProfile,
         chain["avecCbar_L"] = avec_host
     chain.update({power_key: avec_power, "Nprime": nprime, "finalBound": final_bound})
 
-    checks = _checks(g, groups, msd, assignment, c, weights, gi, unit, excess, tree, use_max_degree)
+    checks = _checks(g, groups, msd, order, assignment, c, weights, gi, unit, excess, tree,
+                     use_max_degree)
     common = dict(tree=tree, connector_edges=connectors,
                   assignment=assignment, use_max_degree=use_max_degree, girth_value=gi,
                   constants=constants, chain=chain, steps=tuple(steps), checks=checks,
@@ -713,10 +667,11 @@ def _certify(g: Graph, gi: int, profile: EccentricityProfile,
 # ---------------------------------------------------------------------------
 # structural checks: the packing and the matching lemmas as one rule
 
-def _spacing_and_assignment(g: Graph, groups, msd: list[int], assignment) -> tuple[float, bool]:
+def _spacing_and_assignment(g: Graph, groups, msd, order, assignment) -> tuple[float, bool]:
     """The least distance between two anchor groups (``inf`` for one), and
     whether each ``v`` is assigned to a source (a group's vertex) at distance
-    ``msd[v]``, from one pass by ``msd``, the sources' distances in ``g``.
+    ``msd[v]``, from one pass over ``order``, every vertex sorted by
+    ``msd``, the sources' distances in ``g``.
     ``near[v]`` ORs the nearest-source bits of the neighbours one closer and
     ``label[v]`` takes one's group.  A shortest path between the closest two
     groups crosses an edge ``xy`` whose labels differ, and each such edge
@@ -727,7 +682,7 @@ def _spacing_and_assignment(g: Graph, groups, msd: list[int], assignment) -> tup
             if label[x] != -1:
                 spacing = 0
             label[x], near[x] = i, 1 << x
-    for v in sorted(range(g.n), key=msd.__getitem__):
+    for v in order:
         if d := msd[v]:
             for u in g.adj[v]:
                 if msd[u] == d - 1:
@@ -739,20 +694,22 @@ def _spacing_and_assignment(g: Graph, groups, msd: list[int], assignment) -> tup
     return spacing, all(near[v] >> a & 1 for v, a in enumerate(assignment))
 
 
-def _checks(g, groups, msd, assignment, c, weights, gi, unit, excess, tree, use_max_degree):
+def _checks(g, groups, msd, order, assignment, c, weights, gi, unit, excess, tree,
+            use_max_degree):
     """Structural checks of either certificate, ``g`` connected: the packing
     lemma on one-member ``groups`` (odd girth), the matching lemma on edges.
     ``c`` gives each anchor vertex's cell size and ``weights`` each anchor's
     weight; ``msd`` is every vertex's distance to the anchor vertices in
-    ``g``, and ``tree`` passed :func:`_verify_tree`, so it spans ``g`` and
-    keeps ``msd``; its contracted power passed :func:`_certify`'s
-    connectivity check.  Both lemmas are one weight rule: every anchor
-    weighs at least ``unit`` (K, L, K1 or 2*L1), the hub's (the first) at
-    least ``unit + excess`` (K2 - K1 or L2 - L1 under the max-degree
-    variant, else 0), so there are at most ``(n - excess) / unit`` anchors.
+    ``g``, ``order`` every vertex sorted by ``msd``, and ``tree`` passed
+    :func:`_verify_tree`, so it spans ``g`` and keeps ``msd``; its
+    contracted power passed :func:`_certify`'s connectivity check.  Both
+    lemmas are one weight rule: every anchor weighs at least ``unit`` (K, L,
+    K1 or 2*L1), the hub's (the first) at least ``unit + excess`` (K2 - K1
+    or L2 - L1 under the max-degree variant, else 0), so there are at most
+    ``(n - excess) / unit`` anchors.
     """
     n, odd, size = g.n, len(groups[0]) == 1, len(groups)
-    spacing, assign_ok = _spacing_and_assignment(g, groups, msd, assignment)
+    spacing, assign_ok = _spacing_and_assignment(g, groups, msd, order, assignment)
     total, hub_ok = sum(c.values()), weights[0] >= unit + excess
     if odd:  # members g apart, every vertex within g - 1
         coverage_ok, conserve_ok = max(msd) <= gi - 1, total == n

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bounds import UPPER_BOUND_IDS, evaluate_all, measure
-from .certify import NotCertifiableError, _UnionFind, certify
+from .certify import NotCertifiableError, certify
 # certify_odd and certify_even stay importable from here: the benchmark's
 # tracer (perfbench/spans.py) looks both names up in this module
 from .certify import certify_even, certify_odd  # noqa: F401
@@ -42,6 +42,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.up = {x: x for x in items}
+
+    def find(self, x):
+        while self.up[x] != x:
+            self.up[x] = self.up[self.up[x]]
+            x = self.up[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.up[rb] = ra
+        return True
 
 
 def _read_graph(path: str, certifying: bool = False) -> Graph:

@@ -265,8 +265,6 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from ``source``; unreachable vertices get ``UNREACHABLE``."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
     return multi_source_distances(g, (source,))
 
 
@@ -275,6 +273,8 @@ def multi_source_distances(g: Graph, sources) -> list[int]:
     order = sorted(set(sources))  # also the BFS queue: the loop reads what it appends
     if not order:
         raise ValueError("sources must be nonempty")
+    if (s := order[0]) < 0 or (s := order[-1]) >= g.n:
+        raise ValueError(f"source {s} out of range")
     dist = [UNREACHABLE] * g.n
     for s in order:
         dist[s] = 0

@@ -15,12 +15,8 @@ import pytest
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams
-from eccbounds.certify import (
-    StructuralCheck,
-    _fallback_connectors,
-    _UnionFind,
-    _verify_tree,
-)
+from eccbounds.certify import StructuralCheck, _verify_tree
+from eccbounds.cli import _UnionFind
 from eccbounds.extremal import ChainSpec
 
 
@@ -515,9 +511,33 @@ def prefix_connectors_oracle(g: eb.Graph, groups):
     return connectors
 
 
+def _fallback_connectors(g: eb.Graph, cell_of: list[int], depth: list[int],
+                         cells) -> list[tuple[int, int]]:
+    """Spanning tree of the cell-quotient graph out of direct edges of ``g``,
+    preferring shallow attachment points (deterministic Kruskal)."""
+    best: dict[tuple, tuple] = {}
+    for x, y in g.edges:  # x < y
+        cx, cy = cell_of[x], cell_of[y]
+        if cx == cy:
+            continue
+        key = (cx, cy) if cx <= cy else (cy, cx)
+        cand = (depth[x] + depth[y], x, y)
+        if key not in best or cand < best[key]:
+            best[key] = cand
+    uf = _UnionFind(cells)
+    chosen = []
+    for key in sorted(best, key=lambda k: best[k]):
+        _, a, b = best[key]
+        if uf.union(key[0], key[1]):
+            chosen.append((a, b))
+    return chosen
+
+
 def _stitched_tree(g, anchors, cells, cell_of, dist, parent, connectors, extra_edges=()):
     """Parent edges, anchor edges and replayed connectors, or the Kruskal
-    fallback when the connectors do not form a quotient spanning tree."""
+    fallback when the connectors do not form a quotient spanning tree.  The
+    library keeps no fallback: where this one falls back, ``_anchor_tree``
+    fails its verification."""
     uf = _UnionFind(cells)
     if not (connectors is not None and len(connectors) == len(cells) - 1
             and all(cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y])
@@ -541,6 +561,20 @@ def anchor_tree_oracle(g: eb.Graph, groups, connectors, dist):
     tree, connectors = _stitched_tree(g, vertices, range(len(groups)), cell_of, dist, parent,
                                       connectors, [group for group in groups if len(group) == 2])
     return tree, tuple(parent), tuple(root), connectors, vertices
+
+
+def packing_hypothesis_breach_oracle(g: eb.Graph, members):
+    """The first of the distinct ``members`` that is not at an odd distance
+    from the members before it, or at less than the member before it was,
+    each distance from a fresh multi-source BFS; ``None`` when every member
+    meets that hypothesis of the proof in ``certify._grow``."""
+    last = 1
+    for i in range(1, len(members)):
+        t = eb.multi_source_distances(g, members[:i])[members[i]]
+        if t % 2 == 0 or t < last:
+            return members[i]
+        last = t
+    return None
 
 
 def packing_tree_oracle(g: eb.Graph, members):

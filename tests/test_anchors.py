@@ -36,6 +36,7 @@ from conftest import (
     matching_tree_oracle,
     moore_order_oracle,
     packing_checks_oracle,
+    packing_hypothesis_breach_oracle,
     packing_tree_oracle,
     prefix_connectors_oracle,
     random_connected,
@@ -74,11 +75,16 @@ def _replayed(g: eb.Graph, groups):
     return _grown(g, groups)[1]
 
 
+def _by_dist(dist):
+    """Every vertex sorted by ``dist``, the order ``_anchor_tree`` takes."""
+    return sorted(range(len(dist)), key=dist.__getitem__)
+
+
 def _tree(g: eb.Graph, groups):
     """``_anchor_tree`` on what the grower returns, followed by the grower's
     distances to the anchors, as ``matching_tree_oracle`` returns them."""
     grown = _grown(g, groups)
-    return (*_anchor_tree(g, *grown), grown[2])
+    return (*_anchor_tree(g, *grown, _by_dist(grown[2])), grown[2])
 
 
 def _unit_and_excess(constants, use_max_degree, odd):
@@ -96,7 +102,8 @@ def _checks_on_packing(case):
     weight ``c(a)`` per member, the members' distances in ``g``, and K (or
     K1 and K2 - K1) as unit and excess."""
     g, members, assignment, c, gi, constants, tree, use_max_degree = case
-    return _checks(g, [(a,) for a in members], eb.multi_source_distances(g, members),
+    msd = eb.multi_source_distances(g, members)
+    return _checks(g, [(a,) for a in members], msd, _by_dist(msd),
                    assignment, c, [c[a] for a in members], gi,
                    *_unit_and_excess(constants, use_max_degree, odd=True),
                    tree, use_max_degree)
@@ -108,7 +115,7 @@ def _checks_on_matching(case):
     excess; ``c``'s keys are the matched vertices ``vm``."""
     g, members, vm, msd, assignment, c, cbar, gi, constants, tree, use_max_degree = case
     assert list(c) == list(vm)
-    return _checks(g, members, msd, assignment, c, [cbar[e] for e in members], gi,
+    return _checks(g, members, msd, _by_dist(msd), assignment, c, [cbar[e] for e in members], gi,
                    *_unit_and_excess(constants, use_max_degree, odd=False),
                    tree, use_max_degree)
 
@@ -134,43 +141,68 @@ def _fell_back(g, groups, connectors) -> bool:
     return tuple(prefix_connectors_oracle(g, groups) or ()) != connectors
 
 
+def _packing_tree_or_breach(g: eb.Graph, members) -> bool:
+    """Whether ``members`` meet the hypothesis of the proof in
+    ``certify._grow``: then the public builder gives the oracle's tree,
+    stitched by the replayed connectors; else it names the first member
+    that breaks it in a ``ValueError``."""
+    breach = packing_hypothesis_breach_oracle(g, members)
+    if breach is not None:
+        with pytest.raises(ValueError, match=f"^member {breach} lies at distance "):
+            eb.build_spanning_tree_from_packing(g, members)
+        return False
+    got = eb.build_spanning_tree_from_packing(g, members)
+    assert got == packing_tree_oracle(g, members)
+    assert not _fell_back(g, [(a,) for a in members], got[3])
+    return True
+
+
+def _tree_or_unstitched(g: eb.Graph, groups, oracle) -> bool:
+    """Whether the replayed connectors stitch the cells of ``groups``: then
+    ``_tree`` gives ``oracle``'s tree; else the oracle falls back, and
+    ``_anchor_tree``, which has no fallback, fails its verification."""
+    if _fell_back(g, groups, oracle[3]):
+        with pytest.raises(RuntimeError, match="^construction invariant violated: "):
+            _tree(g, groups)
+        return False
+    assert _tree(g, groups)[:len(oracle)] == oracle
+    return True
+
+
 # ---------------------------------------------------------------------------
 # tree builders against the per-prefix replay
 
 def test_packing_tree_matches_prefix_replay_oracle():
     rng = random.Random(1928)
-    fallbacks = 0
+    built = 0
     trials = 400
     for _ in range(trials):
         g = _random_graph(rng)
         members = rng.sample(range(g.n), rng.randint(1, min(8, g.n)))
-        got = eb.build_spanning_tree_from_packing(g, members)
-        assert got == packing_tree_oracle(g, members)
-        fallbacks += _fell_back(g, [(a,) for a in members], got[3])
-    # the Kruskal fallback must be exercised, not only the replayed connectors
-    assert trials // 5 < fallbacks < trials - trials // 5
+        built += _packing_tree_or_breach(g, members)
+    # both the trees and the rejections must be exercised
+    assert trials // 5 < built < trials - trials // 5
 
 
 def test_matching_tree_matches_prefix_replay_oracle():
     rng = random.Random(871)
-    fallbacks = 0
+    stitched = 0
     trials = 300
     for _ in range(trials):
         g = _random_graph(rng)
         members = _random_matching(rng, g)
-        got = _tree(g, members)
-        assert got == matching_tree_oracle(g, members)
-        fallbacks += _fell_back(g, members, got[3])
-    assert 0 < fallbacks < trials
+        stitched += _tree_or_unstitched(g, members, matching_tree_oracle(g, members))
+    assert 0 < stitched < trials
 
 
 def test_packings_and_matchings_of_the_pipeline_match_oracles():
+    # a packing spaced at an even distance breaks the hypothesis
     rng = random.Random(5)
     for _ in range(40):
         g = _random_graph(rng, 6, 60)
         for gv in (3, 4, 5, 6, 7):
             A = eb.build_packing(g, gv, start=rng.randrange(g.n))
-            assert eb.build_spanning_tree_from_packing(g, A) == packing_tree_oracle(g, A)
+            assert _packing_tree_or_breach(g, A) == (gv % 2 == 1 or len(A) == 1)
             M = eb.build_spaced_matching(g, gv)
             assert M == spaced_matching_oracle(g, gv)
             assert _tree(g, M) == matching_tree_oracle(g, M)
@@ -186,9 +218,10 @@ def test_replay_at_chain_distances():
 
 def test_anchor_tree_matches_from_edges_oracle_on_arbitrary_members():
     # the tree built from its parents against the assembly through
-    # Graph.from_edges, on the replayed connectors and the Kruskal fallback
+    # Graph.from_edges where the replayed connectors stitch the cells; where
+    # they do not, the oracle falls back and the library raises
     rng = random.Random(3141)
-    fallbacks = 0
+    stitched = 0
     trials = 300
     for _ in range(trials):
         g = _random_graph(rng)
@@ -196,11 +229,8 @@ def test_anchor_tree_matches_from_edges_oracle_on_arbitrary_members():
             groups = [(a,) for a in rng.sample(range(g.n), rng.randint(1, min(8, g.n)))]
         else:
             groups = _random_matching(rng, g)
-        grown = _grown(g, groups)
-        got = _anchor_tree(g, *grown)
-        assert got == anchor_tree_oracle(g, *grown)
-        fallbacks += _fell_back(g, groups, got[3])
-    assert trials // 5 < fallbacks < trials - trials // 5
+        stitched += _tree_or_unstitched(g, groups, anchor_tree_oracle(g, *_grown(g, groups)))
+    assert trials // 5 < stitched < trials - trials // 5
 
 
 def _checked_anchor_tree(mp) -> list:
@@ -209,8 +239,8 @@ def _checked_anchor_tree(mp) -> list:
     certify_module = sys.modules["eccbounds.certify"]
     real, built = certify_module._anchor_tree, []
 
-    def checked(g, groups, connectors, dist):
-        got = real(g, groups, connectors, dist)
+    def checked(g, groups, connectors, dist, order):
+        got = real(g, groups, connectors, dist, order)
         assert got == anchor_tree_oracle(g, groups, connectors, dist)
         built.append(got)
         return got
@@ -251,14 +281,11 @@ def _drop_a_parent_edge(mp):
 def test_anchor_tree_rejects_a_repeated_or_missing_edge(repeat, drop, message, monkeypatch):
     g, (groups, connectors, dist) = _chain_packing()
     if repeat:
-        # a repeated connector fails the stitching check; the fallback repeats it too
         connectors = connectors + connectors[:1]
-        monkeypatch.setattr(sys.modules["eccbounds.certify"], "_fallback_connectors",
-                            lambda *args: connectors)
     if drop:
         _drop_a_parent_edge(monkeypatch)
     with pytest.raises(RuntimeError, match=f"construction invariant violated: {message}"):
-        _anchor_tree(g, groups, connectors, dist)
+        _anchor_tree(g, groups, connectors, dist, _by_dist(dist))
 
 
 def test_packing_tree_rejects_empty_or_repeated_members():
@@ -283,8 +310,17 @@ K4 = eb.complete_graph(4)
     (lambda: _verify_tree(K4, eb.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]), [0],
                           eb.bfs_distances(K4, 0)),
      RuntimeError, "construction invariant violated: tree is disconnected"),
+    # a triangle and vertex 3, each with an anchor and every distance kept
+    (lambda: _verify_tree(K4, eb.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]), [0, 3],
+                          eb.multi_source_distances(K4, [0, 3])),
+     RuntimeError, "construction invariant violated: tree is disconnected"),
+    (lambda: eb.build_spanning_tree_from_packing(eb.petersen_graph(), [0, 10]), ValueError,
+     "member 10 out of range"),
+    (lambda: eb.build_spanning_tree_from_packing(eb.petersen_graph(), [-1]), ValueError,
+     "member -1 out of range"),
 ], ids=["packing-girth-0", "packing-start-n", "matching-edgeless", "tree-short-an-edge",
-        "tree-with-a-cycle"])
+        "tree-with-a-cycle", "tree-with-a-cycle-and-anchors-apart", "tree-member-n",
+        "tree-member-negative"])
 def test_input_validation_messages(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -322,7 +358,7 @@ def test_spaced_matching_rejects_girth_below_two():
 
 def _packing_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool):
     members = rng.sample(range(g.n), rng.randint(1, min(8, g.n)))
-    tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, members)
+    tree, _, assignment, _ = packing_tree_oracle(g, members)
     assignment = list(assignment)
     if rng.random() < 0.5:  # point some vertices at a wrong or non-member vertex
         for _ in range(rng.randint(1, 3)):
@@ -338,7 +374,7 @@ def _packing_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool
 
 def _matching_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool):
     members = _random_matching(rng, g)
-    tree, _, assignment, _, vm, msd = _tree(g, members)
+    tree, _, assignment, _, vm, msd = matching_tree_oracle(g, members)
     assignment = list(assignment)
     if rng.random() < 0.5:
         for _ in range(rng.randint(1, 3)):
@@ -381,7 +417,7 @@ def test_matching_checks_match_full_bfs_oracle():
 
 def test_checks_on_non_maximal_packing():
     g = eb.path_graph(12)
-    tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, [0, 6])
+    tree, _, assignment, _ = packing_tree_oracle(g, [0, 6])
     c = eb.weight_function([0, 6], assignment)
     case = (g, [0, 6], assignment, c, 3, {"K": 3}, tree, False)
     got = _checks_on_packing(case)
@@ -435,14 +471,14 @@ def test_weight_rule_boundaries_under_max_degree(odd, n, weights, verdicts):
     g = eb.cycle_graph(n)
     starts = [i * (n // 4) for i in range(4)]
     if odd:
-        tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, starts)
+        tree, _, assignment, _ = packing_tree_oracle(g, starts)
         case = (g, starts, list(assignment), dict(zip(starts, weights)), 5,
                 {"K1": 4, "K2": 12}, tree, True)
         got, want = _checks_on_packing(case), packing_checks_oracle(*case)
         names = ("hub_weight>=K2", "cell_lower_bounds", "packing_size<=(n-K2)/K1+1")
     else:
         members = [(a, a + 1) for a in starts]
-        tree, _, assignment, _, vm, msd = _tree(g, members)
+        tree, _, assignment, _, vm, msd = matching_tree_oracle(g, members)
         case = (g, members, vm, msd, list(assignment), eb.weight_function(vm, assignment),
                 dict(zip(members, weights)), 6, {"L1": 2, "L2": 10}, tree, True)
         got, want = _checks_on_matching(case), matching_checks_oracle(*case)
@@ -574,26 +610,27 @@ def test_certify_measures_girth_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the pipeline's replayed connectors always form the tree, by the proof in
-# the docstring of eccbounds.certify._grow; arbitrary member lists still
-# need the Kruskal fallback (see the prefix-replay tests above)
+# the docstring of eccbounds.certify._grow; _verify_tree guards each tree,
+# and the public builder takes only members that meet the proof's hypothesis
 
-def _no_fallback(mp):
-    def refuse(*args):
-        raise AssertionError("Kruskal fallback taken")
-    mp.setattr(sys.modules["eccbounds.certify"], "_fallback_connectors", refuse)
-
-
-def test_the_patched_fallback_is_the_one_the_tree_builder_calls(monkeypatch):
-    _no_fallback(monkeypatch)
+@pytest.mark.parametrize("graph, members, message", [
     # vertex 1 ties between members 2 and 0 and goes to 0, as does the
-    # middle edge (1, 0) of the path 2-1-0
-    with pytest.raises(AssertionError, match="fallback"):
-        eb.build_spanning_tree_from_packing(eb.path_graph(3), [2, 0])
+    # middle edge (1, 0) of the path 2-1-0: the connector would not stitch
+    (eb.path_graph(3), [2, 0], "member 0 lies at distance 2 from the members before it: "
+     "the proof needs an odd distance of at least 1"),
+    (eb.path_graph(9), [0, 5, 8], "member 8 lies at distance 3 from the members before it: "
+     "the proof needs an odd distance of at least 5"),
+    (eb.cycle_graph(24), eb.build_packing(eb.cycle_graph(24), 4), "member 4 lies at "
+     "distance 4 from the members before it: the proof needs an odd distance of at least 1"),
+], ids=["even", "falling", "even-spaced-packing"])
+def test_members_outside_the_hypothesis_raise(graph, members, message):
+    with pytest.raises(ValueError) as info:
+        eb.build_spanning_tree_from_packing(graph, members)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_golden_certificates_take_no_fallback(name, monkeypatch):
-    _no_fallback(monkeypatch)
+def test_golden_certificates_take_no_fallback(name):
     g = INSTANCES[name]()
     for use_max_degree in (False, True):
         assert certify(g, use_max_degree=use_max_degree).all_steps_hold
@@ -653,7 +690,6 @@ def test_replays_on_the_shared_arrays_equal_the_oracle(name, monkeypatch):
 def test_pipeline_connectors_obey_the_stitching_proof(name, monkeypatch):
     # each claim of the proof in _grow's docstring, on every connector, and
     # each tree as the assembly through Graph.from_edges gives it
-    _no_fallback(monkeypatch)
     seen = _record_discoveries(monkeypatch)
     built = _checked_anchor_tree(monkeypatch)
     g = INSTANCES[name]()
@@ -679,9 +715,8 @@ def test_pipeline_connectors_obey_the_stitching_proof(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_pipeline_power_contains_the_connector_tree(name, monkeypatch):
+def test_pipeline_power_contains_the_connector_tree(name):
     # the last step of the proof in _grow's docstring, on every connector
-    _no_fallback(monkeypatch)
     g = INSTANCES[name]()
     for use_max_degree in (False, True):
         cert = certify(g, use_max_degree=use_max_degree)
@@ -740,7 +775,6 @@ def certifiable_graphs(draw):
 def test_property_pipeline_takes_no_fallback(g):
     # and builds each tree as the assembly through Graph.from_edges does
     with pytest.MonkeyPatch.context() as mp:
-        _no_fallback(mp)
         built = _checked_anchor_tree(mp)
         for use_max_degree in (False, True):
             certify(g, use_max_degree=use_max_degree)
@@ -767,9 +801,9 @@ def graphs_with_anchors(draw):
 @given(graphs_with_anchors())
 def test_property_incremental_machinery_equals_oracles(case):
     g, members, gi, rng = case
-    assert eb.build_spanning_tree_from_packing(g, members) == packing_tree_oracle(g, members)
+    _packing_tree_or_breach(g, members)
     matching = _random_matching(rng, g)
-    assert _tree(g, matching) == matching_tree_oracle(g, matching)
+    _tree_or_unstitched(g, matching, matching_tree_oracle(g, matching))
     if gi >= 2:
         assert eb.build_spaced_matching(g, gi) == spaced_matching_oracle(g, gi)
     md = rng.random() < 0.5
@@ -782,7 +816,7 @@ def test_property_incremental_machinery_equals_oracles(case):
     if g.m == g.n - 1:
         _assert_line_identity(g)
     else:
-        tree, *_ = eb.build_spanning_tree_from_packing(g, members)
+        tree, *_ = packing_tree_oracle(g, members)
         _assert_line_identity(tree)
 
 
@@ -790,7 +824,7 @@ def test_property_incremental_machinery_equals_oracles(case):
 @given(graphs_with_anchors())
 def test_property_checks_equal_oracles_under_tied_reassignment(case):
     g, members, gi, rng = case
-    tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, members)
+    tree, _, assignment, _ = packing_tree_oracle(g, members)
     assignment = list(assignment)
     _reassign_among_ties(rng, g, members, assignment)
     pcase = (g, members, assignment, eb.weight_function(members, assignment), gi,
@@ -800,7 +834,7 @@ def test_property_checks_equal_oracles_under_tied_reassignment(case):
     assert got[2].ok  # assignment_nearest_member
 
     matching = _random_matching(rng, g)
-    tree, _, assignment, _, vm, msd = _tree(g, matching)
+    tree, _, assignment, _, vm, msd = matching_tree_oracle(g, matching)
     assignment = list(assignment)
     _reassign_among_ties(rng, g, vm, assignment)
     c = eb.weight_function(vm, assignment)

@@ -14,6 +14,7 @@ import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth, bound_thm_girth_maxdeg
 from eccbounds.certify import _lower_distances, _replay_path, certify
 from conftest import (
+    _fallback_connectors,
     lower_distances_oracle,
     prefix_connectors_oracle,
     random_connected,
@@ -72,7 +73,7 @@ def test_tree_single_member_is_bfs_tree():
 
 def test_tree_on_path_is_the_path():
     p9 = eb.path_graph(9)
-    tree, *_ = eb.build_spanning_tree_from_packing(p9, [0, 8])
+    tree, *_ = eb.build_spanning_tree_from_packing(p9, [0, 7])
     assert tree.edges == p9.edges
 
 
@@ -80,7 +81,7 @@ def test_tree_preserves_distances_random():
     rng = random.Random(29)
     for _ in range(12):
         g = random_connected(rng, rng.randint(6, 40), rng.randint(0, 25))
-        A = eb.build_packing(g, rng.choice((3, 4, 5)))
+        A = eb.build_packing(g, rng.choice((3, 5, 7)))  # odd: the builder's hypothesis
         tree, parent, assignment, _ = eb.build_spanning_tree_from_packing(g, A)
         assert tree.m == g.n - 1
         assert eb.multi_source_distances(tree, A) == eb.multi_source_distances(g, A)
@@ -110,8 +111,9 @@ def test_two_chain_cells_split_evenly():
 
 
 def test_fallback_connectors_build_valid_quotient_trees():
-    # the quotient-tree fallback must stitch arbitrary cell decompositions
-    from eccbounds.certify import _deterministic_cells, _fallback_connectors, _UnionFind
+    # the oracles' quotient-tree fallback must stitch arbitrary cell decompositions
+    from eccbounds.certify import _deterministic_cells
+    from eccbounds.cli import _UnionFind
     rng = random.Random(53)
     for _ in range(10):
         g = random_connected(rng, rng.randint(8, 30), rng.randint(2, 15))
@@ -421,6 +423,25 @@ def test_replay_path_matches_its_oracle():
                 ties += sum(dist[u] == dist[v] - 1 for u in g.adj[v]) > 1
                 even += dist[v] % 2 == 0
     assert ties > 100 and even > 100
+
+
+def test_replay_on_stale_arrays_equals_the_fresh_replay():
+    # the grower's shared arrays hold entries of earlier replays: every
+    # source's parent here points at a neighbour, every root at a stray
+    # vertex, and the walk of dist[target] steps must read none of them
+    rng = random.Random(2024)
+    graphs = [eb.petersen_graph(), eb.chain_graph(3, 5, 5)[0], _generated(5)]
+    graphs += [random_connected(rng, rng.randint(2, 60), rng.randint(0, 40)) for _ in range(40)]
+    for g in graphs:
+        sources = rng.sample(range(g.n), rng.randint(1, min(g.n, 5)))
+        dist = eb.multi_source_distances(g, sources)
+        root = [rng.randrange(g.n) for _ in range(g.n)]
+        parent = [rng.choice(g.adj[v]) for v in range(g.n)]
+        for v in range(g.n):
+            if dist[v]:
+                want = _replay_path(g, dist, v)
+                assert want == replay_path_oracle(g, dist, v)
+                assert _replay_path(g, dist, v, root, parent) == want
 
 
 def test_anchor_builders_replay_no_discovery_path(monkeypatch):

@@ -4,7 +4,8 @@ vertices, which ships inside the package.
 On each of its 996 connected graphs the profile and the girth match their
 oracles and no applicable bound is violated.  On each of the 173 of minimum
 degree at least 3 both certificates hold, pass the independent verifier and
-are built from the replayed connectors, with no Kruskal fallback.
+are built from the replayed connectors: the tree builder has no other path,
+and it raises when its tree fails verification.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import eccbounds as eb
 from eccbounds.bounds import evaluate_all, measure
 from eccbounds.certify import certify
 from conftest import ecc_oracle, girth_oracle
-from test_anchors import _no_fallback
 from verify_cert import verify
 
 nx = pytest.importorskip("networkx")
@@ -39,8 +39,7 @@ def test_atlas_profiles_girths_and_bounds(connected_atlas):
         assert violated == [], (g.edges, violated)
 
 
-def test_atlas_certificates_verify_without_fallback(connected_atlas, monkeypatch):
-    _no_fallback(monkeypatch)
+def test_atlas_certificates_verify_without_fallback(connected_atlas):
     certifiable = [g for g in connected_atlas if g.min_degree() >= 3]
     assert len(certifiable) == 173
     for g in certifiable:

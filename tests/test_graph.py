@@ -710,13 +710,15 @@ PARSE_ERRORS = [
     (EMPTY.max_degree, "degree undefined on the empty graph"),
     (lambda: eb.bfs_distances(eb.path_graph(3), 3), "source 3 out of range"),
     (lambda: eb.multi_source_distances(eb.path_graph(3), []), "sources must be nonempty"),
+    (lambda: eb.multi_source_distances(eb.petersen_graph(), [-1]), "source -1 out of range"),
+    (lambda: eb.multi_source_distances(eb.petersen_graph(), [0, 10]), "source 10 out of range"),
     (lambda: eb.weighted_avec(eb.path_graph(3), eb.WeightFunction((1, 1))),
      "weight vector length must equal the vertex count"),
 ], ids=["header-one-token", "header-non-integer", "header-no-vertices", "header-negative-m",
         "header-negative-n", "header-underscore", "header-plus", "edge-underscore", "edge-plus",
         "edge-arabic-indic", "edge-negative",
         "negative-n", "edge-out-of-range", "min-degree-empty", "max-degree-empty",
-        "bfs-source-out-of-range", "no-sources", "weight-length"])
+        "bfs-source-out-of-range", "no-sources", "negative-source", "source-n", "weight-length"])
 def test_input_validation_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()

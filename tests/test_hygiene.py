@@ -4,11 +4,13 @@ library is referenced somewhere in the package.
 
 An import kept only for other code to look up marks its line with
 ``# noqa: F401`` and says why in a comment, as ``cli`` does for the names
-the benchmark's tracer wraps.
+the benchmark's tracer wraps; every such name is one the tracer wraps in
+that module, so none lingers once the tracer stops wrapping it.
 """
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,30 @@ def test_module_uses_every_name_it_imports(module):
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_uses_every_name_it_imports(script):
     assert _unused_imports((ROOT / script).read_text()) == []
+
+
+def _kept_imports(source: str) -> list[str]:
+    """The names of the imports that ``# noqa: F401`` keeps, in order."""
+    lines = source.splitlines()
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names]
+
+
+def test_scan_finds_the_kept_imports():
+    source = ("import json  # noqa: F401\nfrom .graph import (\n    girth,  # noqa: F401\n"
+              "    Graph,\n)\nfrom .x import y\n")
+    assert _kept_imports(source) == ["json", "girth", "Graph"]
+
+
+def test_every_kept_import_is_a_name_the_tracer_wraps(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    wrapped = {(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _ in importlib.import_module("spans")._WRAPPED_NAMES}
+    kept = [(f"eccbounds.{module[:-3]}", name) for module in MODULES
+            for name in _kept_imports((SRC / module).read_text())]
+    assert kept and [pair for pair in kept if pair not in wrapped] == []
 
 
 def _defined_names(node) -> list[str]:
