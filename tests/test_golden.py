@@ -5,12 +5,14 @@ BFS per vertex for the profile, and with a fresh multi-source BFS per
 prefix of the anchor list and one full BFS per anchor in the checks.  A
 kernel, refactor or formatting change that moves one byte of a certificate
 or of the batch report fails here.  The instances are the fixed graphs of acceptance
-criteria 9 and 10 plus generated graphs of n=50, 300 and 1000 (the last
+criteria 9 and 10 plus generated graphs of n=50, 300, 600 and 1000 (the last
 with 39 to 57 anchors, so long discovery-path replays are pinned), each
 certified plainly and with ``use_max_degree``, and criterion 10's batch
-sweep.  The generator-corpus digest (edge lists, or the failure's attempt
-statistics) was taken while the generator still rebuilt its candidate lists
-over all n vertices on every attempt.  The stdout digests of ``eccb compute
+sweep.  The girth-7 (n=300) and girth-8 (n=600) instances were pinned later,
+before the certification pipeline was split into stages, from the output of
+the pipeline as it then stood.  The generator-corpus digest (edge lists, or
+the failure's attempt statistics) was taken while the generator still
+rebuilt its candidate lists over all n vertices on every attempt.  The stdout digests of ``eccb compute
 --json`` and ``eccb bound --json`` on every instance were taken while
 ``eccb compute`` still measured the profile, the girth and the degrees by
 separate calls.
@@ -42,6 +44,11 @@ INSTANCES = {
         eb.GeneratorConfig(n=300, delta=3, g=5, seed=1)),
     "gen-n300-d3-g6-s1": lambda: eb.random_min_degree_girth(
         eb.GeneratorConfig(n=300, delta=3, g=6, seed=1)),
+    # girth beyond 6: 5 packing members at g=7, 7 matching edges at g=8
+    "gen-n300-d3-g7-s1": lambda: eb.random_min_degree_girth(
+        eb.GeneratorConfig(n=300, delta=3, g=7, seed=1)),
+    "gen-n600-d3-g8-s1": lambda: eb.random_min_degree_girth(
+        eb.GeneratorConfig(n=600, delta=3, g=8, seed=1)),
     # benchmark scale: 57 packing members and 39 matching edges
     "gen-n1000-d3-g5-s1": lambda: eb.random_min_degree_girth(
         eb.GeneratorConfig(n=1000, delta=3, g=5, seed=1)),
@@ -86,6 +93,14 @@ CERT_SHA256 = {
         "4a6b98948e90060b745321bc0fc24aa63419029b8f2d27c72e7f17c913e3909a",
     "gen-n1000-d3-g6-s1/maxdeg":
         "1b1720d09f62d286d7ad15561b7d9f59ffb49a5b8fa0fafbe2512716ba834551",
+    "gen-n300-d3-g7-s1/plain":
+        "4a5a549236a9d82e44f20e8f042066ba79b7aed3584c8aa524796439aa38d031",
+    "gen-n300-d3-g7-s1/maxdeg":
+        "cdf8d40c9ab3bfb0c47bc724165383304179364e0437ab5255728d45988c1d34",
+    "gen-n600-d3-g8-s1/plain":
+        "2cb31d6d4dc3437b96e1c44d99b3b47215bd54c850064280f6bbaa9cd20233ea",
+    "gen-n600-d3-g8-s1/maxdeg":
+        "880c7ff110850e0b1e09436d5a41e8fa29bbecd7a5dc86593e5298620670263e",
     "gen-n50-d3-g5-s77/plain":
         "359281f43fba091e9fb19c69242a06733f704b65917c12fe198827ab48ed17aa",
     "gen-n50-d3-g5-s77/maxdeg":
@@ -164,6 +179,14 @@ CLI_SHA256 = {
         "ce8c0389b2e039aa8c7ce399ab473b33f3ac15f51dc650cbd0f50df6d64c315a",
     "gen-n300-d3-g6-s1/compute":
         "4f78f73b656dccf0dcd3da90453d89e1ae009a42807c89864e33114950e55c79",
+    "gen-n300-d3-g7-s1/bound":
+        "ddb950e59a3c5839c1eea8fe967f0607ea2cc422f7c579bbf17691f86e5ba807",
+    "gen-n300-d3-g7-s1/compute":
+        "c1b5a8f5a86667b853acebe4e4ce38ff24efd172fb89d66d23e9618e111e8f4b",
+    "gen-n600-d3-g8-s1/bound":
+        "05a00bcf21384d36ad6c5ca2e87156847ee6ad2582c6f6b2955a514995cf568f",
+    "gen-n600-d3-g8-s1/compute":
+        "b42c18c503114f18108d53b17db9454aba87af0bf4a349a49e9a9cf0de97e698",
     "gen-n50-d3-g5-s77/bound":
         "0fcf03522ae617c0c8dd345190bb675efe7428139965f5258cd2d75493eef08c",
     "gen-n50-d3-g5-s77/compute":
