@@ -145,7 +145,7 @@ def moore_order_odd(delta: int, g: int) -> int:
     _require_delta3(delta, "odd")
     if g < 3 or g % 2 == 0:
         raise ValueError(f"odd girth >= 3 required, got {g}")
-    return 1 + delta * _geom_block(delta, (g - 1) // 2)
+    return maxdeg_constants(delta, delta, g)["K1"]
 
 
 def moore_order_even(delta: int, g: int) -> int:
@@ -153,7 +153,7 @@ def moore_order_even(delta: int, g: int) -> int:
     _require_delta3(delta, "even")
     if g < 4 or g % 2 == 1:
         raise ValueError(f"even girth >= 4 required, got {g}")
-    return 2 * _geom_block(delta, g // 2)
+    return 2 * maxdeg_constants(delta, delta, g)["L1"]
 
 
 @lru_cache(maxsize=1024)

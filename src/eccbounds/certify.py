@@ -2,10 +2,13 @@
 
 One pipeline with two kinds of anchor, a spaced packing (odd girth) or a
 spaced matching (even girth), replays the argument behind both bounds on a
-concrete graph: grow a spanning tree that preserves distances to the
-anchors, move the vertex weights onto the anchors, contract through a power
-of the tree (odd) or of its line graph (even), and compare against the path
-extremal value.  Every intermediate inequality and structural property is
+concrete graph, one stage function per step, each returning what the next
+reads: ``_anchors`` grows the anchors, a spanning tree that preserves
+distances to them and the vertex weights moved onto them (the only odd/even
+choice of anchor); ``_bound`` gives the bound and its Moore-type constants;
+``_chain`` contracts through a power of the tree (odd) or of its line graph
+(even) and compares against the path extremal value; ``_checks`` checks the
+structure.  Every intermediate inequality and structural property is
 recomputed in exact rationals and recorded; a certificate whose steps fail
 is emitted with the failure visible, so the pipeline doubles as a
 falsification harness.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -557,66 +560,100 @@ def certify_even(g: Graph, use_max_degree: bool = False) -> MatchingCertificate:
 
 
 def _certify(measured: Measured, use_max_degree: bool, want_odd: bool | None = None):
-    """The pipeline of both girth bounds, branching on the girth's parity only
-    for the anchors, the host of the contracted power and the certificate
-    class.  ``measured`` carries the graph's profile, so it is connected,
-    and the parameters every step reads; ``want_odd`` rejects a girth of the
-    other parity."""
-    g, profile, params = measured.graph, measured.profile, measured.params
-    n, delta, Delta, gi = params
+    """The pipeline of both girth bounds: validation, then the stages
+    :func:`_anchors`, :func:`_bound`, :func:`_chain` and :func:`_checks`,
+    then the certificate.  ``measured`` carries the graph's profile, so it
+    is connected, and the parameters every stage reads; ``want_odd`` rejects
+    a girth of the other parity."""
+    g, (n, delta, Delta, gi) = measured.graph, measured.params
     if delta < 3:
         raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")
-    odd = gi % 2 == 1
-    parity = "odd" if odd else "even"
-    if want_odd is not None and want_odd != odd:
+    parity = "odd" if gi % 2 else "even"
+    if want_odd is not None and want_odd != (gi % 2 == 1):
         raise ValueError(f"girth {gi} is {parity}; use certify_{parity}")
-
-    # anchors: members spaced g apart (odd), or edges spaced g - 1 apart (even)
     hub = min(v for v in range(n) if g.degree(v) == Delta) if use_max_degree else None
-    if odd:
+    anchors = _anchors(g, gi, hub)
+    bound = _bound(measured.params, use_max_degree)
+    chain, steps, line = _chain(measured, anchors, bound)
+    checks = _checks(g, anchors, gi, bound.unit, bound.excess, use_max_degree)
+    members, weights = anchors.members, anchors.weights
+    norm = [Fraction(w, bound.unit) for w in weights]
+    norm[0] = Fraction(weights[0] - bound.excess, bound.unit)  # the hub's carries the excess
+    common = dict(tree=anchors.tree, connector_edges=anchors.connectors,
+                  assignment=anchors.assignment, use_max_degree=use_max_degree, girth_value=gi,
+                  constants=bound.constants, chain=chain, steps=steps, checks=checks,
+                  bound_id=bound.bound_id.value, members=tuple(members))
+    if anchors.odd:
+        return PackingCertificate(weights=anchors.c, normalized_weights=dict(zip(members, norm)),
+                                  **common)
+    return MatchingCertificate(vertex_weights=anchors.c, edge_weights=dict(zip(members, weights)),
+                               normalized_edge_weights=dict(zip(members, norm)), line=line,
+                               **common)
+
+
+# ---------------------------------------------------------------------------
+# the stages of _certify
+
+# the anchors as the certificate lists them and as vertex groups, the tree, and
+# the cell weights: ``c`` per anchor vertex, ``weights`` per anchor (c, or cbar)
+_Anchors = namedtuple("_Anchors",
+                      "odd members groups msd order tree assignment connectors c weights")
+_Bound = namedtuple("_Bound", "unit excess constants nprime power_bound final_bound bound_id")
+
+
+def _anchors(g: Graph, gi: int, hub: int | None) -> _Anchors:
+    """Anchors and tree: members spaced ``gi`` apart (odd girth), or edges
+    spaced ``gi - 1`` apart (even), the first at ``hub`` (a maximum-degree
+    vertex) if given, else at vertex 0 or the first edge; then the spanning
+    tree that keeps every distance to them, and the cell weights."""
+    if odd := gi % 2 == 1:
         groups, connectors, msd = _grow(g, (0 if hub is None else hub,), _spaced_vertex(gi))
-        members = [a for (a,) in groups]
     else:
         e1 = g.edges[0] if hub is None else min(tuple(sorted((hub, w))) for w in g.adj[hub])
         groups, connectors, msd = _grow(g, e1, _spaced_edge(g, gi))
-        members = groups
-    order = sorted(range(n), key=msd.__getitem__)
+    members = [a for (a,) in groups] if odd else groups
+    order = sorted(range(g.n), key=msd.__getitem__)
     tree, _, assignment, connectors, vertices = _anchor_tree(g, groups, connectors, msd, order)
     c = weight_function(vertices, assignment)
-    weights = [sum(c[x] for x in group) for group in groups]  # c, or cbar on edges
+    weights = [sum(c[x] for x in group) for group in groups]
+    return _Anchors(odd, members, groups, msd, order, tree, assignment, connectors, c, weights)
 
-    unit = moore_order(delta, gi)  # K = K1 and L = 2*L1
-    if use_max_degree:
-        constants = maxdeg_constants(delta, Delta, gi)
-        c1, c2 = constants.values()
-        excess = c2 - c1
-        q = Fraction(n - c2, unit)
-        nprime = q + (1 if odd else Fraction(1, 2))
-        power_bound = (Fraction(3, 4) * q * (1 + Fraction(excess, 3 * n))
-                       + (1 if odd else Fraction(5, 8)))
-        final_bound = maxdeg_bound_value(n, gi, c1, c2)
-        bound_id = BoundId.THM_GIRTH_MAXDEG_ODD if odd else BoundId.THM_GIRTH_MAXDEG_EVEN
-    else:
-        plain = bound_thm_girth(params)
-        constants, excess = plain.constants, 0  # K or L
-        nprime = Fraction(n, unit)
+
+def _bound(params, use_max_degree: bool) -> _Bound:
+    """The bound the chain ends in, with the one weight rule's ``unit`` (K =
+    K1, or L = 2*L1) and ``excess`` (K2 - K1 or L2 - L1 under the max-degree
+    variant, else 0), ``N'`` and the contracted power's bound."""
+    n, delta, Delta, gi = params
+    odd, unit = gi % 2 == 1, moore_order(delta, gi)
+    if not use_max_degree:
+        plain, nprime = bound_thm_girth(params), Fraction(n, unit)
         power_bound = Fraction(3 * math.ceil(nprime), 4) - Fraction(1, 2)
-        final_bound = plain.value
-        bound_id = plain.bound
-    norm = [Fraction(w, unit) for w in weights]
-    norm[0] = Fraction(weights[0] - excess, unit)  # the hub's anchor carries the excess
+        return _Bound(unit, 0, plain.constants, nprime, power_bound, plain.value, plain.bound)
+    constants = maxdeg_constants(delta, Delta, gi)
+    c1, c2 = constants.values()
+    q = Fraction(n - c2, unit)
+    power_bound = (Fraction(3, 4) * q * (1 + Fraction(c2 - c1, 3 * n))
+                   + (1 if odd else Fraction(5, 8)))
+    return _Bound(unit, c2 - c1, constants, q + (1 if odd else Fraction(1, 2)), power_bound,
+                  maxdeg_bound_value(n, gi, c1, c2),
+                  BoundId.THM_GIRTH_MAXDEG_ODD if odd else BoundId.THM_GIRTH_MAXDEG_EVEN)
 
-    tree_prof = eccentricity_profile(tree)
-    avec_g, avec_t = profile.avec, tree_prof.avec
-    avec_c_t = Fraction(sum(w * tree_prof.ecc[u] for u, w in c.items()), n)
 
-    # the contracted power lives on T (odd), or on its line graph L(T) (even),
-    # whose vertex for an anchor edge e has eccentricity ecc_L(T)(e)
+def _chain(measured: Measured, anchors: _Anchors, bound: _Bound):
+    """The argument chain: the profiles of ``G`` and ``T``, the contracted
+    power on ``T`` (odd), or on its line graph ``L(T)`` (even), whose vertex
+    for an anchor edge ``e`` has eccentricity ``ecc_L(T)(e)``, and the
+    steps down to the final bound.  Returns ``(chain, steps, line)``, the
+    line graph ``None`` for odd girth."""
+    n, gi = measured.params.n, measured.params.g
+    odd, members, weights = anchors.odd, anchors.members, anchors.weights
+    tree_prof = eccentricity_profile(anchors.tree)
+    avec_g, avec_t = measured.profile.avec, tree_prof.avec
+    avec_c_t = Fraction(sum(w * tree_prof.ecc[u] for u, w in anchors.c.items()), n)
     if odd:
-        host, host_anchors, line = tree, members, None
-        avec_host = avec_c_t
+        host, host_anchors, line, avec_host = anchors.tree, members, None, avec_c_t
     else:
-        line, table = line_graph(tree)
+        line, table = line_graph(anchors.tree)
         line_id = {e: i for i, e in enumerate(table)}
         host, host_anchors = line, [line_id[e] for e in members]
         avec_host = Fraction(sum(w * _line_eccentricity(tree_prof.ecc, e)
@@ -629,39 +666,20 @@ def _certify(measured: Measured, use_max_degree: bool, want_odd: bool | None = N
 
     host_key, power_key = ("avecC_T", "avecC_power") if odd else ("avecCbar_L", "avecCbar_power")
     cover = 1 if odd else 2  # every vertex lies within g - cover of an anchor vertex
-    steps = [
+    steps = (
         _step("avecG<=avecT", avec_g, avec_t),
         _step(f"avecT<=avecC_T+(g-{cover})", avec_t, avec_c_t + (gi - cover)),
-    ]
-    if not odd:
-        steps.append(_step("avecC_T<=avecCbar_L+1", avec_c_t, avec_host + 1))
-    steps += [
+        *(() if odd else (_step("avecC_T<=avecCbar_L+1", avec_c_t, avec_host + 1),)),
         _step(f"{host_key}<=g*{power_key}+(g-1)", avec_host, gi * avec_power + (gi - 1)),
-        _step(f"{power_key}<=powerBound", avec_power, power_bound),
-        _step("finalBound==g*powerBound+2(g-1)", final_bound,
-              gi * power_bound + 2 * (gi - 1), equality=True),
-        _step("avecG<=finalBound", avec_g, final_bound),
-    ]
-
-    chain = {"avecG": avec_g, "avecT": avec_t, "avecC_T": avec_c_t}
-    if not odd:
-        chain["avecCbar_L"] = avec_host
-    chain.update({power_key: avec_power, "Nprime": nprime, "finalBound": final_bound})
-
-    checks = _checks(g, groups, msd, order, assignment, c, weights, gi, unit, excess, tree,
-                     use_max_degree)
-    common = dict(tree=tree, connector_edges=connectors,
-                  assignment=assignment, use_max_degree=use_max_degree, girth_value=gi,
-                  constants=constants, chain=chain, steps=tuple(steps), checks=checks,
-                  bound_id=bound_id.value)
-    if odd:
-        return PackingCertificate(
-            members=tuple(members), weights=c, normalized_weights=dict(zip(members, norm)),
-            **common)
-    return MatchingCertificate(
-        members=tuple(members), vertex_weights=c,
-        edge_weights=dict(zip(members, weights)),
-        normalized_edge_weights=dict(zip(members, norm)), line=line, **common)
+        _step(f"{power_key}<=powerBound", avec_power, bound.power_bound),
+        _step("finalBound==g*powerBound+2(g-1)", bound.final_bound,
+              gi * bound.power_bound + 2 * (gi - 1), equality=True),
+        _step("avecG<=finalBound", avec_g, bound.final_bound),
+    )
+    chain = {"avecG": avec_g, "avecT": avec_t, "avecC_T": avec_c_t,
+             **({} if odd else {"avecCbar_L": avec_host}),
+             power_key: avec_power, "Nprime": bound.nprime, "finalBound": bound.final_bound}
+    return chain, steps, line
 
 
 # ---------------------------------------------------------------------------
@@ -694,22 +712,19 @@ def _spacing_and_assignment(g: Graph, groups, msd, order, assignment) -> tuple[f
     return spacing, all(near[v] >> a & 1 for v, a in enumerate(assignment))
 
 
-def _checks(g, groups, msd, order, assignment, c, weights, gi, unit, excess, tree,
-            use_max_degree):
+def _checks(g, anchors: _Anchors, gi, unit, excess, use_max_degree):
     """Structural checks of either certificate, ``g`` connected: the packing
-    lemma on one-member ``groups`` (odd girth), the matching lemma on edges.
-    ``c`` gives each anchor vertex's cell size and ``weights`` each anchor's
-    weight; ``msd`` is every vertex's distance to the anchor vertices in
-    ``g``, ``order`` every vertex sorted by ``msd``, and ``tree`` passed
-    :func:`_verify_tree`, so it spans ``g`` and keeps ``msd``; its
-    contracted power passed :func:`_certify`'s connectivity check.  Both
-    lemmas are one weight rule: every anchor weighs at least ``unit`` (K, L,
-    K1 or 2*L1), the hub's (the first) at least ``unit + excess`` (K2 - K1
-    or L2 - L1 under the max-degree variant, else 0), so there are at most
-    ``(n - excess) / unit`` anchors.
+    lemma on an odd ``anchors`` record, the matching lemma on an even one.
+    Its ``tree`` passed :func:`_verify_tree`, so it spans ``g`` and keeps
+    ``msd``, and its contracted power passed :func:`_chain`'s connectivity
+    check.  Both lemmas are one weight rule: every anchor weighs at least
+    ``unit`` (K, L, K1 or 2*L1), the hub's (the first) at least ``unit +
+    excess`` (K2 - K1 or L2 - L1 under the max-degree variant, else 0), so
+    there are at most ``(n - excess) / unit`` anchors.
     """
-    n, odd, size = g.n, len(groups[0]) == 1, len(groups)
-    spacing, assign_ok = _spacing_and_assignment(g, groups, msd, order, assignment)
+    groups, msd, c, weights = anchors.groups, anchors.msd, anchors.c, anchors.weights
+    odd, n, size = anchors.odd, g.n, len(groups)
+    spacing, assign_ok = _spacing_and_assignment(g, groups, msd, anchors.order, anchors.assignment)
     total, hub_ok = sum(c.values()), weights[0] >= unit + excess
     if odd:  # members g apart, every vertex within g - 1
         coverage_ok, conserve_ok = max(msd) <= gi - 1, total == n
@@ -730,7 +745,7 @@ def _checks(g, groups, msd, order, assignment, c, weights, gi, unit, excess, tre
                         hub_ok and all(w >= unit for w in weights[1:])),
         StructuralCheck("tree_spanning", True),  # _verify_tree raised unless both hold
         None if odd else StructuralCheck("tree_contains_matching",
-                                         all(tree.has_edge(u, v) for u, v in groups)),
+                                         all(anchors.tree.has_edge(u, v) for u, v in groups)),
         StructuralCheck("distance_preservation", True),
         StructuralCheck("tree_power_connected" if odd else "line_power_connected", True),
     ]

@@ -376,6 +376,8 @@ def main(argv=None) -> int:
             parser.error(f"batch needs --dir or a generator spec; missing: {', '.join(missing)}")
         if args.count < 0:
             parser.error(f"batch needs --count >= 0, got {args.count}")
+    if args.command == "chain" and args.k < 1:
+        parser.error(f"chain needs --k >= 1, got {args.k}")
     try:
         return args.func(args)
     except (EdgeListParseError, OSError) as exc:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import eccbounds as eb
 from eccbounds.certify import (
     StructuralCheck,
+    _Anchors,
     _anchor_tree,
     _checks,
     _contracted_power,
@@ -98,26 +99,28 @@ def _unit_and_excess(constants, use_max_degree, odd):
 
 
 def _checks_on_packing(case):
-    """``_checks`` on a ``packing_checks_oracle`` case: one group and one
-    weight ``c(a)`` per member, the members' distances in ``g``, and K (or
-    K1 and K2 - K1) as unit and excess."""
+    """``_checks`` on a ``packing_checks_oracle`` case: an odd anchor record
+    with one group and one weight ``c(a)`` per member and the members'
+    distances in ``g``, and K (or K1 and K2 - K1) as unit and excess."""
     g, members, assignment, c, gi, constants, tree, use_max_degree = case
     msd = eb.multi_source_distances(g, members)
-    return _checks(g, [(a,) for a in members], msd, _by_dist(msd),
-                   assignment, c, [c[a] for a in members], gi,
-                   *_unit_and_excess(constants, use_max_degree, odd=True),
-                   tree, use_max_degree)
+    anchors = _Anchors(True, members, [(a,) for a in members], msd, _by_dist(msd), tree,
+                       assignment, (), c, [c[a] for a in members])
+    return _checks(g, anchors, gi, *_unit_and_excess(constants, use_max_degree, odd=True),
+                   use_max_degree)
 
 
 def _checks_on_matching(case):
-    """``_checks`` on a ``matching_checks_oracle`` case: the matching edges
-    as groups weighing ``cbar(e)``, and L (or 2*L1 and L2 - L1) as unit and
-    excess; ``c``'s keys are the matched vertices ``vm``."""
+    """``_checks`` on a ``matching_checks_oracle`` case: an even anchor
+    record with the matching edges as groups weighing ``cbar(e)``, and L (or
+    2*L1 and L2 - L1) as unit and excess; ``c``'s keys are the matched
+    vertices ``vm``."""
     g, members, vm, msd, assignment, c, cbar, gi, constants, tree, use_max_degree = case
     assert list(c) == list(vm)
-    return _checks(g, members, msd, _by_dist(msd), assignment, c, [cbar[e] for e in members], gi,
-                   *_unit_and_excess(constants, use_max_degree, odd=False),
-                   tree, use_max_degree)
+    anchors = _Anchors(False, members, members, msd, _by_dist(msd), tree, assignment, (), c,
+                       [cbar[e] for e in members])
+    return _checks(g, anchors, gi, *_unit_and_excess(constants, use_max_degree, odd=False),
+                   use_max_degree)
 
 
 def _matching_oracle(case):

@@ -20,6 +20,7 @@ from conftest import (
     random_connected,
     replay_path_oracle,
 )
+from test_golden import INSTANCES
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +528,24 @@ def test_certificate_measures_its_tree_distances_once(monkeypatch):
             cert = certify(g, use_max_degree=maxdeg)
             assert cert.all_steps_hold
             assert sum(h is cert.tree for h in calls) == 1, (g.n, maxdeg)
+
+
+STAGES = ("_anchors", "_bound", "_chain", "_checks")
+
+
+@pytest.mark.parametrize("name", ["gen-n300-d3-g7-s1", "gen-n600-d3-g8-s1"], ids=["odd", "even"])
+def test_each_stage_runs_once_per_certificate_in_order(name, monkeypatch):
+    certify_module = sys.modules["eccbounds.certify"]
+    calls = []
+    for stage in STAGES:
+        monkeypatch.setattr(certify_module, stage,
+                            lambda *args, stage=stage, real=getattr(certify_module, stage):
+                            calls.append(stage) or real(*args))
+    g = INSTANCES[name]()
+    for maxdeg in (False, True):
+        calls.clear()
+        assert certify(g, use_max_degree=maxdeg).all_steps_hold
+        assert calls == list(STAGES), maxdeg
 
 
 # ---------------------------------------------------------------------------

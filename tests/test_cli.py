@@ -269,6 +269,15 @@ def test_chain_uncataloged_exits_3(capsys):
     assert main(["chain", "--delta", "4", "--g", "5", "--k", "2"]) == 3
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_chain_k_below_one_exits_1(k, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--delta", "3", "--g", "5", "--k", k, "--out", str(tmp_path), "--report"])
+    assert exc.value.code == 1
+    assert f"--k >= 1, got {k}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # batch
 
