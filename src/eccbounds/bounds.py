@@ -6,13 +6,12 @@ Ceilings are taken on exact rationals: an off-by-one there shifts the
 girth-parameterized bounds by ``3g/4``.
 
 Each closed form is one ``Fraction(numerator, denominator)`` over a common
-denominator; both records are named tuples and :func:`moore_order` is cached,
+denominator; the records are named tuples and :func:`moore_order` is cached,
 so an evaluator call is mostly its own arithmetic.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -79,8 +78,7 @@ class GraphParams(_GraphParamsFields):
                            g=girth(g) if girth_value is None else girth_value)
 
 
-@dataclass(frozen=True)
-class Measured:
+class Measured(NamedTuple):
     """A graph with its profile and parameters, measured once for every consumer."""
 
     graph: Graph

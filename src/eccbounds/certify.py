@@ -31,9 +31,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .bounds import (
     BoundId,
@@ -62,8 +62,7 @@ class NotCertifiableError(ValueError):
     """The pipeline's hypotheses fail (minimum degree below 3, or no cycle)."""
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One recomputed inequality (or identity) from the argument chain."""
 
     name: str
@@ -80,8 +79,7 @@ class ChainStep:
         }
 
 
-@dataclass(frozen=True)
-class StructuralCheck:
+class StructuralCheck(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -94,20 +92,17 @@ def _step(name: str, lhs, rhs, equality: bool = False) -> ChainStep:
     return ChainStep(name, lhs, rhs, lhs == rhs if equality else lhs <= rhs)
 
 
-@dataclass(frozen=True)
-class _Certificate:
-    """The fields, verdict and JSON keys both kinds of certificate share."""
+# the fields both kinds of certificate start with; ``assignment`` maps each
+# vertex to its nearest anchor vertex
+_CERTIFICATE_FIELDS = ("tree connector_edges assignment use_max_degree girth_value constants "
+                       "chain steps checks bound_id")
 
-    tree: Graph
-    connector_edges: tuple[tuple[int, int], ...]
-    assignment: tuple[int, ...]           # vertex -> nearest anchor vertex
-    use_max_degree: bool
-    girth_value: int
-    constants: dict[str, int]
-    chain: dict[str, Fraction]
-    steps: tuple[ChainStep, ...]
-    checks: tuple[StructuralCheck, ...]
-    bound_id: str
+
+class _Certificate:
+    """The verdict and JSON keys both kinds of certificate share, mixed into
+    each one's named tuple of ``_CERTIFICATE_FIELDS`` and its own fields."""
+
+    __slots__ = ()
 
     @property
     def all_steps_hold(self) -> bool:
@@ -131,13 +126,13 @@ class _Certificate:
     # no to_json here: the benchmark's tracer reads each class's own __dict__["to_json"]
 
 
-@dataclass(frozen=True)
-class PackingCertificate(_Certificate):
-    """Odd-girth certificate: packing, tree, weights, and the verified chain."""
+class PackingCertificate(_Certificate, namedtuple(
+        "PackingCertificate", f"{_CERTIFICATE_FIELDS} members weights normalized_weights")):
+    """Odd-girth certificate: packing, tree, weights, and the verified chain.
+    ``members`` is the packing in discovery order, ``weights`` maps each
+    member to its cell size."""
 
-    members: tuple[int, ...]              # the packing, in discovery order
-    weights: dict[int, int]               # member -> cell size
-    normalized_weights: dict[int, Fraction]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return super().to_json_dict() | {
@@ -151,15 +146,15 @@ class PackingCertificate(_Certificate):
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class MatchingCertificate(_Certificate):
-    """Even-girth certificate: spaced matching, tree, line-graph weights, chain."""
+class MatchingCertificate(_Certificate, namedtuple(
+        "MatchingCertificate",
+        f"{_CERTIFICATE_FIELDS} members vertex_weights edge_weights normalized_edge_weights line")):
+    """Even-girth certificate: spaced matching, tree, line-graph weights, chain.
+    ``members`` is the matching's edges in discovery order,
+    ``vertex_weights`` maps each matched vertex to its cell size, and vertex
+    ``i`` of ``line`` is ``tree.edges[i]``."""
 
-    members: tuple[tuple[int, int], ...]  # matching edges, discovery order
-    vertex_weights: dict[int, int]        # matched vertex -> cell size
-    edge_weights: dict[tuple[int, int], int]
-    normalized_edge_weights: dict[tuple[int, int], Fraction]
-    line: Graph                           # vertex i is tree.edges[i]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return super().to_json_dict() | {
@@ -194,6 +189,7 @@ def _deterministic_cells(g: Graph, dist: list[int], order, root=None,
     """
     if root is None:
         root, parent = [-1] * g.n, [-1] * g.n
+    adj = g.adj
     for v in order:
         if dist[v] == 0:
             root[v] = v
@@ -201,7 +197,7 @@ def _deterministic_cells(g: Graph, dist: list[int], order, root=None,
         target = dist[v] - 1
         best_root = -1
         best_parent = -1
-        for u in g.adj[v]:
+        for u in adj[v]:
             if dist[u] == target:
                 r = root[u]
                 if best_root == -1 or r < best_root or (r == best_root and u < best_parent):
@@ -565,13 +561,13 @@ def _certify(measured: Measured, use_max_degree: bool, want_odd: bool | None = N
     then the certificate.  ``measured`` carries the graph's profile, so it
     is connected, and the parameters every stage reads; ``want_odd`` rejects
     a girth of the other parity."""
-    g, (n, delta, Delta, gi) = measured.graph, measured.params
+    g, (_, delta, Delta, gi) = measured.graph, measured.params
     if delta < 3:
         raise NotCertifiableError(f"minimum degree {delta} below 3: not certifiable")
     parity = "odd" if gi % 2 else "even"
     if want_odd is not None and want_odd != (gi % 2 == 1):
         raise ValueError(f"girth {gi} is {parity}; use certify_{parity}")
-    hub = min(v for v in range(n) if g.degree(v) == Delta) if use_max_degree else None
+    hub = list(map(len, g.adj)).index(Delta) if use_max_degree else None  # the lowest id
     anchors = _anchors(g, gi, hub)
     bound = _bound(measured.params, use_max_degree)
     chain, steps, line = _chain(measured, anchors, bound)
@@ -694,7 +690,7 @@ def _spacing_and_assignment(g: Graph, groups, msd, order, assignment) -> tuple[f
     ``label[v]`` takes one's group.  A shortest path between the closest two
     groups crosses an edge ``xy`` whose labels differ, and each such edge
     joins two groups in ``msd[x] + 1 + msd[y]`` (Mehlhorn, IPL 27, 1988)."""
-    label, near, spacing = [-1] * g.n, [0] * g.n, math.inf
+    label, near, spacing, adj = [-1] * g.n, [0] * g.n, math.inf, g.adj
     for i, group in enumerate(groups):
         for x in group:
             if label[x] != -1:
@@ -702,7 +698,7 @@ def _spacing_and_assignment(g: Graph, groups, msd, order, assignment) -> tuple[f
             label[x], near[x] = i, 1 << x
     for v in order:
         if d := msd[v]:
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if msd[u] == d - 1:
                     near[v] |= near[u]
                     label[v] = label[u]

@@ -6,9 +6,9 @@ construction can never contaminate a sharpness run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bounds import GraphParams, bound_thm_girth, lower_bound_chain, moore_order
 from .graph import Graph, eccentricity_profile, girth
@@ -22,8 +22,7 @@ from .generators import (
 )
 
 
-@dataclass(frozen=True)
-class MooreSpec:
+class MooreSpec(NamedTuple):
     """Provenance of a catalog graph: parameters, order, diameter, source."""
 
     delta: int
@@ -33,8 +32,7 @@ class MooreSpec:
     source: str
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(NamedTuple):
     """Parameters and surgery record of a chained construction."""
 
     delta: int
@@ -138,8 +136,7 @@ def chain_graph(delta: int, g: int, k: int,
                                                  link_edges=links, deleted_edges=deleted)
 
 
-@dataclass(frozen=True)
-class SharpnessRow:
+class SharpnessRow(NamedTuple):
     """One chain length in a sharpness table, all values exact."""
 
     k: int

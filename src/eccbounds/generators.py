@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .graph import Graph, girth, is_connected
 
@@ -143,8 +143,7 @@ def projective_plane_incidence(q: int) -> Graph:
 # ---------------------------------------------------------------------------
 # randomized generation with degree and girth constraints
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     """Target order, minimum degree, girth floor, and search budgets.
 
     Each restart gets ``50 * n`` edge attempts.  The same seed always
@@ -164,8 +163,7 @@ class GeneratorConfig:
         return 50 * self.n
 
 
-@dataclass(frozen=True)
-class GenerationFailure:
+class GenerationFailure(NamedTuple):
     """All restarts exhausted; carries the attempt statistics."""
 
     config: GeneratorConfig

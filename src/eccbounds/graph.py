@@ -10,8 +10,8 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 UNREACHABLE = -1
 
@@ -28,8 +28,7 @@ class DisconnectedGraphError(ValueError):
     """Raised by operations whose value is undefined off connected graphs."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph: no self-loops, no parallel edges.
 
     ``edges`` holds each edge once as a sorted pair, lexicographically
@@ -105,8 +104,7 @@ class Graph:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
 
 
-@dataclass(frozen=True)
-class EccentricityProfile:
+class EccentricityProfile(NamedTuple):
     """Per-vertex eccentricities plus the derived summary statistics.
 
     ``avec`` is the exact mean ``total / n``; the invariants
@@ -121,16 +119,24 @@ class EccentricityProfile:
     diameter: int
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Nonnegative exact weights (ints or :class:`Fraction` values) indexed
-    by vertex id."""
-
+class _WeightFunctionFields(NamedTuple):
     weights: tuple[int | Fraction, ...]
 
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+
+class WeightFunction(_WeightFunctionFields):
+    """Nonnegative exact weights (ints or :class:`Fraction` values) indexed
+    by vertex id, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights):
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
+        return tuple.__new__(cls, (weights,))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def total(self) -> int | Fraction:
@@ -534,11 +540,11 @@ def weighted_avec(g: Graph, c: WeightFunction) -> Fraction:
     total_weight = c.total
     if total_weight <= 0:
         raise ValueError("total weight must be positive")
-    prof = eccentricity_profile(g)
+    ecc = eccentricity_profile(g).ecc
     acc = Fraction(0)
     for v, w in enumerate(c.weights):
         if w:
-            acc += w * prof.ecc[v]
+            acc += w * ecc[v]
     return acc / total_weight
 
 

@@ -1,6 +1,9 @@
 """Every name a library module, test file or demo imports is used in that
 file, and every module-level private function, class or constant of the
-library is referenced somewhere in the package.
+library is referenced somewhere in the package.  No library module imports
+``dataclasses``: the records are named tuples, which generate no methods on
+import, and ``import eccbounds.cli`` loads neither ``dataclasses`` nor
+``inspect``.
 
 An import kept only for other code to look up marks its line with
 ``# noqa: F401`` and says why in a comment, as ``cli`` does for the names
@@ -11,6 +14,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +149,32 @@ def test_scan_finds_an_unreferenced_private_constant():
 
 def test_package_references_every_private_def():
     assert _unreferenced_private_defs({m: (SRC / m).read_text() for m in PACKAGE}) == []
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_scan_finds_an_imported_module():
+    source = "import json, os.path\nfrom dataclasses import dataclass\nfrom .graph import Graph\n"
+    assert _imported_modules(source) == {"json", "os", "dataclasses"}
+
+
+@pytest.mark.parametrize("module", PACKAGE)
+def test_module_does_not_import_dataclasses(module):
+    assert "dataclasses" not in _imported_modules((SRC / module).read_text())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    probe = ("import sys; import eccbounds.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"

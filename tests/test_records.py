@@ -1,6 +1,7 @@
 """The record contract: every immutable record of the package keeps its
 field order, keyword construction, equality, hash, repr and read-only
-attributes.
+attributes.  Each is a named tuple, so it also equals the plain tuple of its
+fields and unpacks into them.
 
 Each record is built from two samples, ``a`` and ``b``, that differ in every
 field; the fields are listed in declaration order.
@@ -95,6 +96,14 @@ def test_keyword_and_positional_construction_agree_in_field_order(name):
 
 
 @pytest.mark.parametrize("name", RECORDS)
+def test_a_record_is_the_tuple_of_its_fields(name):
+    cls, a, _ = RECORDS[name]
+    r = cls(**a)
+    assert r == tuple(a.values()) and [*r] == list(a.values())
+    assert r._fields == tuple(a)
+
+
+@pytest.mark.parametrize("name", RECORDS)
 def test_equal_records_and_one_field_apart(name):
     cls, a, b = RECORDS[name]
     assert cls(**a) == cls(**a) and not cls(**a) != cls(**a)
@@ -146,6 +155,9 @@ def test_weight_function_rejects_a_negative_weight():
         eb.WeightFunction((F(-1, 2),))
     w = eb.WeightFunction.uniform(3)
     assert w == eb.WeightFunction((F(1),) * 3) and w.total == 3
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        w._replace(weights=(F(1), F(-1)))
+    assert w._replace(weights=(0, 2)) == eb.WeightFunction((0, 2))
 
 
 @pytest.mark.parametrize("name", ["PackingCertificate", "MatchingCertificate"])
