@@ -271,7 +271,26 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from ``source``; unreachable vertices get ``UNREACHABLE``."""
-    return multi_source_distances(g, (source,))
+    if not 0 <= source < g.n:
+        raise ValueError(f"source {source} out of range")
+    return _sweep(g.adj, g.n, source)[0]
+
+
+def _sweep(adj, n: int, s: int) -> tuple[list[int], int]:
+    """The single-source BFS under every profile kernel: the distances from
+    ``s`` (``UNREACHABLE`` off its component) and the eccentricity of ``s``
+    in its component, the depth of the last vertex dequeued.  ``s`` must lie
+    in ``0..n-1``; nothing is checked."""
+    dist = [-1] * n  # UNREACHABLE, read as a constant
+    dist[s] = 0
+    order = [s]  # also the BFS queue: the loop reads what it appends
+    for u in order:
+        du1 = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du1
+                order.append(v)
+    return dist, dist[order[-1]]
 
 
 def multi_source_distances(g: Graph, sources) -> list[int]:
@@ -303,12 +322,12 @@ def is_connected(g: Graph) -> bool:
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
     """Exact eccentricities of every vertex; raises on disconnected input.
 
-    A BFS from vertex 0 checks connectivity, and its largest distance ``e0``
+    A sweep from vertex 0 checks connectivity, and its eccentricity ``e0``
     (a lower bound on the diameter) picks one of three kernels:
 
     - trees (``m == n - 1``) take the double sweep: with ``a`` farthest from
       0 and ``b`` farthest from ``a``, the path ``a..b`` is a diameter and
-      ``ecc(v) = max(d(a, v), d(b, v))``, so two more BFS runs replace n;
+      ``ecc(v) = max(d(a, v), d(b, v))``, so two more sweeps replace n;
     - other graphs with ``e0 > _BOUNDED_MIN_RUNS`` try the eccentricity
       bounding of :func:`_bounded_eccentricities`, which closed every Moore
       chain in 6-14 BFS runs where the bitset kernel needs at least ``e0``
@@ -318,26 +337,27 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
       :func:`_bitset_eccentricities`.
 
     A bounding run with its bound update costs one to two bitset rounds
-    (0.9-1.9 of a mean round, measured on chains, cycles and n = 300 and
+    (1.2-2.1 of a mean round, measured on chains, cycles and n = 300 and
     1000 expanders), so bounding is tried only where its floor of
     ``_BOUNDED_MIN_RUNS`` runs costs about what the bitset kernel's least
     work does.  A graph whose eccentricities lie within one of ``e0``, such
     as a cycle, is given up after two runs; a cycle ``C34`` then takes about
-    1.45 times as long as the bitset kernel alone (``C64`` 1.22 times,
-    ``C129`` 1.12 times; with a pendant vertex 1.45, 1.22 and 1.12 times).
+    1.45 times as long as the bitset kernel alone (``C64`` 1.19 times,
+    ``C129`` 1.09 times; with a pendant vertex 1.40, 1.19 and 1.06 times).
     """
     if g.n == 0:
         raise ValueError("eccentricity undefined on the empty graph")
-    first = bfs_distances(g, 0)
+    adj, n = g.adj, g.n
+    first, e0 = _sweep(adj, n, 0)
     if UNREACHABLE in first:
         raise DisconnectedGraphError("eccentricity undefined: graph is disconnected")
-    if g.m == g.n - 1:
-        from_a = bfs_distances(g, first.index(max(first)))
-        from_b = bfs_distances(g, from_a.index(max(from_a)))
+    if g.m == n - 1:
+        from_a, ea = _sweep(adj, n, first.index(e0))
+        from_b, _ = _sweep(adj, n, from_a.index(ea))
         ecc = [max(da, db) for da, db in zip(from_a, from_b)]
     else:
         ecc = None
-        if max(first) > _BOUNDED_MIN_RUNS:
+        if e0 > _BOUNDED_MIN_RUNS:
             ecc = _bounded_eccentricities(g, first)
         if ecc is None:
             ecc = _bitset_eccentricities(g)
@@ -357,8 +377,8 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
 # a bounding run plus its bound update costs one to two bitset rounds, so
 # past this e0 the floor of runs costs about what the bitset kernel's least
 # work does.  Runs wasted up to the cap, on a graph the bounds cannot close,
-# cost up to about 1.7 times the fallback's own time at e0 = 17 and at most
-# about a quarter of it past e0 = 128 (measured on cycles run to the cap).
+# cost up to about 1.5 times the fallback's own time at e0 = 17 and at most
+# about a fifth of it past e0 = 128 (measured on cycles run to the cap).
 # The floor keeps the (3,6,k) chains with odd k, which need 14 runs, off the
 # fallback.  Every expander the benchmark profiles has e0 <= 12 and keeps
 # the bitset kernel.
@@ -371,6 +391,7 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     Algorithms 6(1), 2013), or ``None`` when it gives up.
 
     ``first`` holds the distances from vertex 0, with largest value ``e0``.
+    Each run is one :func:`_sweep`, which also gives the run's eccentricity.
     By the triangle inequality a BFS from ``s`` with eccentricity ``e`` gives
     every vertex ``w`` the bounds ``max(e - d(s, w), d(s, w)) <= ecc(w) <=
     e + d(s, w)``; ``first`` seeds them.  The runs then alternate between
@@ -386,25 +407,26 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     so only the runs' sources close.  Measured after two runs: the cycles
     C34 to C601 and C800 with 40 chords closed 3 vertices each, with every
     run at ``e0``.  With a pendant vertex at ``n/2`` a cycle's eccentricities
-    are ``e0`` and ``e0 - 1``; C34, C64 and C129 with one ran to the cap of
-    16 runs, at 2.9, 2.0 and 1.5 times the bitset kernel alone, while the
-    rule asked for ``e0``.  C800 with 40 chords (seed 4) still runs to the cap.
+    are ``e0`` and ``e0 - 1``; C34, C64 and C129 with one run to the cap of
+    16 runs under a rule that asks for ``e0``, at 2.6, 1.9 and 1.4 times the
+    bitset kernel alone.  C800 with 40 chords (seed 4) still runs to the cap.
     Every Moore chain with ``e0 > 16`` of the benchmark's (3,5,1..60) and
     (3,6,1..45), and (3,5,300) and (3,6,151), closed 46-98% (least: (3,6,5)
     with 32 of 70).  grid-10x100, grid-3x70 and ladder-150 closed 3 vertices
     too, but their second run, from a central vertex, found 63, 37 and 76
     against ``e0`` = 108, 71 and 150, and they close after 10, 6 and 8 runs.
     """
+    adj, n = g.adj, g.n
     e0 = max(first)
     lo = [max(e0 - d, d) for d in first]
     hi = [e0 + d for d in first]
-    still_open = [v for v in range(g.n) if lo[v] < hi[v]]
+    still_open = [v for v in range(n) if lo[v] < hi[v]]
     cap = max(_BOUNDED_MIN_RUNS, e0 // 8)
     runs = 0
     flat = True  # every run so far found an eccentricity within one of e0
     take_high = True
     while still_open:
-        if runs == cap or (runs == 2 and flat and 5 * (g.n - len(still_open)) < g.n):
+        if runs == cap or (runs == 2 and flat and 5 * (n - len(still_open)) < n):
             return None
         runs += 1
         # max and min return the first extreme, and still_open is ascending
@@ -413,18 +435,19 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
         else:
             s = min(still_open, key=lo.__getitem__)
         take_high = not take_high
-        dist = bfs_distances(g, s)
-        e = max(dist)
+        dist, e = _sweep(adj, n, s)
         flat = flat and abs(e - e0) <= 1
         remaining = []
         for w in still_open:
             d = dist[w]
             low = e - d if e - d > d else d
-            if low > lo[w]:
-                lo[w] = low
-            if e + d < hi[w]:
-                hi[w] = e + d
-            if lo[w] < hi[w]:
+            high = e + d
+            lw, hw = lo[w], hi[w]
+            if low > lw:
+                lo[w] = lw = low
+            if high < hw:
+                hi[w] = hw = high
+            if lw < hw:
                 remaining.append(w)
         still_open = remaining
     return lo

@@ -46,8 +46,9 @@ def floyd_warshall(g: eb.Graph):
 
 
 def ecc_oracle(g: eb.Graph) -> tuple[int, ...]:
-    """One BFS per vertex; the retained simple reference for the profile kernels."""
-    return tuple(max(eb.bfs_distances(g, v)) for v in range(g.n))
+    """One deque BFS per vertex; the retained simple reference for the
+    profile kernels, sharing no code with them."""
+    return tuple(max(multi_source_distances_oracle(g, (v,))) for v in range(g.n))
 
 
 def girth_oracle(g: eb.Graph):
@@ -56,7 +57,7 @@ def girth_oracle(g: eb.Graph):
     for u, v in g.edges:
         rest = [e for e in g.edges if e != (u, v)]
         h = eb.Graph.from_edges(g.n, rest)
-        dist = eb.bfs_distances(h, u)
+        dist = multi_source_distances_oracle(h, (u,))
         if dist[v] != eb.UNREACHABLE:
             c = dist[v] + 1
             if best is None or c < best:
@@ -617,7 +618,7 @@ def packing_checks_oracle(g, members, assignment, c, gi, constants, tree, use_ma
     BFS per member and the weight rule stated in K, or in K1 and K2.  The
     power check is true: the pipeline raises before a disconnected power."""
     n = g.n
-    member_dist = {a: eb.bfs_distances(g, a) for a in members}
+    member_dist = {a: multi_source_distances_oracle(g, (a,)) for a in members}
     spacing_ok = all(member_dist[a][b] >= gi
                      for i, a in enumerate(members) for b in members[i + 1:])
     msd = eb.multi_source_distances(g, members)
@@ -645,7 +646,8 @@ def packing_checks_oracle(g, members, assignment, c, gi, constants, tree, use_ma
                         f"total={sum(c.values())}, n={n}"),
         StructuralCheck("cell_lower_bounds", cells_ok),
         StructuralCheck("tree_spanning",
-                        tree.m == n - 1 and -1 not in eb.bfs_distances(tree, 0)),
+                        tree.m == n - 1
+                        and -1 not in multi_source_distances_oracle(tree, (0,))),
         StructuralCheck("distance_preservation",
                         eb.multi_source_distances(tree, members) == msd),
         StructuralCheck("tree_power_connected", True),
@@ -658,7 +660,7 @@ def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constan
     full BFS per matched vertex and the weight rule stated in L, or in L1
     and L2.  The power check is true, as in ``packing_checks_oracle``."""
     n = g.n
-    vert_dist = {u: eb.bfs_distances(g, u) for u in vm}
+    vert_dist = {u: multi_source_distances_oracle(g, (u,)) for u in vm}
     spacing_ok = all(
         min(vert_dist[x][y] for x in e for y in f) >= gi - 1
         for i, e in enumerate(members) for f in members[i + 1:])
@@ -689,7 +691,8 @@ def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constan
         StructuralCheck("weight_conservation", conserve_ok),
         StructuralCheck("edge_weight_lower_bounds", edge_ok),
         StructuralCheck("tree_spanning",
-                        tree.m == n - 1 and -1 not in eb.bfs_distances(tree, 0)),
+                        tree.m == n - 1
+                        and -1 not in multi_source_distances_oracle(tree, (0,))),
         StructuralCheck("tree_contains_matching", all(tree.has_edge(u, v) for u, v in members)),
         StructuralCheck("distance_preservation", eb.multi_source_distances(tree, vm) == msd),
         StructuralCheck("line_power_connected", True),
@@ -699,12 +702,12 @@ def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constan
 def line_ecc_oracle(tree: eb.Graph) -> dict:
     """Eccentricity of every tree edge in the line graph, one BFS each."""
     line, table = eb.line_graph(tree)
-    return {e: max(eb.bfs_distances(line, i)) for i, e in enumerate(table)}
+    return {e: max(multi_source_distances_oracle(line, (i,))) for i, e in enumerate(table)}
 
 
 def contracted_power_oracle(g: eb.Graph, anchors, radius: int) -> eb.Graph:
     """Anchor-index graph from one full BFS per anchor."""
-    dist = [eb.bfs_distances(g, a) for a in anchors]
+    dist = [multi_source_distances_oracle(g, (a,)) for a in anchors]
     k = len(anchors)
     return eb.Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
                                    if dist[i][anchors[j]] <= radius])

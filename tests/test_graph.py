@@ -6,11 +6,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eccbounds as eb
-from eccbounds.graph import _edge_list_pairs, _emitted_graph
+from eccbounds.graph import _edge_list_pairs, _emitted_graph, _sweep
 from conftest import (
     edge_list_pairs_oracle,
     floyd_warshall,
@@ -493,6 +493,19 @@ def test_property_girth_equals_oracles(g):
     assert girth_per_root_oracle(g) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(any_graphs())
+@example(eb.Graph.from_edges(1, []))
+@example(eb.Graph.from_edges(5, [(0, 1), (3, 4)]))
+def test_property_sweep_equals_the_deque_oracle(g):
+    # the sweep's eccentricity is the largest distance it reached: off a
+    # source's component the distances stay UNREACHABLE, below every reached one
+    for s in range(g.n):
+        want = multi_source_distances_oracle(g, (s,))
+        assert _sweep(g.adj, g.n, s) == (want, max(want))
+        assert eb.bfs_distances(g, s) == want
+
+
 def test_girth_matches_per_root_oracle_large():
     # generated graphs up to n=1000 and Moore chains, whose shortest cycles
     # sit at every kind of least vertex
@@ -709,6 +722,7 @@ PARSE_ERRORS = [
     (EMPTY.min_degree, "degree undefined on the empty graph"),
     (EMPTY.max_degree, "degree undefined on the empty graph"),
     (lambda: eb.bfs_distances(eb.path_graph(3), 3), "source 3 out of range"),
+    (lambda: eb.bfs_distances(eb.path_graph(3), -1), "source -1 out of range"),
     (lambda: eb.multi_source_distances(eb.path_graph(3), []), "sources must be nonempty"),
     (lambda: eb.multi_source_distances(eb.petersen_graph(), [-1]), "source -1 out of range"),
     (lambda: eb.multi_source_distances(eb.petersen_graph(), [0, 10]), "source 10 out of range"),
@@ -718,7 +732,8 @@ PARSE_ERRORS = [
         "header-negative-n", "header-underscore", "header-plus", "edge-underscore", "edge-plus",
         "edge-arabic-indic", "edge-negative",
         "negative-n", "edge-out-of-range", "min-degree-empty", "max-degree-empty",
-        "bfs-source-out-of-range", "no-sources", "negative-source", "source-n", "weight-length"])
+        "bfs-source-out-of-range", "bfs-negative-source", "no-sources", "negative-source",
+        "source-n", "weight-length"])
 def test_input_validation_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()

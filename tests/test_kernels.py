@@ -21,6 +21,7 @@ from eccbounds.graph import (
     _BOUNDED_MIN_RUNS,
     _bitset_eccentricities,
     _bounded_eccentricities,
+    _sweep,
     bfs_distances,
 )
 from conftest import ecc_oracle, named_small, random_connected
@@ -209,13 +210,33 @@ def test_uneven_cycles_give_up_at_the_run_cap(g, monkeypatch):
     assert taken == ["_bounded_eccentricities", "_bitset_eccentricities"]
 
 
+def _sweeps_run(call, monkeypatch) -> int:
+    """The single-source sweeps ``call()`` runs."""
+    sources = []
+    with monkeypatch.context() as mp:
+        mp.setattr(graph_module, "_sweep", lambda adj, n, s: sources.append(s) or _sweep(adj, n, s))
+        call()
+    return len(sources)
+
+
 def _bounding_runs(g: eb.Graph, first: list[int], monkeypatch) -> int:
     """BFS runs :func:`_bounded_eccentricities` spends before it gives up."""
-    runs = []
-    with monkeypatch.context() as mp:
-        mp.setattr(graph_module, "bfs_distances", lambda h, s: runs.append(s) or bfs_distances(h, s))
+    def call():
         assert _bounded_eccentricities(g, first) is None
-    return len(runs)
+    return _sweeps_run(call, monkeypatch)
+
+
+@pytest.mark.parametrize("girth,ks,sweeps", [(5, range(1, 61), 564), (6, range(1, 46), 465)],
+                         ids=["3-5-1..60", "3-6-1..45"])
+def test_benchmark_chains_keep_their_sweep_counts(girth, ks, sweeps, monkeypatch):
+    # every single-source sweep the profile runs on the chain-sharpness
+    # workload's chains: the connectivity sweep, and any bounding runs
+    graphs = [eb.chain_graph(3, girth, k)[0] for k in ks]
+
+    def call():
+        for g in graphs:
+            eb.eccentricity_profile(g)
+    assert _sweeps_run(call, monkeypatch) == sweeps
 
 
 @st.composite
