@@ -273,21 +273,23 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from ``source``; unreachable vertices get ``UNREACHABLE``."""
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    return _sweep(g.adj, g.n, source)[0]
+    return _sweep(g.adj, g.n, [source])[0]
 
 
-def _sweep(adj, n: int, s: int) -> tuple[list[int], int]:
-    """The single-source BFS under every profile kernel: the distances from
-    ``s`` (``UNREACHABLE`` off its component) and the eccentricity of ``s``
-    in its component, the depth of the last vertex dequeued.  ``s`` must lie
-    in ``0..n-1``; nothing is checked."""
-    dist = [-1] * n  # UNREACHABLE, read as a constant
-    dist[s] = 0
-    order = [s]  # also the BFS queue: the loop reads what it appends
-    for u in order:
+def _sweep(adj, n: int, order: list[int]) -> tuple[list[int], int]:
+    """The BFS under every full-distance kernel, from the ascending distinct
+    sources ``order`` (each in ``0..n-1``; nothing is checked), which the
+    sweep extends into the BFS order.  Returns the hop distance to the
+    nearest source (``UNREACHABLE`` off the sources' components) and the
+    depth of the last vertex dequeued: from one source, its eccentricity in
+    its component."""
+    dist = [UNREACHABLE] * n
+    for s in order:
+        dist[s] = 0
+    for u in order:  # also the BFS queue: the loop reads what it appends
         du1 = dist[u] + 1
         for v in adj[u]:
-            if dist[v] < 0:
+            if dist[v] < 0:  # UNREACHABLE is negative; a literal beats a global
                 dist[v] = du1
                 order.append(v)
     return dist, dist[order[-1]]
@@ -295,22 +297,12 @@ def _sweep(adj, n: int, s: int) -> tuple[list[int], int]:
 
 def multi_source_distances(g: Graph, sources) -> list[int]:
     """Hop distance to the nearest of ``sources`` (simultaneous BFS)."""
-    order = sorted(set(sources))  # also the BFS queue: the loop reads what it appends
+    order = sorted(set(sources))
     if not order:
         raise ValueError("sources must be nonempty")
     if (s := order[0]) < 0 or (s := order[-1]) >= g.n:
         raise ValueError(f"source {s} out of range")
-    dist = [UNREACHABLE] * g.n
-    for s in order:
-        dist[s] = 0
-    adj = g.adj
-    for u in order:
-        du1 = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du1
-                order.append(v)
-    return dist
+    return _sweep(g.adj, g.n, order)[0]
 
 
 def is_connected(g: Graph) -> bool:
@@ -348,12 +340,12 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
     if g.n == 0:
         raise ValueError("eccentricity undefined on the empty graph")
     adj, n = g.adj, g.n
-    first, e0 = _sweep(adj, n, 0)
+    first, e0 = _sweep(adj, n, [0])
     if UNREACHABLE in first:
         raise DisconnectedGraphError("eccentricity undefined: graph is disconnected")
     if g.m == n - 1:
-        from_a, ea = _sweep(adj, n, first.index(e0))
-        from_b, _ = _sweep(adj, n, from_a.index(ea))
+        from_a, ea = _sweep(adj, n, [first.index(e0)])
+        from_b, _ = _sweep(adj, n, [from_a.index(ea)])
         ecc = [max(da, db) for da, db in zip(from_a, from_b)]
     else:
         ecc = None
@@ -435,7 +427,7 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
         else:
             s = min(still_open, key=lo.__getitem__)
         take_high = not take_high
-        dist, e = _sweep(adj, n, s)
+        dist, e = _sweep(adj, n, [s])
         flat = flat and abs(e - e0) <= 1
         remaining = []
         for w in still_open:

@@ -502,7 +502,7 @@ def test_property_sweep_equals_the_deque_oracle(g):
     # source's component the distances stay UNREACHABLE, below every reached one
     for s in range(g.n):
         want = multi_source_distances_oracle(g, (s,))
-        assert _sweep(g.adj, g.n, s) == (want, max(want))
+        assert _sweep(g.adj, g.n, [s]) == (want, max(want))
         assert eb.bfs_distances(g, s) == want
 
 

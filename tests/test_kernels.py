@@ -213,8 +213,13 @@ def test_uneven_cycles_give_up_at_the_run_cap(g, monkeypatch):
 def _sweeps_run(call, monkeypatch) -> int:
     """The single-source sweeps ``call()`` runs."""
     sources = []
+
+    def counted(adj, n, order):
+        assert len(order) == 1
+        sources.append(order[0])
+        return _sweep(adj, n, order)
     with monkeypatch.context() as mp:
-        mp.setattr(graph_module, "_sweep", lambda adj, n, s: sources.append(s) or _sweep(adj, n, s))
+        mp.setattr(graph_module, "_sweep", counted)
         call()
     return len(sources)
 
