@@ -289,7 +289,7 @@ def _sweep(adj, n: int, order: list[int]) -> tuple[list[int], int]:
     for u in order:  # also the BFS queue: the loop reads what it appends
         du1 = dist[u] + 1
         for v in adj[u]:
-            if dist[v] < 0:  # UNREACHABLE is negative; a literal beats a global
+            if dist[v] < 0:  # relies on UNREACHABLE < 0; faster than a global
                 dist[v] = du1
                 order.append(v)
     return dist, dist[order[-1]]
@@ -329,13 +329,13 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
       :func:`_bitset_eccentricities`.
 
     A bounding run with its bound update costs one to two bitset rounds
-    (1.2-2.1 of a mean round, measured on chains, cycles and n = 300 and
+    (1.2-1.7 of a mean round, measured on chains, cycles and n = 300 and
     1000 expanders), so bounding is tried only where its floor of
     ``_BOUNDED_MIN_RUNS`` runs costs about what the bitset kernel's least
     work does.  A graph whose eccentricities lie within one of ``e0``, such
     as a cycle, is given up after two runs; a cycle ``C34`` then takes about
-    1.45 times as long as the bitset kernel alone (``C64`` 1.19 times,
-    ``C129`` 1.09 times; with a pendant vertex 1.40, 1.19 and 1.06 times).
+    1.44 times as long as the bitset kernel alone (``C64`` 1.21 times,
+    ``C129`` 1.11 times; with a pendant vertex 1.41, 1.21 and 1.10 times).
     """
     if g.n == 0:
         raise ValueError("eccentricity undefined on the empty graph")
@@ -400,7 +400,7 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     C34 to C601 and C800 with 40 chords closed 3 vertices each, with every
     run at ``e0``.  With a pendant vertex at ``n/2`` a cycle's eccentricities
     are ``e0`` and ``e0 - 1``; C34, C64 and C129 with one run to the cap of
-    16 runs under a rule that asks for ``e0``, at 2.6, 1.9 and 1.4 times the
+    16 runs under a rule that asks for ``e0``, at 2.6, 1.8 and 1.4 times the
     bitset kernel alone.  C800 with 40 chords (seed 4) still runs to the cap.
     Every Moore chain with ``e0 > 16`` of the benchmark's (3,5,1..60) and
     (3,6,1..45), and (3,5,300) and (3,6,151), closed 46-98% (least: (3,6,5)
