@@ -9,7 +9,7 @@ or failed chain step would be a counterexample to the theory; none exist.
 import sys
 
 import eccbounds as eb
-from eccbounds.bounds import GraphParams, bound_thm_girth
+from eccbounds.bounds import bound_thm_girth
 from eccbounds.certify import certify
 
 count = int(sys.argv[1]) if len(sys.argv) > 1 else 5
@@ -24,11 +24,10 @@ for delta, gfloor, n in configs:
         if isinstance(out, eb.GenerationFailure):
             print(f"  generation failure for {cfg} ({out.reason})")
             continue
-        gi = eb.girth(out)
-        params = GraphParams.measure(out)
-        prof = eb.eccentricity_profile(out)
-        upper = bound_thm_girth(params)
-        cert = certify(out)
+        measured = eb.measure(out)
+        prof, gi = measured.profile, measured.params.g
+        upper = bound_thm_girth(measured.params)
+        cert = certify(measured)
         ok = upper.applicable and prof.avec <= upper.value and cert.all_steps_hold
         rows += 1
         if not ok:

@@ -15,8 +15,6 @@ from .bounds import (
     lower_bound_chain,
     measure,
     moore_order,
-    moore_order_even,
-    moore_order_odd,
 )
 from .certify import (
     MatchingCertificate,

@@ -71,12 +71,6 @@ class GraphParams(_GraphParamsFields):
     def _make(cls, iterable):  # so that _replace validates too
         return cls(*iterable)
 
-    @staticmethod
-    def measure(g: Graph, girth_value: int | None = None) -> "GraphParams":
-        """``g``'s parameters, its girth measured unless given as ``girth_value``."""
-        return GraphParams(n=g.n, delta=g.min_degree(), Delta=g.max_degree(),
-                           g=girth(g) if girth_value is None else girth_value)
-
 
 class Measured(NamedTuple):
     """A graph with its profile and parameters, measured once for every consumer."""
@@ -89,7 +83,9 @@ class Measured(NamedTuple):
 def measure(g: Graph, girth_value: int | None = None) -> Measured:
     """Profile ``g`` (raising if disconnected), then its parameters at a given girth or its own."""
     profile = eccentricity_profile(g)
-    return Measured(graph=g, profile=profile, params=GraphParams.measure(g, girth_value))
+    return Measured(graph=g, profile=profile, params=GraphParams(
+        n=g.n, delta=g.min_degree(), Delta=g.max_degree(),
+        g=girth(g) if girth_value is None else girth_value))
 
 
 class BoundResult(NamedTuple):
@@ -132,32 +128,18 @@ def _geom_block(delta: int, m: int) -> int:
     return ((delta - 1) ** m - 1) // (delta - 2)
 
 
-def _require_delta3(delta: int, g_parity: str):
-    if delta < 3:
-        raise ValueError(f"formula singular at delta=2; minimum degree >= 3 required for {g_parity} girth order")
-
-
-def moore_order_odd(delta: int, g: int) -> int:
-    """Minimum order of a graph with minimum degree ``delta`` and odd girth ``g``:
-    ``1 + delta/(delta-2) * ((delta-1)^((g-1)/2) - 1)``."""
-    _require_delta3(delta, "odd")
-    if g < 3 or g % 2 == 0:
-        raise ValueError(f"odd girth >= 3 required, got {g}")
-    return maxdeg_constants(delta, delta, g)["K1"]
-
-
-def moore_order_even(delta: int, g: int) -> int:
-    """Minimum order for even girth ``g``: ``2/(delta-2) * ((delta-1)^(g/2) - 1)``."""
-    _require_delta3(delta, "even")
-    if g < 4 or g % 2 == 1:
-        raise ValueError(f"even girth >= 4 required, got {g}")
-    return 2 * maxdeg_constants(delta, delta, g)["L1"]
-
-
 @lru_cache(maxsize=1024)
 def moore_order(delta: int, g: int) -> int:
-    """The Moore order of the girth's parity: ``K`` (odd) or ``L`` (even)."""
-    return moore_order_odd(delta, g) if g % 2 else moore_order_even(delta, g)
+    """Minimum order of a graph with minimum degree ``delta >= 3`` and girth
+    ``g``: ``K = 1 + delta/(delta-2) * ((delta-1)^((g-1)/2) - 1)`` for odd
+    ``g`` (``K1`` of :func:`maxdeg_constants`), ``L = 2/(delta-2) *
+    ((delta-1)^(g/2) - 1)`` for even ``g`` (``2*L1``)."""
+    if delta < 3:
+        raise ValueError(f"formula singular at delta={delta}; minimum degree >= 3 required")
+    if g < 3:
+        raise ValueError(f"girth >= 3 required, got {g}")
+    c = maxdeg_constants(delta, delta, g)
+    return c["K1"] if g % 2 else 2 * c["L1"]
 
 
 def maxdeg_constants(delta: int, Delta: int, g: int) -> dict[str, int]:

@@ -351,46 +351,34 @@ def _spaced_edge(g: Graph, girth_value: int):
     return pick
 
 
-def build_packing(g: Graph, girth_value: int, start: int | None = None) -> list[int]:
+def build_packing(g: Graph, girth_value: int) -> list[int]:
     """Greedy maximal set of vertices pairwise at distance >= ``girth_value``.
 
-    Starts from ``start`` (default: vertex 0) and, while some vertex is at
-    distance ``girth_value`` or more from the set, adds the lowest-id vertex
-    at distance exactly ``girth_value``.  On exit every vertex is within
+    Starts from vertex 0 and, while some vertex is at distance
+    ``girth_value`` or more from the set, adds the lowest-id vertex at
+    distance exactly ``girth_value``.  On exit every vertex is within
     ``girth_value - 1`` of the set.
     """
     if girth_value < 1:
         raise ValueError("girth parameter must be positive")
-    a1 = 0 if start is None else start
-    if not (0 <= a1 < g.n):
-        raise ValueError(f"start vertex {a1} out of range")
-    groups = _grow(g, (a1,), _spaced_vertex(girth_value), replay=False)[0]
+    groups = _grow(g, (0,), _spaced_vertex(girth_value), replay=False)[0]
     return [a for (a,) in groups]
 
 
-def build_spaced_matching(g: Graph, girth_value: int,
-                          start_edge: tuple[int, int] | None = None) -> list[tuple[int, int]]:
+def build_spaced_matching(g: Graph, girth_value: int) -> list[tuple[int, int]]:
     """Greedy matching with pairwise edge-distance >= ``girth_value - 1``.
 
     Edge distance is the minimum vertex distance over endpoint pairs.  Starts
-    from ``start_edge`` (default: the lexicographically least edge) and,
-    while any edge sits at distance ``girth_value - 1`` or more from the
-    matched vertex set, adds the lexicographically least edge at distance
-    exactly ``girth_value - 1``.  On exit every edge is within
-    ``girth_value - 2``.
+    from the lexicographically least edge and, while any edge sits at
+    distance ``girth_value - 1`` or more from the matched vertex set, adds
+    the lexicographically least edge at distance exactly ``girth_value - 1``.
+    On exit every edge is within ``girth_value - 2``.
     """
     if girth_value < 2:
         raise ValueError("girth parameter must be at least 2")
     if not g.edges:
         raise ValueError("graph has no edges")
-    if start_edge is None:
-        e1 = g.edges[0]
-    else:
-        u, v = start_edge
-        e1 = (u, v) if u < v else (v, u)
-        if not g.has_edge(*e1):
-            raise ValueError(f"start edge {start_edge} not in graph")
-    return _grow(g, e1, _spaced_edge(g, girth_value), replay=False)[0]
+    return _grow(g, g.edges[0], _spaced_edge(g, girth_value), replay=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +637,8 @@ def _chain(measured: Measured, anchors: _Anchors, bound: _Bound):
     if odd:
         host, host_anchors, line, avec_host = anchors.tree, members, None, avec_c_t
     else:
-        line, table = line_graph(anchors.tree)
-        line_id = {e: i for i, e in enumerate(table)}
+        line = line_graph(anchors.tree)
+        line_id = {e: i for i, e in enumerate(anchors.tree.edges)}
         host, host_anchors = line, [line_id[e] for e in members]
         avec_host = Fraction(sum(w * _line_eccentricity(tree_prof.ecc, e)
                                  for w, e in zip(weights, members)), n)

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import UPPER_BOUND_IDS, evaluate_all, measure
+from .bounds import UPPER_BOUND_IDS, Measured, evaluate_all, measure
 from .certify import NotCertifiableError, certify
 # certify_odd and certify_even stay importable from here: the benchmark's
 # tracer (perfbench/spans.py) looks both names up in this module
@@ -221,82 +221,61 @@ def _batch_sources(args):
 
 # row statuses of inputs that could not be read or fully processed
 _BAD_INPUT_STATUSES = ("parse-error", "disconnected", "unreadable", "not-certifiable")
+_BATCH_HEADER = ("graphId,status,n,minDeg,maxDeg,girth,avec,avecDecimal,"
+                 + "".join(f"{b.value},{b.value}_ok," for b in UPPER_BOUND_IDS)
+                 + "certificateOk")
+_BATCH_WIDTH = _BATCH_HEADER.count(",") + 1
 
 
-def _batch_row(graph_id: str, item) -> dict:
-    """One report row; a bad input gets a row whose status says why."""
-    if isinstance(item, GenerationFailure):
-        return {"graphId": graph_id, "status": "generation-failure"}
-    if isinstance(item, EdgeListParseError):
-        print(f"{graph_id}: input error: {item}", file=sys.stderr)
-        return {"graphId": graph_id, "status": f"parse-error:{item.line}"}
-    if isinstance(item, DisconnectedGraphError):
-        print(f"{graph_id}: graph is disconnected", file=sys.stderr)
-        return {"graphId": graph_id, "status": "disconnected"}
-    if isinstance(item, OSError):
-        print(f"{graph_id}: unreadable: {item}", file=sys.stderr)
-        return {"graphId": graph_id, "status": "unreadable"}
-    # a Measured graph: measured once by _batch_sources, for bounds and certificate
-    p, avec = item.params, item.profile.avec
-    results = {r.bound.value: r for r in evaluate_all(item)}
-    status, cert_ok = "ok", ""
-    try:
-        cert = certify(item)
-        cert_ok = "true" if cert.all_steps_hold else "false"
-    except NotCertifiableError:
-        status = "not-certifiable"  # the bounds still apply; the certificate does not
-    return {
-        "graphId": graph_id,
-        "status": status,
-        "n": p.n,
-        "minDeg": p.delta,
-        "maxDeg": p.Delta,
-        "girth": _girth_str(p.g),
-        "avec": str(avec),
-        "avecDecimal": _dec(avec),
-        "bounds": results,
-        "certificateOk": cert_ok,
-    }
-
-
-def _batch_csv(rows) -> str:
-    cols = ["graphId", "status", "n", "minDeg", "maxDeg", "girth", "avec", "avecDecimal"]
-    bound_cols = []
-    for bid in UPPER_BOUND_IDS:
-        bound_cols.extend([bid.value, f"{bid.value}_ok"])
-    header = ",".join(cols + bound_cols + ["certificateOk"])
-    lines = [header]
-    for row in rows:
-        cells = [str(row.get(c, "")) for c in cols]
-        bounds = row.get("bounds", {})
-        for bid in UPPER_BOUND_IDS:
-            r = bounds.get(bid.value)
-            if r is None or not r.applicable:
-                cells.extend(["", ""])
+def _batch_row(graph_id: str, item) -> tuple[list[str], int]:
+    """One report row's cells and the violations it found; a bad input gets
+    a row whose status says why and whose other cells are empty."""
+    if isinstance(item, Measured):  # measured once by _batch_sources, for bounds and certificate
+        p, avec = item.params, item.profile.avec
+        cells = [graph_id, "ok", str(p.n), str(p.delta), str(p.Delta), _girth_str(p.g),
+                 str(avec), _dec(avec)]
+        violations = 0
+        for r in evaluate_all(item):
+            if r.applicable:
+                cells += [str(r.value), "true" if r.satisfied else "false"]
+                violations += not r.satisfied
             else:
-                cells.extend([str(r.value), "true" if r.satisfied else "false"])
-        cells.append(str(row.get("certificateOk", "")))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+                cells += ["", ""]
+        try:
+            holds = certify(item).all_steps_hold
+        except NotCertifiableError:  # the bounds still apply; the certificate does not
+            cells[1] = "not-certifiable"
+            cells.append("")
+        else:
+            cells.append("true" if holds else "false")
+            violations += not holds
+        return cells, violations
+    if isinstance(item, GenerationFailure):
+        status = "generation-failure"
+    elif isinstance(item, EdgeListParseError):
+        print(f"{graph_id}: input error: {item}", file=sys.stderr)
+        status = f"parse-error:{item.line}"
+    elif isinstance(item, DisconnectedGraphError):
+        print(f"{graph_id}: graph is disconnected", file=sys.stderr)
+        status = "disconnected"
+    else:
+        print(f"{graph_id}: unreadable: {item}", file=sys.stderr)
+        status = "unreadable"
+    return [graph_id, status] + [""] * (_BATCH_WIDTH - 2), 0
 
 
 def cmd_batch(args) -> int:
-    rows = [_batch_row(gid, item) for gid, item in _batch_sources(args)]
-    rows.sort(key=lambda r: r["graphId"])
+    rows = sorted((_batch_row(gid, item) for gid, item in _batch_sources(args)),
+                  key=lambda row: row[0][0])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = out_dir / "report.csv"
-    report.write_text(_batch_csv(rows))
+    report.write_text("\n".join([_BATCH_HEADER, *(",".join(cells) for cells, _ in rows)]) + "\n")
 
-    failures = sum(1 for r in rows if r["status"] == "generation-failure")
-    bad_inputs = sum(1 for r in rows if r["status"].startswith(_BAD_INPUT_STATUSES))
-    violations = 0
-    for r in rows:
-        for br in r.get("bounds", {}).values():
-            if br.applicable and br.satisfied is False:
-                violations += 1
-        if r.get("certificateOk") == "false":
-            violations += 1
+    statuses = [cells[1] for cells, _ in rows]
+    failures = statuses.count("generation-failure")
+    bad_inputs = sum(status.startswith(_BAD_INPUT_STATUSES) for status in statuses)
+    violations = sum(v for _, v in rows)
     print(f"{len(rows)} rows -> {report}  "
           f"(violations={violations}, generationFailures={failures})")
     if violations:

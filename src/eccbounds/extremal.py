@@ -95,14 +95,12 @@ def _verify_moore(graph: Graph, spec: MooreSpec):
         raise RuntimeError(f"catalog graph has girth {measured}, expected {spec.g}")
 
 
-def chain_graph(delta: int, g: int, k: int,
-                cut_edge: tuple[int, int] | None = None) -> tuple[Graph, ChainSpec]:
+def chain_graph(delta: int, g: int, k: int) -> tuple[Graph, ChainSpec]:
     """Chain of ``k`` copies of the (delta, g) catalog graph.
 
-    Copy ``i`` occupies ids ``[i*order, (i+1)*order)``.  Within each copy a
-    designated edge ``(a, b)`` (default: the lexicographically least edge,
-    overridable via ``cut_edge``) is removed from the interior copies
-    ``i = 1..k-2`` and the copies are threaded by the link edges
+    Copy ``i`` occupies ids ``[i*order, (i+1)*order)``.  Within each copy
+    the lexicographically least edge ``(a, b)`` is removed from the interior
+    copies ``i = 1..k-2`` and the copies are threaded by the link edges
     ``a_{i+1} b_i``.  For ``k = 1`` the catalog graph itself comes back.
     """
     if k < 1:
@@ -112,12 +110,7 @@ def chain_graph(delta: int, g: int, k: int,
         raise ValueError(f"no catalog graph for delta={delta}, g={g}")
     base, spec = hit
     order = spec.order
-    if cut_edge is None:
-        a, b = base.edges[0]
-    else:
-        a, b = sorted(cut_edge)
-        if not base.has_edge(a, b):
-            raise ValueError(f"cut edge {cut_edge} not in the base graph")
+    a, b = base.edges[0]
 
     links = tuple(((i + 1) * order + a, i * order + b) for i in range(k - 1))
     deleted = tuple((i * order + a, i * order + b) for i in range(1, k - 1))

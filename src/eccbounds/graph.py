@@ -79,9 +79,6 @@ class Graph(NamedTuple):
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("degree undefined on the empty graph")
@@ -410,7 +407,7 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     """
     adj, n = g.adj, g.n
     e0 = max(first)
-    lo = [max(e0 - d, d) for d in first]
+    lo = [e0 - d if e0 - d > d else d for d in first]
     hi = [e0 + d for d in first]
     still_open = [v for v in range(n) if lo[v] < hi[v]]
     cap = max(_BOUNDED_MIN_RUNS, e0 // 8)
@@ -563,8 +560,8 @@ def weighted_avec(g: Graph, c: WeightFunction) -> Fraction:
     return acc / total_weight
 
 
-def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Line graph plus the edge-id to vertex-pair table.
+def line_graph(g: Graph) -> Graph:
+    """Line graph of ``g``.
 
     Vertex ``i`` of the result is ``g.edges[i]``; two vertices are adjacent
     iff the underlying edges share an endpoint.  The neighbours of ``i =
@@ -582,4 +579,4 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         around.remove(i)
         around.sort()
         adj.append(around)
-    return Graph._from_ascending(adj), g.edges
+    return Graph._from_ascending(adj)

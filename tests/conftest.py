@@ -261,8 +261,7 @@ def random_min_degree_girth_oracle(cfg: eb.GeneratorConfig, counts: Counter | No
 # chain oracle: chain_graph as it was before it assembled the copies by
 # offset, every edge listed and the graph built by Graph.from_edges
 
-def chain_graph_oracle(delta: int, g: int, k: int,
-                       cut_edge: tuple[int, int] | None = None) -> tuple[eb.Graph, ChainSpec]:
+def chain_graph_oracle(delta: int, g: int, k: int) -> tuple[eb.Graph, ChainSpec]:
     if k < 1:
         raise ValueError("copy count must be at least 1")
     hit = eb.moore_catalog(delta, g)
@@ -270,12 +269,7 @@ def chain_graph_oracle(delta: int, g: int, k: int,
         raise ValueError(f"no catalog graph for delta={delta}, g={g}")
     base, spec = hit
     order = spec.order
-    if cut_edge is None:
-        a, b = base.edges[0]
-    else:
-        a, b = sorted(cut_edge)
-        if not base.has_edge(a, b):
-            raise ValueError(f"cut edge {cut_edge} not in the base graph")
+    a, b = base.edges[0]
 
     deleted = {(i * order + a, i * order + b) for i in range(1, k - 1)}
     pairs = [(i * order + u, i * order + v)
@@ -601,10 +595,10 @@ def matching_tree_oracle(g: eb.Graph, members):
     return tree, tuple(parent), tuple(root), connectors, vm, dist
 
 
-def spaced_matching_oracle(g: eb.Graph, girth_value: int, start_edge=None):
+def spaced_matching_oracle(g: eb.Graph, girth_value: int):
     """``build_spaced_matching`` with a fresh multi-source BFS per member and
     a max-then-min pair of scans."""
-    members = [start_edge or g.edges[0]]
+    members = [g.edges[0]]
     while True:
         dist = eb.multi_source_distances(g, {x for e in members for x in e})
         far = [min(dist[u], dist[v]) for u, v in g.edges]
@@ -701,8 +695,8 @@ def matching_checks_oracle(g, members, vm, msd, assignment, c, cbar, gi, constan
 
 def line_ecc_oracle(tree: eb.Graph) -> dict:
     """Eccentricity of every tree edge in the line graph, one BFS each."""
-    line, table = eb.line_graph(tree)
-    return {e: max(multi_source_distances_oracle(line, (i,))) for i, e in enumerate(table)}
+    line = eb.line_graph(tree)
+    return {e: max(multi_source_distances_oracle(line, (i,))) for i, e in enumerate(tree.edges)}
 
 
 def contracted_power_oracle(g: eb.Graph, anchors, radius: int) -> eb.Graph:
@@ -918,7 +912,8 @@ def generate_corpus(configs, parity: int, use_max_degree_too: bool = True):
             record = {
                 "graph": produced,
                 "girth": gi,
-                "params": GraphParams.measure(produced),
+                "params": GraphParams(n=produced.n, delta=produced.min_degree(),
+                                      Delta=produced.max_degree(), g=gi),
                 "cert": certify(produced),
                 "certmax": certify(produced, use_max_degree=True) if use_max_degree_too else None,
                 "requested": (delta, gfloor, n),

@@ -25,6 +25,7 @@ from eccbounds.certify import (
     _contracted_power,
     _grow,
     _line_eccentricity,
+    _spaced_vertex,
     _verify_tree,
     certify,
 )
@@ -204,7 +205,8 @@ def test_packings_and_matchings_of_the_pipeline_match_oracles():
     for _ in range(40):
         g = _random_graph(rng, 6, 60)
         for gv in (3, 4, 5, 6, 7):
-            A = eb.build_packing(g, gv, start=rng.randrange(g.n))
+            A = [a for (a,) in _grow(g, (rng.randrange(g.n),), _spaced_vertex(gv),
+                                     replay=False)[0]]
             assert _packing_tree_or_breach(g, A) == (gv % 2 == 1 or len(A) == 1)
             M = eb.build_spaced_matching(g, gv)
             assert M == spaced_matching_oracle(g, gv)
@@ -304,7 +306,6 @@ K4 = eb.complete_graph(4)
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: eb.build_packing(K4, 0), ValueError, "girth parameter must be positive"),
-    (lambda: eb.build_packing(K4, 3, start=4), ValueError, "start vertex 4 out of range"),
     (lambda: eb.build_spaced_matching(eb.Graph.from_edges(3, []), 4), ValueError,
      "graph has no edges"),
     (lambda: _verify_tree(K4, eb.Graph.from_edges(4, [(0, 1), (1, 2)]), [0],
@@ -321,7 +322,7 @@ K4 = eb.complete_graph(4)
      "member 10 out of range"),
     (lambda: eb.build_spanning_tree_from_packing(eb.petersen_graph(), [-1]), ValueError,
      "member -1 out of range"),
-], ids=["packing-girth-0", "packing-start-n", "matching-edgeless", "tree-short-an-edge",
+], ids=["packing-girth-0", "matching-edgeless", "tree-short-an-edge",
         "tree-with-a-cycle", "tree-with-a-cycle-and-anchors-apart", "tree-member-n",
         "tree-member-negative"])
 def test_input_validation_messages(call, error, message):
@@ -346,8 +347,7 @@ def test_spaced_matching_matches_max_then_min_oracle():
     for _ in range(120):
         g = _random_graph(rng, 3, 60)
         gv = rng.randint(2, 8)
-        start = rng.choice(g.edges)
-        assert eb.build_spaced_matching(g, gv, start) == spaced_matching_oracle(g, gv, start)
+        assert eb.build_spaced_matching(g, gv) == spaced_matching_oracle(g, gv)
 
 
 def test_spaced_matching_rejects_girth_below_two():

@@ -24,8 +24,6 @@ from eccbounds.bounds import (
     maxdeg_constants,
     measure,
     moore_order,
-    moore_order_even,
-    moore_order_odd,
 )
 from conftest import bound_value_oracle, maxdeg_constants_oracle, moore_order_oracle
 
@@ -34,35 +32,31 @@ from conftest import bound_value_oracle, maxdeg_constants_oracle, moore_order_or
 # Moore orders
 
 def test_moore_order_odd_values():
-    assert moore_order_odd(3, 3) == 4          # delta + 1
-    assert moore_order_odd(3, 5) == 10         # Petersen order
-    assert moore_order_odd(3, 7) == 22
-    assert moore_order_odd(7, 5) == 50         # Hoffman-Singleton order
+    assert moore_order(3, 3) == 4          # delta + 1
+    assert moore_order(3, 5) == 10         # Petersen order
+    assert moore_order(3, 7) == 22
+    assert moore_order(7, 5) == 50         # Hoffman-Singleton order
 
 
 def test_moore_order_even_values():
-    assert moore_order_even(3, 4) == 6         # 2*delta
-    assert moore_order_even(3, 6) == 14        # Heawood order
-    assert moore_order_even(4, 4) == 8
+    assert moore_order(3, 4) == 6          # 2*delta
+    assert moore_order(3, 6) == 14         # Heawood order
+    assert moore_order(4, 4) == 8
 
 
 def test_moore_order_guards():
     with pytest.raises(ValueError, match="singular"):
-        moore_order_odd(2, 5)
-    with pytest.raises(ValueError):
-        moore_order_odd(3, 4)   # wrong parity
-    with pytest.raises(ValueError):
-        moore_order_even(3, 5)
+        moore_order(2, 5)
+    for g in (2, 1, 0):
+        with pytest.raises(ValueError, match="girth >= 3"):
+            moore_order(3, g)
 
 
 def test_moore_orders_always_integral():
     # the (delta-2) denominators always divide out
     for delta in range(3, 21):
         for g in range(3, 13):
-            if g % 2:
-                assert isinstance(moore_order_odd(delta, g), int)
-            else:
-                assert isinstance(moore_order_even(delta, g), int)
+            assert isinstance(moore_order(delta, g), int)
 
 
 def test_moore_order_and_maxdeg_constants_equal_the_inline_formulas():
@@ -139,7 +133,7 @@ def test_maxdeg_matches_plain_bound_shape_when_delta_equals_Delta():
     # with Delta = delta the correction factor collapses to 1
     p = GraphParams(n=200, delta=3, Delta=3, g=5)
     r = bound_thm_girth_maxdeg(p)
-    k = moore_order_odd(3, 5)
+    k = moore_order(3, 5)
     assert r.value == F(15, 4) * F(200 - k, k) + 13
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth, bound_thm_girth_maxdeg
-from eccbounds.certify import _lower_distances, _replay_path, certify
+from eccbounds.certify import _grow, _lower_distances, _replay_path, _spaced_vertex, certify
 from conftest import (
     _fallback_connectors,
     lower_distances_oracle,
@@ -46,8 +46,9 @@ def test_packing_three_chain():
 
 
 def test_packing_respects_start():
-    A = eb.build_packing(eb.path_graph(12), 3, start=11)
-    assert A[0] == 11
+    # the grower under build_packing, from a first member other than vertex 0
+    groups = _grow(eb.path_graph(12), (11,), _spaced_vertex(3), replay=False)[0]
+    assert groups == [(11,), (8,), (5,), (2,)]
 
 
 def test_packing_spacing_and_coverage_random():
@@ -103,7 +104,7 @@ def test_two_chain_cells_split_evenly():
     g20, _ = eb.chain_graph(3, 5, 2)
     prof = eb.eccentricity_profile(g20)
     start = min(v for v in range(20) if prof.ecc[v] == prof.diameter)
-    A = eb.build_packing(g20, 5, start=start)
+    A = [a for (a,) in _grow(g20, (start,), _spaced_vertex(5), replay=False)[0]]
     assert len(A) == 2
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g20, A)
     c = eb.weight_function(A, assignment)
@@ -172,7 +173,7 @@ def test_certify_odd_maxdeg_k4():
 def test_certify_odd_final_bound_matches_evaluator():
     g, _ = eb.chain_graph(3, 5, 3)
     cert = eb.certify_odd(g)
-    p = GraphParams.measure(g)
+    p = eb.measure(g).params
     assert cert.chain["finalBound"] == bound_thm_girth(p).value
     certm = eb.certify_odd(g, use_max_degree=True)
     rm = bound_thm_girth_maxdeg(p)
@@ -210,12 +211,6 @@ def test_matching_k33_single():
 
 def test_matching_heawood_single():
     assert len(eb.build_spaced_matching(eb.heawood_graph(), 6)) == 1
-
-
-@pytest.mark.parametrize("start", [(-1, 0), (0, -1), (13, 14), (99, 100)])
-def test_matching_rejects_start_edge_off_the_vertex_range(start):
-    with pytest.raises(ValueError, match="not in graph"):
-        eb.build_spaced_matching(eb.heawood_graph(), 6, start)
 
 
 def test_matching_spacing_and_coverage_random():
@@ -331,7 +326,7 @@ def test_chain_values_match_independent_recomputation():
 def test_final_bound_matches_evaluator_across_corpus():
     for g in _mini_corpus():
         gi = eb.girth(g)
-        p = GraphParams.measure(g)
+        p = eb.measure(g).params
         cert = (eb.certify_odd if gi % 2 else eb.certify_even)(g)
         assert cert.chain["finalBound"] == bound_thm_girth(p).value
         certm = (eb.certify_odd if gi % 2 else eb.certify_even)(g, use_max_degree=True)

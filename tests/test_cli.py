@@ -407,6 +407,42 @@ def test_batch_unreadable_entry_is_one_row(tmp_path, capsys):
     assert len((out / "report.csv").read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("mode", ["dir", "generator"])
+def test_batch_rows_are_as_wide_as_the_header(mode, tmp_path):
+    # one row of each bad-input status, or two generation failures
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "parse.el").write_text("4 2\n0 1\n1 x\n")
+    (src / "split.el").write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    (src / "tree.el").write_text(eb.emit_edge_list(eb.path_graph(5)))
+    (src / "x.el").mkdir()
+    if mode == "dir":
+        spec, codes = ["--dir", str(src)], (0, 2)
+        statuses = [("parse", "parse-error:3"), ("split", "disconnected"),
+                    ("tree", "not-certifiable"), ("x", "unreadable")]
+    else:
+        spec, codes = ["--delta", "3", "--g", "4", "--n", "4", "--count", "2", "--seed", "1"], (0, 4)
+        statuses = [("gen-0000", "generation-failure"), ("gen-0001", "generation-failure")]
+    out = tmp_path / "out"
+    for strict, code in zip(([], ["--strict"]), codes):
+        assert main(["batch", *spec, "--out", str(out), *strict]) == code
+        header, *rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+        assert [(r[0], r[1]) for r in rows] == statuses
+        assert all(len(r) == len(header) for r in rows)
+
+
+def test_batch_dir_rows_are_ordered_by_graph_id(tmp_path):
+    src = tmp_path / "graphs"
+    src.mkdir()
+    for name in ("a.el", "a-b.el"):
+        (src / name).write_text(eb.emit_edge_list(eb.petersen_graph()))
+    assert [f.name for f in sorted(src.glob("*.el"))] == ["a-b.el", "a.el"]  # path order
+    out = tmp_path / "out"
+    assert main(["batch", "--dir", str(src), "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["a", "a-b"]
+
+
 def test_batch_not_certifiable_row_keeps_its_bounds(tmp_path):
     src = tmp_path / "graphs"
     src.mkdir()
@@ -492,8 +528,8 @@ def test_batch_row_measures_its_graph_once(graph, monkeypatch):
                 return _real(h)
 
             monkeypatch.setattr(sys.modules[module], name, counted)
-    row = _batch_row("g", eb.measure(graph))  # as _batch_sources yields it
-    assert row["certificateOk"] == "true"
+    cells, violations = _batch_row("g", eb.measure(graph))  # as _batch_sources yields it
+    assert cells[-1] == "true" and violations == 0
     assert calls["eccentricity_profile"] == 1 and calls["girth"] == 1
 
 

@@ -147,32 +147,10 @@ def test_chain_diameter_radius_formulas():
         assert prof.radius == 3 * (k - 1) + 1  # g(k-1)/2 + 1
 
 
-def test_chain_cut_edge_override():
-    base = eb.petersen_graph()
-    g, spec = eb.chain_graph(3, 5, 2, cut_edge=base.edges[5])
-    assert eb.is_connected(g) and g.n == 20
-
-
 @pytest.mark.parametrize("delta,g", [(3, 5), (3, 6), (7, 5), (4, 6), (2, 5), (4, 3), (3, 4)])
 def test_chain_equals_from_edges_oracle(delta, g):
     for k in range(1, 9):
         assert eb.chain_graph(delta, g, k) == chain_graph_oracle(delta, g, k), k
-
-
-@pytest.mark.parametrize("delta,g", [(3, 5), (3, 6)])  # Petersen, Heawood
-def test_chain_equals_oracle_on_every_cut_edge(delta, g):
-    base, _ = eb.moore_catalog(delta, g)
-    for u, v in base.edges:
-        for cut in ((u, v), (v, u)):
-            for k in range(1, 6):
-                assert eb.chain_graph(delta, g, k, cut) == \
-                    chain_graph_oracle(delta, g, k, cut), (cut, k)
-
-
-@pytest.mark.parametrize("cut", [(-1, 0), (4, -1), (99, 100), (9, 10)])
-def test_chain_rejects_cut_edge_off_the_vertex_range(cut):
-    with pytest.raises(ValueError, match="not in the base graph"):
-        eb.chain_graph(3, 5, 3, cut)
 
 
 def test_chain_rejects_uncataloged():
