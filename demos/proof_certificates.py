@@ -8,6 +8,7 @@ the contracted tree power) and re-checks each claimed inequality with exact
 rationals.  ``allStepsHold`` is the single machine-checkable verdict.
 """
 import eccbounds as eb
+from eccbounds.certify import certify
 
 
 def show(cert, title):
@@ -31,12 +32,12 @@ def show(cert, title):
 
 # odd girth: a chain of three Petersen graphs gives a nontrivial packing
 graph, spec = eb.chain_graph(3, 5, 3)
-show(eb.certify_odd(graph), "3-chain of Petersen graphs, n=30")
+show(certify(graph), "3-chain of Petersen graphs, n=30")
 
 # even girth: the Heawood graph, certified through its line graph
-show(eb.certify_even(eb.heawood_graph()), "Heawood graph, n=14")
+show(certify(eb.heawood_graph()), "Heawood graph, n=14")
 
 # the max-degree-aware variant seeds the packing at a max-degree vertex and
 # tracks two constants instead of one
-show(eb.certify_odd(graph, use_max_degree=True),
+show(certify(graph, use_max_degree=True),
      "3-chain, max-degree variant")

@@ -1,6 +1,7 @@
 """Average eccentricity of graphs with prescribed girth: exact computation,
 closed-form upper bounds, machine-checkable proof certificates, and the
 chained extremal constructions that show how tight the bounds are."""
+from types import ModuleType as _ModuleType
 
 from .bounds import (
     BoundId,
@@ -25,7 +26,6 @@ from .certify import (
     build_spanning_tree_from_packing,
     certify_even,
     certify_odd,
-    weight_function,
 )
 from .extremal import (
     ChainSpec,
@@ -70,4 +70,6 @@ from .graph import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules that importing them binds here
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

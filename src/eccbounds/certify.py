@@ -175,20 +175,18 @@ class MatchingCertificate(_Certificate, namedtuple(
 # ---------------------------------------------------------------------------
 # deterministic multi-source machinery
 
-def _deterministic_cells(g: Graph, dist: list[int], order, root=None,
-                         parent=None) -> tuple[list[int], list[int]]:
+def _deterministic_cells(g: Graph, dist: list[int], order, root: list[int],
+                         parent: list[int]) -> tuple[list[int], list[int]]:
     """A deterministic cell decomposition around the sources of ``dist`` (the
     vertices at distance 0), over ``order``: ascending in ``dist``, it holds
     every neighbour one closer of each of its vertices.
 
     Each vertex of ``order`` gets a root (its nearest source) in ``root``
     and, unless a source, a parent on a shortest path toward that root in
-    ``parent``: new lists of -1, or the caller's to reuse, since a pass reads
-    only roots it wrote.  Ties go to the lowest-id root, then the lowest-id
-    parent, so repeated runs agree byte for byte.
+    ``parent``, the caller's length-``n`` lists: stale entries do no harm,
+    since a pass reads only roots it wrote.  Ties go to the lowest-id root,
+    then the lowest-id parent, so repeated runs agree byte for byte.
     """
-    if root is None:
-        root, parent = [-1] * g.n, [-1] * g.n
     adj = g.adj
     for v in order:
         if dist[v] == 0:
@@ -222,11 +220,11 @@ def _lower_distances(g: Graph, dist: list[int], source: int) -> None:
                 order.append(v)
 
 
-def _replay_path(g: Graph, dist: list[int], target: int, root=None,
-                 parent=None) -> list[int]:
+def _replay_path(g: Graph, dist: list[int], target: int, root: list[int],
+                 parent: list[int]) -> list[int]:
     """The path from the sources of ``dist`` (the vertices at distance 0) to
     ``target`` along the parents :func:`_deterministic_cells` gives, first
-    element a source; ``root`` and ``parent`` are its arrays to reuse.
+    element a source; ``root`` and ``parent`` are the arrays it draws them in.
 
     Only the shortest-path DAG below ``target`` is walked, layer by layer
     toward the sources, so long paths need no recursion.  The DAG holds
@@ -382,7 +380,7 @@ def build_spaced_matching(g: Graph, girth_value: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# distance-preserving spanning tree and cell weights
+# distance-preserving spanning tree
 
 def _anchor_tree(g: Graph, groups, connectors, dist, order):
     """Spanning tree preserving every vertex's distance to the anchors.
@@ -399,7 +397,7 @@ def _anchor_tree(g: Graph, groups, connectors, dist, order):
     the sorted anchor vertices.
     """
     vertices = sorted({x for group in groups for x in group})
-    root, parent = _deterministic_cells(g, dist, order)
+    root, parent = _deterministic_cells(g, dist, order, [-1] * g.n, [-1] * g.n)
 
     # parent edges, matching edges and connectors, each listed once at both
     # ends; a missing or repeated one leaves n - 1 edges short or
@@ -460,13 +458,6 @@ def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g) -> None:
     if multi_source_distances(tree, anchor_vertices) != dist_in_g:
         raise RuntimeError("construction invariant violated: distances to the "
                            "anchor set are not preserved")
-
-
-def weight_function(members, assignment) -> dict[int, int]:
-    """Cell-size weights ``{u: c(u)}`` on the anchor vertices ``members``:
-    ``c(u)`` counts the vertices assigned to ``u``."""
-    counts = Counter(assignment)
-    return {u: counts[u] for u in members}
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +589,8 @@ def _anchors(g: Graph, gi: int, hub: int | None) -> _Anchors:
     members = [a for (a,) in groups] if odd else groups
     order = sorted(range(g.n), key=msd.__getitem__)
     tree, _, assignment, connectors, vertices = _anchor_tree(g, groups, connectors, msd, order)
-    c = weight_function(vertices, assignment)
+    counts = Counter(assignment)
+    c = {x: counts[x] for x in vertices}  # cell sizes
     weights = [sum(c[x] for x in group) for group in groups]
     return _Anchors(odd, members, groups, msd, order, tree, assignment, connectors, c, weights)
 

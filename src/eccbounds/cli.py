@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     _edge_list_pairs,
     _emitted_graph,
+    _is_forest,
     eccentricity_profile,
 )
 # these stay importable from here for the same tracer, which also wraps girth
@@ -44,24 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.up = {x: x for x in items}
-
-    def find(self, x):
-        while self.up[x] != x:
-            self.up[x] = self.up[self.up[x]]
-            x = self.up[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.up[rb] = ra
-        return True
-
-
 def _read_graph(path: str, certifying: bool = False) -> Graph:
     """The graph of an edge-list file, or of stdin for ``-``.  Text as
     ``eccb generate`` writes it takes the fast path; the rest goes to the line
@@ -74,11 +57,8 @@ def _read_graph(path: str, certifying: bool = False) -> Graph:
         return g
     n, pairs = _edge_list_pairs(data)
     if len(pairs) < n - 1:
-        if certifying:
-            distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
-            uf = _UnionFind({x for e in distinct for x in e})
-            if all(uf.union(u, v) for u, v in distinct):
-                raise NotCertifiableError("graph is acyclic: nothing to certify")
+        if certifying and _is_forest(pairs):
+            raise NotCertifiableError("graph is acyclic: nothing to certify")
         raise DisconnectedGraphError(f"{len(pairs)} edges cannot connect {n} vertices")
     return Graph.from_edges(n, pairs)
 
@@ -200,23 +180,32 @@ def cmd_chain(args) -> int:
 
 def _batch_sources(args):
     """Yield (graphId, item) pairs in deterministic order; an item is a
-    Measured graph, a GenerationFailure, or the EdgeListParseError,
-    DisconnectedGraphError or OSError of its file."""
+    Measured graph or the status of an input that could not be measured,
+    whose stderr line, if it has one, is printed here."""
     if args.dir:
         files = sorted(Path(args.dir).glob("*.el"))
         if not files:
             raise FileNotFoundError(f"no .el files in {args.dir}")
         for f in files:
             try:
-                yield f.stem, measure(_read_graph(str(f)))
-            except (EdgeListParseError, DisconnectedGraphError, OSError) as exc:
-                yield f.stem, exc
+                item = measure(_read_graph(str(f)))
+            except EdgeListParseError as exc:
+                print(f"{f.stem}: input error: {exc}", file=sys.stderr)
+                item = f"parse-error:{exc.line}"
+            except DisconnectedGraphError:
+                print(f"{f.stem}: graph is disconnected", file=sys.stderr)
+                item = "disconnected"
+            except OSError as exc:
+                print(f"{f.stem}: unreadable: {exc}", file=sys.stderr)
+                item = "unreadable"
+            yield f.stem, item
     else:
         for i in range(args.count):
             cfg = GeneratorConfig(n=args.n, delta=args.delta, g=args.g,
                                   seed=args.seed * 1_000_003 + i)
             out = generate_measured(cfg)  # the girth it re-verified is the row's girth
-            yield f"gen-{i:04d}", out if isinstance(out, GenerationFailure) else measure(*out)
+            yield f"gen-{i:04d}", ("generation-failure" if isinstance(out, GenerationFailure)
+                                   else measure(*out))
 
 
 # row statuses of inputs that could not be read or fully processed
@@ -227,41 +216,30 @@ _BATCH_HEADER = ("graphId,status,n,minDeg,maxDeg,girth,avec,avecDecimal,"
 _BATCH_WIDTH = _BATCH_HEADER.count(",") + 1
 
 
-def _batch_row(graph_id: str, item) -> tuple[list[str], int]:
-    """One report row's cells and the violations it found; a bad input gets
-    a row whose status says why and whose other cells are empty."""
-    if isinstance(item, Measured):  # measured once by _batch_sources, for bounds and certificate
-        p, avec = item.params, item.profile.avec
-        cells = [graph_id, "ok", str(p.n), str(p.delta), str(p.Delta), _girth_str(p.g),
-                 str(avec), _dec(avec)]
-        violations = 0
-        for r in evaluate_all(item):
-            if r.applicable:
-                cells += [str(r.value), "true" if r.satisfied else "false"]
-                violations += not r.satisfied
-            else:
-                cells += ["", ""]
-        try:
-            holds = certify(item).all_steps_hold
-        except NotCertifiableError:  # the bounds still apply; the certificate does not
-            cells[1] = "not-certifiable"
-            cells.append("")
+def _batch_row(graph_id: str, item: Measured | str) -> tuple[list[str], int]:
+    """One report row's cells and the violations it found; a bad input's
+    status gets a row whose other cells are empty."""
+    if isinstance(item, str):
+        return [graph_id, item] + [""] * (_BATCH_WIDTH - 2), 0
+    p, avec = item.params, item.profile.avec  # measured once by _batch_sources
+    cells = [graph_id, "ok", str(p.n), str(p.delta), str(p.Delta), _girth_str(p.g),
+             str(avec), _dec(avec)]
+    violations = 0
+    for r in evaluate_all(item):
+        if r.applicable:
+            cells += [str(r.value), "true" if r.satisfied else "false"]
+            violations += not r.satisfied
         else:
-            cells.append("true" if holds else "false")
-            violations += not holds
-        return cells, violations
-    if isinstance(item, GenerationFailure):
-        status = "generation-failure"
-    elif isinstance(item, EdgeListParseError):
-        print(f"{graph_id}: input error: {item}", file=sys.stderr)
-        status = f"parse-error:{item.line}"
-    elif isinstance(item, DisconnectedGraphError):
-        print(f"{graph_id}: graph is disconnected", file=sys.stderr)
-        status = "disconnected"
+            cells += ["", ""]
+    try:
+        holds = certify(item).all_steps_hold
+    except NotCertifiableError:  # the bounds still apply; the certificate does not
+        cells[1] = "not-certifiable"
+        cells.append("")
     else:
-        print(f"{graph_id}: unreadable: {item}", file=sys.stderr)
-        status = "unreadable"
-    return [graph_id, status] + [""] * (_BATCH_WIDTH - 2), 0
+        cells.append("true" if holds else "false")
+        violations += not holds
+    return cells, violations
 
 
 def cmd_batch(args) -> int:

@@ -268,9 +268,7 @@ def _edge_list_pairs(text) -> tuple[int, list[tuple[int, int]]]:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from ``source``; unreachable vertices get ``UNREACHABLE``."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range")
-    return _sweep(g.adj, g.n, [source])[0]
+    return multi_source_distances(g, (source,))
 
 
 def _sweep(adj, n: int, order: list[int]) -> tuple[list[int], int]:
@@ -493,8 +491,11 @@ def girth(g: Graph) -> int | None:
     depth ``du``, a walk of length ``2*du + 1``, can still beat it, and that
     level is checked without discovering new vertices.  One
     ``dist``/``parent`` pair serves every root: only the vertices a root's
-    BFS reached are reset.  Overall O(n*m).
+    BFS reached are reset.  Overall O(n*m), which a forest, where no root
+    stops early, would cost in full: one union-find pass answers it first.
     """
+    if g.m < g.n and _is_forest(g.edges):  # m >= n always closes a cycle
+        return None
     best: int | None = None
     adj = g.adj
     dist = [UNREACHABLE] * g.n
@@ -532,6 +533,26 @@ def girth(g: Graph) -> int | None:
         for x in reached:
             dist[x] = UNREACHABLE
     return best
+
+
+def _is_forest(pairs) -> bool:
+    """Whether the edges ``pairs`` (repeats and either orientation allowed)
+    close no cycle: one union-find pass with path halving, keyed by the
+    edges' ends alone, so nothing is allocated per vertex of a header's ``n``."""
+    up: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while (p := up.get(x, x)) != x:
+            up[x] = up.get(p, p)
+            x = up[x]
+        return x
+
+    for u, v in {(u, v) if u < v else (v, u) for u, v in pairs}:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        up[rv] = ru
+    return True
 
 
 def path_avec_closed_form(n: int) -> Fraction:

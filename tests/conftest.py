@@ -16,7 +16,6 @@ import pytest
 import eccbounds as eb
 from eccbounds.bounds import GraphParams
 from eccbounds.certify import StructuralCheck, _verify_tree
-from eccbounds.cli import _UnionFind
 from eccbounds.extremal import ChainSpec
 
 
@@ -424,6 +423,30 @@ def edge_list_pairs_oracle(text):
     return n, pairs
 
 
+class UnionFind:
+    """Disjoint sets over ``items`` with no path compression: ``union``
+    says whether it merged two sets."""
+
+    def __init__(self, items):
+        self.up = {x: x for x in items}
+
+    def find(self, x):
+        while self.up[x] != x:
+            x = self.up[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        self.up[rb] = ra
+        return ra != rb
+
+
+def cell_weights(members, assignment) -> dict:
+    """Cell-size weights ``{u: c(u)}`` on the anchor vertices ``members``:
+    ``c(u)`` counts the vertices ``assignment`` maps to ``u``."""
+    return {u: sum(a == u for a in assignment) for u in members}
+
+
 # ---------------------------------------------------------------------------
 # certificate oracles: the per-prefix and full-BFS forms that the incremental
 # anchor machinery in eccbounds.certify replaces, kept as references
@@ -519,7 +542,7 @@ def _fallback_connectors(g: eb.Graph, cell_of: list[int], depth: list[int],
         cand = (depth[x] + depth[y], x, y)
         if key not in best or cand < best[key]:
             best[key] = cand
-    uf = _UnionFind(cells)
+    uf = UnionFind(cells)
     chosen = []
     for key in sorted(best, key=lambda k: best[k]):
         _, a, b = best[key]
@@ -533,7 +556,7 @@ def _stitched_tree(g, anchors, cells, cell_of, dist, parent, connectors, extra_e
     fallback when the connectors do not form a quotient spanning tree.  The
     library keeps no fallback: where this one falls back, ``_anchor_tree``
     fails its verification."""
-    uf = _UnionFind(cells)
+    uf = UnionFind(cells)
     if not (connectors is not None and len(connectors) == len(cells) - 1
             and all(cell_of[x] != cell_of[y] and uf.union(cell_of[x], cell_of[y])
                     for x, y in connectors)):
@@ -856,6 +879,13 @@ def random_connected(rng: random.Random, n: int, extra_edges: int = 0) -> eb.Gra
         if u != v:
             pairs.append((min(u, v), max(u, v)))
     return eb.Graph.from_edges(n, pairs)
+
+
+def caterpillar(s: int) -> eb.Graph:
+    """The tree on ``2s`` vertices with spine ``0..s-1`` and leaf ``s + i``
+    hung on spine vertex ``i``."""
+    return eb.Graph.from_edges(2 * s, [(i, i + 1) for i in range(s - 1)]
+                               + [(i, s + i) for i in range(s)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from eccbounds.certify import (
 from conftest import (
     anchor_tree_oracle,
     ball_contracted_power_oracle,
+    cell_weights,
     contracted_power_oracle,
     line_ecc_oracle,
     matching_checks_oracle,
@@ -268,9 +269,9 @@ def _drop_a_parent_edge(mp):
     certify_module = sys.modules["eccbounds.certify"]
     real = certify_module._deterministic_cells
 
-    def dropping(g, dist, order):
+    def dropping(g, dist, order, root, parent):
         order = list(order)
-        root, parent = real(g, dist, order)
+        root, parent = real(g, dist, order, root, parent)
         if len(order) == g.n:
             parent[next(v for v in range(g.n) if parent[v] != -1)] = -1
         return root, parent
@@ -368,7 +369,7 @@ def _packing_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: bool
             assignment[rng.randrange(g.n)] = rng.randrange(g.n)
     if rng.random() < 0.2:
         members = members + [members[0]]  # a repeated member
-    c = eb.weight_function(members, assignment)
+    c = cell_weights(members, assignment)
     k = rng.randint(1, 12)
     constants = {"K1": k, "K2": k + rng.randint(0, 4)} if use_max_degree else {"K": k}
     rng.random()  # a spare draw keeps the cases each seed gives
@@ -386,7 +387,7 @@ def _matching_case(rng: random.Random, g: eb.Graph, gi: int, use_max_degree: boo
         members = members + [next(e for e in g.edges if e not in members)]  # may overlap
         vm = sorted({x for e in members for x in e})
         msd = eb.multi_source_distances(g, vm)
-    c = eb.weight_function(vm, assignment)
+    c = cell_weights(vm, assignment)
     cbar = {e: c[e[0]] + c[e[1]] for e in members}
     k = rng.randint(1, 12)
     constants = {"L1": k, "L2": k + rng.randint(0, 4)} if use_max_degree else {"L": 2 * k}
@@ -421,7 +422,7 @@ def test_matching_checks_match_full_bfs_oracle():
 def test_checks_on_non_maximal_packing():
     g = eb.path_graph(12)
     tree, _, assignment, _ = packing_tree_oracle(g, [0, 6])
-    c = eb.weight_function([0, 6], assignment)
+    c = cell_weights([0, 6], assignment)
     case = (g, [0, 6], assignment, c, 3, {"K": 3}, tree, False)
     got = _checks_on_packing(case)
     assert got == packing_checks_oracle(*case)
@@ -438,7 +439,7 @@ def test_packing_checks_accept_a_tied_assignment():
     # member 2 although its one neighbour, 1, goes to member 0
     g = eb.Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     members, assignment = [0, 2], [0, 0, 2, 2]
-    case = (g, members, assignment, eb.weight_function(members, assignment), 3, {"K": 2},
+    case = (g, members, assignment, cell_weights(members, assignment), 3, {"K": 2},
             g, False)
     got = _checks_on_packing(case)
     assert got == packing_checks_oracle(*case)
@@ -450,7 +451,7 @@ def test_matching_checks_accept_a_tied_assignment():
     # hanging off 2, at distance 2 from both; 2 goes to 1 and 5 goes to 3
     g = eb.Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
     members, vm, assignment = [(0, 1), (3, 4)], [0, 1, 3, 4], [0, 1, 1, 3, 4, 3]
-    c = eb.weight_function(vm, assignment)
+    c = cell_weights(vm, assignment)
     cbar = {e: c[e[0]] + c[e[1]] for e in members}
     case = (g, members, vm, eb.multi_source_distances(g, vm), assignment, c, cbar, 4,
             {"L": 2}, g, False)
@@ -482,7 +483,7 @@ def test_weight_rule_boundaries_under_max_degree(odd, n, weights, verdicts):
     else:
         members = [(a, a + 1) for a in starts]
         tree, _, assignment, _, vm, msd = matching_tree_oracle(g, members)
-        case = (g, members, vm, msd, list(assignment), eb.weight_function(vm, assignment),
+        case = (g, members, vm, msd, list(assignment), cell_weights(vm, assignment),
                 dict(zip(members, weights)), 6, {"L1": 2, "L2": 10}, tree, True)
         got, want = _checks_on_matching(case), matching_checks_oracle(*case)
         names = ("hub_edge_weight>=L1+L2", "edge_weight_lower_bounds",
@@ -830,7 +831,7 @@ def test_property_checks_equal_oracles_under_tied_reassignment(case):
     tree, _, assignment, _ = packing_tree_oracle(g, members)
     assignment = list(assignment)
     _reassign_among_ties(rng, g, members, assignment)
-    pcase = (g, members, assignment, eb.weight_function(members, assignment), gi,
+    pcase = (g, members, assignment, cell_weights(members, assignment), gi,
              {"K": rng.randint(1, 6)}, tree, False)
     got = _checks_on_packing(pcase)
     assert got == packing_checks_oracle(*pcase)
@@ -840,7 +841,7 @@ def test_property_checks_equal_oracles_under_tied_reassignment(case):
     tree, _, assignment, _, vm, msd = matching_tree_oracle(g, matching)
     assignment = list(assignment)
     _reassign_among_ties(rng, g, vm, assignment)
-    c = eb.weight_function(vm, assignment)
+    c = cell_weights(vm, assignment)
     mcase = (g, matching, vm, msd, assignment, c, {e: c[e[0]] + c[e[1]] for e in matching},
              gi, {"L": rng.randint(1, 6)}, tree, False)
     got = _checks_on_matching(mcase)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import sys
+import types
 from fractions import Fraction as F
 from functools import cache
 
@@ -14,7 +15,9 @@ import eccbounds as eb
 from eccbounds.bounds import GraphParams, bound_thm_girth, bound_thm_girth_maxdeg
 from eccbounds.certify import _grow, _lower_distances, _replay_path, _spaced_vertex, certify
 from conftest import (
+    UnionFind,
     _fallback_connectors,
+    cell_weights,
     lower_distances_oracle,
     prefix_connectors_oracle,
     random_connected,
@@ -96,8 +99,15 @@ def test_tree_preserves_distances_random():
 def test_weight_function_point():
     g = eb.petersen_graph()
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g, [0])
-    c = eb.weight_function([0], assignment)
+    c = cell_weights([0], assignment)
     assert c[0] == 10 and sum(c.values()) == 10
+    assert certify(g).weights == c
+
+
+def test_star_import_binds_no_module():
+    # importing the public names binds the submodules in the package too
+    assert not any(isinstance(getattr(eb, name), types.ModuleType) for name in eb.__all__)
+    assert "certify" not in eb.__all__ and "certify_odd" in eb.__all__
 
 
 def test_two_chain_cells_split_evenly():
@@ -107,7 +117,7 @@ def test_two_chain_cells_split_evenly():
     A = [a for (a,) in _grow(g20, (start,), _spaced_vertex(5), replay=False)[0]]
     assert len(A) == 2
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g20, A)
-    c = eb.weight_function(A, assignment)
+    c = cell_weights(A, assignment)
     assert sorted(c[a] for a in A) == [10, 10]
     assert all(c[a] >= 10 for a in A)  # >= K
 
@@ -115,16 +125,16 @@ def test_two_chain_cells_split_evenly():
 def test_fallback_connectors_build_valid_quotient_trees():
     # the oracles' quotient-tree fallback must stitch arbitrary cell decompositions
     from eccbounds.certify import _deterministic_cells
-    from eccbounds.cli import _UnionFind
     rng = random.Random(53)
     for _ in range(10):
         g = random_connected(rng, rng.randint(8, 30), rng.randint(2, 15))
         members = sorted(rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
         dist = eb.multi_source_distances(g, members)
-        root, parent = _deterministic_cells(g, dist, sorted(range(g.n), key=dist.__getitem__))
+        root, parent = _deterministic_cells(g, dist, sorted(range(g.n), key=dist.__getitem__),
+                                            [-1] * g.n, [-1] * g.n)
         chosen = _fallback_connectors(g, root, dist, members)
         assert len(chosen) == len(members) - 1
-        uf = _UnionFind(members)
+        uf = UnionFind(members)
         for x, y in chosen:
             assert g.has_edge(x, y)
             assert uf.union(root[x], root[y])  # each edge merges two cells
@@ -415,7 +425,8 @@ def test_replay_path_matches_its_oracle():
         dist = eb.multi_source_distances(g, sources)
         for v in range(g.n):
             if dist[v]:
-                assert _replay_path(g, dist, v) == replay_path_oracle(g, dist, v)
+                fresh = [-1] * g.n, [-1] * g.n
+                assert _replay_path(g, dist, v, *fresh) == replay_path_oracle(g, dist, v)
                 ties += sum(dist[u] == dist[v] - 1 for u in g.adj[v]) > 1
                 even += dist[v] % 2 == 0
     assert ties > 100 and even > 100
@@ -435,7 +446,7 @@ def test_replay_on_stale_arrays_equals_the_fresh_replay():
         parent = [rng.choice(g.adj[v]) for v in range(g.n)]
         for v in range(g.n):
             if dist[v]:
-                want = _replay_path(g, dist, v)
+                want = _replay_path(g, dist, v, [-1] * g.n, [-1] * g.n)
                 assert want == replay_path_oracle(g, dist, v)
                 assert _replay_path(g, dist, v, root, parent) == want
 

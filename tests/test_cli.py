@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import time
 import types
 from collections import Counter
 
@@ -13,6 +14,7 @@ import eccbounds as eb
 from eccbounds import cli
 from eccbounds.cli import _batch_row, _read_graph, main
 from eccbounds.graph import _edge_list_pairs
+from conftest import caterpillar
 
 
 @pytest.fixture()
@@ -143,6 +145,30 @@ def test_certify_acyclic_exits_3(tmp_path, capsys):
     p = tmp_path / "p4.el"
     p.write_text(eb.emit_edge_list(eb.path_graph(4)))
     assert main(["certify", str(p), "--out", str(tmp_path)]) == 3
+
+
+@pytest.fixture()
+def caterpillar_file(tmp_path):
+    p = tmp_path / "caterpillar.el"
+    p.write_text(eb.emit_edge_list(caterpillar(8000)))
+    return p
+
+
+# the girth's per-root search alone took about 16 s on this tree
+
+def test_compute_large_tree_is_acyclic(caterpillar_file, capsys):
+    start = time.perf_counter()
+    assert main(["compute", str(caterpillar_file)]) == 0
+    assert time.perf_counter() - start < 2.0
+    out = capsys.readouterr().out
+    assert out.startswith("n=16000 m=15999 minDeg=1 maxDeg=3 girth=acyclic\n")
+
+
+def test_certify_large_tree_exits_3(caterpillar_file, tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["certify", str(caterpillar_file), "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "graph is acyclic: nothing to certify\n"
 
 
 def test_certify_measures_girth_once(petersen_file, k33_file, tmp_path, monkeypatch):
@@ -429,6 +455,22 @@ def test_batch_rows_are_as_wide_as_the_header(mode, tmp_path):
         header, *rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
         assert [(r[0], r[1]) for r in rows] == statuses
         assert all(len(r) == len(header) for r in rows)
+
+
+def test_batch_bad_inputs_write_one_stderr_line_each(tmp_path, capsys):
+    # in file order, and none for the tree, whose row is not-certifiable
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "parse.el").write_text("4 2\n0 1\n1 x\n")
+    (src / "split.el").write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    (src / "tree.el").write_text(eb.emit_edge_list(eb.path_graph(5)))
+    (src / "x.el").mkdir()
+    assert main(["batch", "--dir", str(src), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "parse: input error: line 3: non-integer edge '1 x'",
+        "split: graph is disconnected",
+        f"x: unreadable: [Errno 21] Is a directory: '{src / 'x.el'}'",
+    ]
 
 
 def test_batch_dir_rows_are_ordered_by_graph_id(tmp_path):

@@ -3,15 +3,17 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.graph import _edge_list_pairs, _emitted_graph, _sweep
 from conftest import (
+    caterpillar,
     edge_list_pairs_oracle,
     floyd_warshall,
     girth_above_root_oracle,
@@ -504,6 +506,47 @@ def test_property_sweep_equals_the_deque_oracle(g):
         want = multi_source_distances_oracle(g, (s,))
         assert _sweep(g.adj, g.n, [s]) == (want, max(want))
         assert eb.bfs_distances(g, s) == want
+
+
+def test_girth_of_a_large_tree_takes_one_pass():
+    # no root of a forest's per-root search finds a cycle to stop at, so that
+    # search costs O(n*m) here, over 10 s; one union-find pass answers instead
+    g = caterpillar(8000)
+    start = time.perf_counter()
+    assert eb.girth(g) is None
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs with fewer edges than vertices, on shuffled ids: a forest in
+    which each vertex joins an earlier one or starts a new tree, and perhaps
+    one more edge inside a tree, which closes a cycle unless it repeats an
+    edge."""
+    n = draw(st.integers(1, 30))
+    ids = draw(st.permutations(range(n)))
+    tree_of, pairs = list(range(n)), []
+    for v in range(1, n):
+        if (u := draw(st.none() | st.integers(0, v - 1))) is not None:
+            tree_of[v] = tree_of[u]
+            pairs.append((ids[v], ids[u]))
+    v = draw(st.integers(0, n - 1))
+    mates = [w for w in range(n) if w != v and tree_of[w] == tree_of[v]]
+    if mates and draw(st.booleans()):
+        pairs.append((ids[v], ids[draw(st.sampled_from(mates))]))
+    g = eb.Graph.from_edges(n, pairs)
+    assume(g.m < g.n)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs())
+@example(caterpillar(6))                                           # a tree
+@example(eb.Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)]))  # a forest
+@example(eb.Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)]))  # a forest plus a cycle
+@example(eb.Graph.from_edges(1, []))
+def test_property_girth_of_sparse_graphs_equals_the_oracle(g):
+    assert eb.girth(g) == girth_oracle(g)
 
 
 def test_girth_matches_per_root_oracle_large():
