@@ -12,7 +12,6 @@ from .bounds import (
     bound_thm_girth,
     bound_thm_girth_maxdeg,
     evaluate_all,
-    girth6_reduction_forms,
     lower_bound_chain,
     measure,
     moore_order,

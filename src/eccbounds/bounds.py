@@ -293,22 +293,6 @@ def lower_bound_chain(p: GraphParams, k: int) -> Fraction:
     return Fraction(6 * g * n - 8 * g * order + (4 if g % 2 else 12) * order, 8 * order)
 
 
-def girth6_reduction_forms(p: GraphParams) -> tuple[Fraction, Fraction]:
-    """Both displayed girth-6 specializations of the even bound.
-
-    Returns ``(middle, right)``: the ceiling over ``n(delta-2)/(2((delta-1)^3-1))``
-    and over ``n/(2(delta^2-delta+1))``.  Since ``(delta-1)^3 - 1`` factors as
-    ``(delta-2)(delta^2-delta+1)`` the two are identical; both are reported so
-    a consumer can confirm that.
-    """
-    if p.delta < 3:
-        raise ValueError("minimum degree >= 3 required")
-    n, d = p.n, p.delta
-    middle = Fraction(9, 2) * _ceil_div(n * (d - 2), 2 * ((d - 1) ** 3 - 1)) + 7
-    right = Fraction(9, 2) * _ceil_div(n, 2 * (d * d - d + 1)) + 7
-    return middle, right
-
-
 def evaluate_all(g: Graph | Measured) -> list[BoundResult]:
     """Evaluate every upper bound at the measured (n, delta, Delta, girth).
 

@@ -255,7 +255,7 @@ def _replay_path(g: Graph, dist: list[int], target: int, root: list[int],
 # ---------------------------------------------------------------------------
 # anchors: one grower, three pick rules
 
-def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
+def _grow(g: Graph, first, pick) -> tuple[
         list[tuple[int, ...]], list[tuple[int, int]], list[int]]:
     """Anchors grown from the vertex group ``first`` on one distance array.
 
@@ -267,13 +267,14 @@ def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
     middle edge is recorded as a connector of the tree.
     Returns ``(groups, connectors, dist)``: one connector per anchor after
     the first, and every vertex's distance to all the anchors' vertices.
-    With ``replay`` false no path is replayed and ``connectors`` stays
-    empty, for the anchor builders that return the groups alone.  The
-    replays share one ``root`` and ``parent`` pair, so each costs the size
-    of its shortest-path DAG, not ``n``.
+    The anchor builders return the groups and discard the connectors; their
+    input checks keep every anchor at a distance ``t >= 1``, so its path of
+    ``t + 1`` vertices has a middle edge.  The replays share one ``root``
+    and ``parent`` pair, so each costs the size of its shortest-path DAG,
+    not ``n``.
 
-    Every replaying caller hands in anchors at an odd distance ``t = 2h + 1``
-    from the anchors before them, and ``t`` never falls: ``t = g`` for a
+    The certificate pipeline hands in anchors at an odd distance ``t = 2h +
+    1`` from the anchors before them, and ``t`` never falls: ``t = g`` for a
     packing member (odd girth ``g``), ``t = g - 1`` for a matching edge
     (even ``g``), and ``build_spanning_tree_from_packing`` rejects members
     that break either rule.  Then the connectors stitch the final cells into
@@ -305,11 +306,10 @@ def _grow(g: Graph, first, pick, replay: bool = True) -> tuple[
     groups, connectors = [tuple(first)], []
     root, parent = [-1] * g.n, [-1] * g.n
     while (group := pick(dist)) is not None:
-        if replay:
-            target = min(group, key=lambda x: (dist[x], x))
-            t = dist[target]
-            path = _replay_path(g, dist, target, root, parent)
-            connectors.append((path[t // 2], path[t // 2 + 1]))
+        target = min(group, key=lambda x: (dist[x], x))
+        t = dist[target]
+        path = _replay_path(g, dist, target, root, parent)
+        connectors.append((path[t // 2], path[t // 2 + 1]))
         groups.append(group)
         for x in group:
             _lower_distances(g, dist, x)
@@ -359,7 +359,7 @@ def build_packing(g: Graph, girth_value: int) -> list[int]:
     """
     if girth_value < 1:
         raise ValueError("girth parameter must be positive")
-    groups = _grow(g, (0,), _spaced_vertex(girth_value), replay=False)[0]
+    groups = _grow(g, (0,), _spaced_vertex(girth_value))[0]
     return [a for (a,) in groups]
 
 
@@ -376,7 +376,7 @@ def build_spaced_matching(g: Graph, girth_value: int) -> list[tuple[int, int]]:
         raise ValueError("girth parameter must be at least 2")
     if not g.edges:
         raise ValueError("graph has no edges")
-    return _grow(g, g.edges[0], _spaced_edge(g, girth_value), replay=False)[0]
+    return _grow(g, g.edges[0], _spaced_edge(g, girth_value))[0]
 
 
 # ---------------------------------------------------------------------------

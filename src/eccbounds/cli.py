@@ -22,9 +22,9 @@ from .graph import (
     DisconnectedGraphError,
     EdgeListParseError,
     Graph,
+    _core_degrees,
     _edge_list_pairs,
     _emitted_graph,
-    _is_forest,
     eccentricity_profile,
 )
 # these stay importable from here for the same tracer, which also wraps girth
@@ -50,15 +50,23 @@ def _read_graph(path: str, certifying: bool = False) -> Graph:
     ``eccb generate`` writes it takes the fast path; the rest goes to the line
     parser.  A header ``n m`` with ``m < n - 1`` cannot be connected, so it
     raises before ``n`` vertices are allocated; when ``certifying``, a forest
-    raises what certify would."""
+    raises what certify would.  The forest test is the peel :func:`girth`
+    runs, :func:`_core_degrees`, over the pairs' ends alone."""
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     g = _emitted_graph(data)  # None when m < n - 1, among others
     if g is not None:
         return g
     n, pairs = _edge_list_pairs(data)
     if len(pairs) < n - 1:
-        if certifying and _is_forest(pairs):
-            raise NotCertifiableError("graph is acyclic: nothing to certify")
+        if certifying:
+            distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
+            at = {x: i for i, x in enumerate({x for pair in distinct for x in pair})}
+            adj: list[list[int]] = [[] for _ in at]
+            for u, v in distinct:
+                adj[at[u]].append(at[v])
+                adj[at[v]].append(at[u])
+            if all(d < 2 for d in _core_degrees(adj)):
+                raise NotCertifiableError("graph is acyclic: nothing to certify")
         raise DisconnectedGraphError(f"{len(pairs)} edges cannot connect {n} vertices")
     return Graph.from_edges(n, pairs)
 

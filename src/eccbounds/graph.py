@@ -139,10 +139,6 @@ class WeightFunction(_WeightFunctionFields):
     def total(self) -> int | Fraction:
         return sum(self.weights)
 
-    @staticmethod
-    def uniform(n: int) -> "WeightFunction":
-        return WeightFunction(tuple(Fraction(1) for _ in range(n)))
-
 
 def parse_edge_list(text) -> Graph:
     """Parse the plain edge-list format.
@@ -491,18 +487,19 @@ def girth(g: Graph) -> int | None:
     depth ``du``, a walk of length ``2*du + 1``, can still beat it, and that
     level is checked without discovering new vertices.  One
     ``dist``/``parent`` pair serves every root: only the vertices a root's
-    BFS reached are reset.  Overall O(n*m), which a forest, where no root
-    stops early, would cost in full: one union-find pass answers it first.
+    BFS reached are reset.  No cycle leaves the 2-core, so a root off it
+    (:func:`_core_degrees`) is skipped too: a forest, whose core is empty,
+    runs no BFS at all, and a tree part below the cycles runs none.
+    Overall O(n*m) at most.
     """
-    if g.m < g.n and _is_forest(g.edges):  # m >= n always closes a cycle
-        return None
     best: int | None = None
     adj = g.adj
+    core = _core_degrees(adj)
     dist = [UNREACHABLE] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
         around = adj[root]
-        if len(around) < 2 or around[-2] < root:
+        if core[root] < 2 or around[-2] < root:
             continue
         dist[root] = 0
         parent[root] = -1
@@ -535,24 +532,25 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-def _is_forest(pairs) -> bool:
-    """Whether the edges ``pairs`` (repeats and either orientation allowed)
-    close no cycle: one union-find pass with path halving, keyed by the
-    edges' ends alone, so nothing is allocated per vertex of a header's ``n``."""
-    up: dict[int, int] = {}
+def _core_degrees(adj) -> list[int]:
+    """Each vertex's degree in the 2-core of the graph with adjacency lists
+    ``adj``, below 2 for every vertex off the core.
 
-    def find(x: int) -> int:
-        while (p := up.get(x, x)) != x:
-            up[x] = up.get(p, p)
-            x = up[x]
-        return x
-
-    for u, v in {(u, v) if u < v else (v, u) for u, v in pairs}:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        up[rv] = ru
-    return True
+    The 2-core is what is left once vertices of degree below 2 are peeled
+    off until none is (Batagelj and Zaveršnik, *An O(m) algorithm for cores
+    decomposition of networks*, 2003); it holds every cycle and is empty
+    exactly on a forest.  A vertex is queued once, when its degree first
+    drops below 2, and each peel lowers its neighbours' degrees: O(n + m),
+    and the plain degrees when every vertex has two neighbours.
+    """
+    deg = [len(around) for around in adj]
+    peeled = [v for v, d in enumerate(deg) if d < 2]
+    for v in peeled:  # also the queue: the loop reads what it appends
+        for u in adj[v]:
+            deg[u] -= 1
+            if deg[u] == 1:
+                peeled.append(u)
+    return deg
 
 
 def path_avec_closed_form(n: int) -> Fraction:

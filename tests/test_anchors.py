@@ -206,8 +206,7 @@ def test_packings_and_matchings_of_the_pipeline_match_oracles():
     for _ in range(40):
         g = _random_graph(rng, 6, 60)
         for gv in (3, 4, 5, 6, 7):
-            A = [a for (a,) in _grow(g, (rng.randrange(g.n),), _spaced_vertex(gv),
-                                     replay=False)[0]]
+            A = [a for (a,) in _grow(g, (rng.randrange(g.n),), _spaced_vertex(gv))[0]]
             assert _packing_tree_or_breach(g, A) == (gv % 2 == 1 or len(A) == 1)
             M = eb.build_spaced_matching(g, gv)
             assert M == spaced_matching_oracle(g, gv)

@@ -18,7 +18,6 @@ from eccbounds.bounds import (
     bound_thm_girth,
     bound_thm_girth_maxdeg,
     evaluate_all,
-    girth6_reduction_forms,
     lower_bound_chain,
     maxdeg_bound_value,
     maxdeg_constants,
@@ -272,9 +271,13 @@ def test_girth5_closed_form():
 
 
 def test_girth6_reduction_forms_agree():
+    # the two displayed girth-6 forms, over n(delta-2)/(2((delta-1)^3-1)) and
+    # over n/(2(delta^2-delta+1)), agree since (delta-1)^3 - 1 factors as
+    # (delta-2)(delta^2-delta+1)
     for delta in range(3, 30):
         for n in (50, 333, 5000):
-            middle, right = girth6_reduction_forms(GraphParams(n=n, delta=delta, g=6))
+            middle = F(9, 2) * -(-n * (delta - 2) // (2 * ((delta - 1) ** 3 - 1))) + 7
+            right = F(9, 2) * -(-n // (2 * (delta * delta - delta + 1))) + 7
             assert middle == right
             assert middle == bound_thm_girth(GraphParams(n=n, delta=delta, g=6)).value
 
@@ -296,9 +299,7 @@ def test_lower_bound_chain_order_mismatch():
 @pytest.mark.parametrize("call, message", [
     (lambda: lower_bound_chain(GraphParams(n=20, delta=3, g=5), 0),
      "copy count must be positive"),
-    (lambda: girth6_reduction_forms(GraphParams(n=20, delta=2, g=6)),
-     "minimum degree >= 3 required"),
-], ids=["chain-no-copies", "girth6-delta-2"])
+], ids=["chain-no-copies"])
 def test_input_validation_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -50,7 +50,7 @@ def test_packing_three_chain():
 
 def test_packing_respects_start():
     # the grower under build_packing, from a first member other than vertex 0
-    groups = _grow(eb.path_graph(12), (11,), _spaced_vertex(3), replay=False)[0]
+    groups = _grow(eb.path_graph(12), (11,), _spaced_vertex(3))[0]
     assert groups == [(11,), (8,), (5,), (2,)]
 
 
@@ -114,7 +114,7 @@ def test_two_chain_cells_split_evenly():
     g20, _ = eb.chain_graph(3, 5, 2)
     prof = eb.eccentricity_profile(g20)
     start = min(v for v in range(20) if prof.ecc[v] == prof.diameter)
-    A = [a for (a,) in _grow(g20, (start,), _spaced_vertex(5), replay=False)[0]]
+    A = [a for (a,) in _grow(g20, (start,), _spaced_vertex(5))[0]]
     assert len(A) == 2
     tree, _, assignment, _ = eb.build_spanning_tree_from_packing(g20, A)
     c = cell_weights(A, assignment)
@@ -451,8 +451,9 @@ def test_replay_on_stale_arrays_equals_the_fresh_replay():
                 assert _replay_path(g, dist, v, root, parent) == want
 
 
-def test_anchor_builders_replay_no_discovery_path(monkeypatch):
-    # the public builders discard the connectors, so only the pipeline replays
+def test_anchor_builders_replay_the_pipelines_discovery_paths(monkeypatch):
+    # the grower has one mode: the public builders replay every discovery
+    # path the pipeline replays, then discard the connectors
     certify_module = sys.modules["eccbounds.certify"]
     replayed = []
     real = certify_module._replay_path
@@ -462,9 +463,10 @@ def test_anchor_builders_replay_no_discovery_path(monkeypatch):
     for gi in (5, 6):
         g = _generated(gi)
         anchors = (eb.build_packing if gi % 2 else eb.build_spaced_matching)(g, gi)
-        assert replayed == []
+        built = replayed.copy()
+        replayed.clear()
         cert = certify(g)
-        assert len(replayed) == len(anchors) - 1 > 5
+        assert replayed == built and len(built) == len(anchors) - 1 > 5
         assert list(cert.members) == anchors
         replayed.clear()
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
 import time
 import types
@@ -14,7 +15,7 @@ import eccbounds as eb
 from eccbounds import cli
 from eccbounds.cli import _batch_row, _read_graph, main
 from eccbounds.graph import _edge_list_pairs
-from conftest import caterpillar
+from conftest import UnionFind, caterpillar
 
 
 @pytest.fixture()
@@ -243,6 +244,33 @@ def test_emitted_short_header_still_raises_on_read(text, certifying, error, tmp_
     p.write_text(text)
     with pytest.raises(error):
         _read_graph(str(p), certifying=certifying)
+
+
+def test_random_short_headers_raise_what_a_union_find_says(tmp_path):
+    # m < n - 1 listed lines, repeats and both orientations among them, on a
+    # few ends of a larger header: certify's reader calls the graph acyclic
+    # exactly when no distinct pair closes a cycle
+    rng = random.Random(29)
+    seen = Counter()
+    p = tmp_path / "short.el"
+    for _ in range(300):
+        n = rng.randint(3, 40)
+        ends = rng.sample(range(n), rng.randint(2, min(n, 8)))
+        pairs = []
+        for _ in range(rng.randint(0, n - 2)):
+            if pairs and rng.random() < 0.3:
+                u, v = rng.choice(pairs)  # a repeat, perhaps reversed
+                pairs.append((v, u) if rng.random() < 0.5 else (u, v))
+            else:
+                pairs.append(tuple(rng.sample(ends, 2)))
+        uf = UnionFind(range(n))
+        acyclic = all(uf.union(u, v) for u, v in {tuple(sorted(pair)) for pair in pairs})
+        p.write_text(f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+        error = eb.NotCertifiableError if acyclic else eb.DisconnectedGraphError
+        with pytest.raises(error):
+            _read_graph(str(p), certifying=True)
+        seen[error] += 1
+    assert min(seen.values()) > 50
 
 
 def test_generate_measures_girth_once(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Every name a library module, test file or demo imports is used in that
 file, and every module-level private function, class or constant of the
-library is referenced somewhere in the package.  No library module imports
-``dataclasses``: the records are named tuples, which generate no methods on
-import, and ``import eccbounds.cli`` loads neither ``dataclasses`` nor
-``inspect``.
+library is referenced somewhere in the package.  Every public name is used
+by a library module other than ``__init__`` or by a demo, unless the
+benchmark's tracer wraps it: a name only tests call is code nothing needs.
+No library module imports ``dataclasses``: the records are named tuples,
+which generate no methods on import, and ``import eccbounds.cli`` loads
+neither ``dataclasses`` nor ``inspect``.
 
 An import kept only for other code to look up marks its line with
 ``# noqa: F401`` and says why in a comment, as ``cli`` does for the names
@@ -20,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import eccbounds
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "eccbounds"
@@ -97,17 +101,17 @@ def _defined_names(node) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_private`` functions, classes and assignments of
-    ``sources`` (file name -> text) that no name, attribute or import in any
-    of the files refers to, references inside their own definition left
-    out."""
+def _unreferenced_defs(sources: dict[str, str], wanted) -> list[str]:
+    """Module-level functions, classes and assignments of ``sources`` (file
+    name -> text) whose name ``wanted`` accepts and that no name, attribute
+    or import in any of the files refers to, references inside their own
+    definition left out."""
     defs, refs = [], []
     for file, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             for name in _defined_names(node):
-                if name.startswith("_") and not name.startswith("__"):
+                if wanted(name):
                     defs.append((file, name, node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -121,6 +125,12 @@ def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
         if not any(ref == name and not (
                    where == file and node.lineno <= line <= node.end_lineno)
                    for where, ref, line in refs))
+
+
+def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """The ``_private`` definitions of ``sources`` that none of them uses."""
+    return _unreferenced_defs(sources, lambda name: name.startswith("_")
+                              and not name.startswith("__"))
 
 
 def test_scan_finds_an_unreferenced_private_def():
@@ -149,6 +159,30 @@ def test_scan_finds_an_unreferenced_private_constant():
 
 def test_package_references_every_private_def():
     assert _unreferenced_private_defs({m: (SRC / m).read_text() for m in PACKAGE}) == []
+
+
+def test_scan_finds_an_unreferenced_public_name():
+    sources = {
+        "a.py": "def used():\n    return 1\n\n\ndef only_self(n):\n"
+                "    return only_self(n - 1)\n\n\nLIMIT = 3\n",
+        "demo.py": "import a\n\nprint(a.used())\n",
+    }
+    public = {"used", "only_self", "LIMIT"}.__contains__
+    assert _unreferenced_defs(sources, public) == ["a.py: LIMIT (line 9)",
+                                                   "a.py: only_self (line 5)"]
+    sources["a.py"] += "\n\ndef f():\n    return LIMIT\n"
+    assert _unreferenced_defs(sources, public) == ["a.py: only_self (line 5)"]
+
+
+def test_every_public_name_is_used_by_the_package_or_a_demo(monkeypatch):
+    # a name only tests call is library code nothing needs; the names the
+    # benchmark's tracer wraps are kept for it, as their kept imports are
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    wrapped = {attr for _, attr, _ in importlib.import_module("spans")._WRAPPED_NAMES}
+    public = set(eccbounds.__all__) - wrapped
+    sources = {m: (SRC / m).read_text() for m in MODULES}
+    sources.update((d, (ROOT / d).read_text()) for d in SCRIPTS if d.startswith("demos"))
+    assert _unreferenced_defs(sources, public.__contains__) == []
 
 
 def _imported_modules(source: str) -> set[str]:
