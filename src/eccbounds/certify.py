@@ -49,6 +49,7 @@ from .bounds import (
 from .graph import bfs_distances  # noqa: F401
 from .graph import (
     UNREACHABLE,
+    DisconnectedGraphError,
     Graph,
     eccentricity_profile,
     girth,
@@ -143,7 +144,8 @@ class PackingCertificate(_Certificate, namedtuple(
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)  # to_json_dict's containers are all fresh
 
 
 class MatchingCertificate(_Certificate, namedtuple(
@@ -169,7 +171,8 @@ class MatchingCertificate(_Certificate, namedtuple(
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)  # to_json_dict's containers are all fresh
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +395,9 @@ def _anchor_tree(g: Graph, groups, connectors, dist, order):
     replay follows, and connector ``i`` joins cell ``i`` to a cell below it
     (the proof is in :func:`_grow`).  :func:`_verify_tree` checks the tree.
 
-    Returns ``(tree, parent, assignment, connectors, vertices)``: tree
-    parents toward the cell roots (-1 on anchor vertices), cell roots and
-    the sorted anchor vertices.
+    Returns ``(tree, parent, assignment, connectors, vertices, profile)``:
+    tree parents toward the cell roots (-1 on anchor vertices), cell roots,
+    the sorted anchor vertices and the tree's profile from the check.
     """
     vertices = sorted({x for group in groups for x in group})
     root, parent = _deterministic_cells(g, dist, order, [-1] * g.n, [-1] * g.n)
@@ -413,8 +416,8 @@ def _anchor_tree(g: Graph, groups, connectors, dist, order):
     for around in adj:
         around.sort()
     tree = Graph._from_ascending(adj)
-    _verify_tree(g, tree, vertices, dist)
-    return tree, tuple(parent), tuple(root), tuple(connectors), vertices
+    profile = _verify_tree(g, tree, vertices, dist)
+    return tree, tuple(parent), tuple(root), tuple(connectors), vertices, profile
 
 
 def build_spanning_tree_from_packing(
@@ -447,17 +450,21 @@ def build_spanning_tree_from_packing(
                         sorted(range(g.n), key=dist.__getitem__))[:4]
 
 
-def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g) -> None:
+def _verify_tree(g: Graph, tree: Graph, anchor_vertices, dist_in_g):
     """Raise unless ``tree`` spans ``g`` and keeps ``dist_in_g``, the
-    distances to ``anchor_vertices``; it must be connected from one vertex,
-    as the anchors reach all of a forest with an anchor in each part."""
+    distances to ``anchor_vertices``; else return its profile.  The profile's
+    first sweep, from vertex 0, tests connectivity: the anchors alone reach
+    all of a forest with an anchor in each part."""
     if tree.m != g.n - 1:
         raise RuntimeError("construction invariant violated: not a spanning tree")
-    if not is_connected(tree):
-        raise RuntimeError("construction invariant violated: tree is disconnected")
+    try:
+        profile = eccentricity_profile(tree)
+    except DisconnectedGraphError:
+        raise RuntimeError("construction invariant violated: tree is disconnected") from None
     if multi_source_distances(tree, anchor_vertices) != dist_in_g:
         raise RuntimeError("construction invariant violated: distances to the "
                            "anchor set are not preserved")
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +576,10 @@ def _certify(measured: Measured, use_max_degree: bool, want_odd: bool | None = N
 # ---------------------------------------------------------------------------
 # the stages of _certify
 
-# the anchors as the certificate lists them and as vertex groups, the tree, and
-# the cell weights: ``c`` per anchor vertex, ``weights`` per anchor (c, or cbar)
+# the anchors as the certificate lists them and as vertex groups, the tree, its
+# profile and the cell weights: ``c`` per anchor vertex, ``weights`` per anchor (c, or cbar)
 _Anchors = namedtuple("_Anchors",
-                      "odd members groups msd order tree assignment connectors c weights")
+                      "odd members groups msd order tree tree_prof assignment connectors c weights")
 _Bound = namedtuple("_Bound", "unit excess constants nprime power_bound final_bound bound_id")
 
 
@@ -588,11 +595,11 @@ def _anchors(g: Graph, gi: int, hub: int | None) -> _Anchors:
         groups, connectors, msd = _grow(g, e1, _spaced_edge(g, gi))
     members = [a for (a,) in groups] if odd else groups
     order = sorted(range(g.n), key=msd.__getitem__)
-    tree, _, assignment, connectors, vertices = _anchor_tree(g, groups, connectors, msd, order)
+    tree, _, assignment, connectors, vertices, prof = _anchor_tree(g, groups, connectors, msd, order)
     counts = Counter(assignment)
     c = {x: counts[x] for x in vertices}  # cell sizes
     weights = [sum(c[x] for x in group) for group in groups]
-    return _Anchors(odd, members, groups, msd, order, tree, assignment, connectors, c, weights)
+    return _Anchors(odd, members, groups, msd, order, tree, prof, assignment, connectors, c, weights)
 
 
 def _bound(params, use_max_degree: bool) -> _Bound:
@@ -616,14 +623,14 @@ def _bound(params, use_max_degree: bool) -> _Bound:
 
 
 def _chain(measured: Measured, anchors: _Anchors, bound: _Bound):
-    """The argument chain: the profiles of ``G`` and ``T``, the contracted
-    power on ``T`` (odd), or on its line graph ``L(T)`` (even), whose vertex
-    for an anchor edge ``e`` has eccentricity ``ecc_L(T)(e)``, and the
-    steps down to the final bound.  Returns ``(chain, steps, line)``, the
-    line graph ``None`` for odd girth."""
+    """The argument chain: the profiles of ``G`` and ``T`` (the one
+    :func:`_verify_tree` took), the contracted power on ``T`` (odd), or on
+    its line graph ``L(T)`` (even), whose vertex for an anchor edge ``e``
+    has eccentricity ``ecc_L(T)(e)``, and the steps down to the final bound.
+    Returns ``(chain, steps, line)``, the line graph ``None`` for odd girth."""
     n, gi = measured.params.n, measured.params.g
     odd, members, weights = anchors.odd, anchors.members, anchors.weights
-    tree_prof = eccentricity_profile(anchors.tree)
+    tree_prof = anchors.tree_prof
     avec_g, avec_t = measured.profile.avec, tree_prof.avec
     avec_c_t = Fraction(sum(w * tree_prof.ecc[u] for u, w in anchors.c.items()), n)
     if odd:

@@ -275,65 +275,72 @@ def cmd_batch(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser with the one subparser ``argv[0]`` names, or with all six
+    when it names none (no argument, ``-h``, an unknown command); the usage
+    line lists all six either way."""
     p = _Parser(prog="eccb", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("compute", help="eccentricity profile, girth, degrees")
-    c.add_argument("input", help="edge-list file, or - for stdin")
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_compute)
-
-    b = sub.add_parser("bound", help="evaluate every applicable upper bound")
-    b.add_argument("input")
-    b.add_argument("--json", action="store_true")
-    b.add_argument("--only", help="restrict to one bound id, e.g. Eq1")
-    b.set_defaults(func=cmd_bound)
-
-    ce = sub.add_parser("certify", help="run and verify the proof pipeline")
-    ce.add_argument("input")
-    ce.add_argument("--json", action="store_true")
-    ce.add_argument("--maxdeg", action="store_true",
-                    help="certify the max-degree-aware variant")
-    ce.add_argument("--out", default=".", help="directory for the certificate JSON")
-    ce.set_defaults(func=cmd_certify)
-
-    ge = sub.add_parser("generate", help="random graph with degree/girth floors")
-    ge.add_argument("--n", type=int, required=True)
-    ge.add_argument("--delta", type=int, required=True)
-    ge.add_argument("--g", type=int, required=True)
-    ge.add_argument("--seed", type=int, default=0)
-    ge.add_argument("--out", default=".")
-    ge.add_argument("--strict", action="store_true",
-                    help="exit nonzero when generation fails")
-    ge.set_defaults(func=cmd_generate)
-
-    ch = sub.add_parser("chain", help="chained extremal construction")
-    ch.add_argument("--delta", type=int, required=True)
-    ch.add_argument("--g", type=int, required=True)
-    ch.add_argument("--k", type=int, required=True)
-    ch.add_argument("--out", default=".")
-    ch.add_argument("--report", action="store_true",
-                    help="also write the sharpness CSV for k'=1..k")
-    ch.set_defaults(func=cmd_chain)
-
-    ba = sub.add_parser("batch", help="bound + certificate sweep with CSV report")
-    ba.add_argument("--dir", help="directory of .el files to sweep")
-    ba.add_argument("--n", type=int)
-    ba.add_argument("--delta", type=int)
-    ba.add_argument("--g", type=int)
-    ba.add_argument("--count", type=int)
-    ba.add_argument("--seed", type=int, default=0)
-    ba.add_argument("--out", default=".")
-    ba.add_argument("--strict", action="store_true",
-                    help="exit 4 on a generation failure, 2 on a parse-error, "
-                         "disconnected, unreadable or not-certifiable row")
-    ba.set_defaults(func=cmd_batch)
+    commands = ("compute", "bound", "certify", "generate", "chain", "batch")
+    only = argv[0] if argv and argv[0] in commands else None
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=None if only is None else "{" + ",".join(commands) + "}")
+    if only in (None, "compute"):
+        c = sub.add_parser("compute", help="eccentricity profile, girth, degrees")
+        c.add_argument("input", help="edge-list file, or - for stdin")
+        c.add_argument("--json", action="store_true")
+        c.set_defaults(func=cmd_compute)
+    if only in (None, "bound"):
+        b = sub.add_parser("bound", help="evaluate every applicable upper bound")
+        b.add_argument("input")
+        b.add_argument("--json", action="store_true")
+        b.add_argument("--only", help="restrict to one bound id, e.g. Eq1")
+        b.set_defaults(func=cmd_bound)
+    if only in (None, "certify"):
+        ce = sub.add_parser("certify", help="run and verify the proof pipeline")
+        ce.add_argument("input")
+        ce.add_argument("--json", action="store_true")
+        ce.add_argument("--maxdeg", action="store_true",
+                        help="certify the max-degree-aware variant")
+        ce.add_argument("--out", default=".", help="directory for the certificate JSON")
+        ce.set_defaults(func=cmd_certify)
+    if only in (None, "generate"):
+        ge = sub.add_parser("generate", help="random graph with degree/girth floors")
+        ge.add_argument("--n", type=int, required=True)
+        ge.add_argument("--delta", type=int, required=True)
+        ge.add_argument("--g", type=int, required=True)
+        ge.add_argument("--seed", type=int, default=0)
+        ge.add_argument("--out", default=".")
+        ge.add_argument("--strict", action="store_true",
+                        help="exit nonzero when generation fails")
+        ge.set_defaults(func=cmd_generate)
+    if only in (None, "chain"):
+        ch = sub.add_parser("chain", help="chained extremal construction")
+        ch.add_argument("--delta", type=int, required=True)
+        ch.add_argument("--g", type=int, required=True)
+        ch.add_argument("--k", type=int, required=True)
+        ch.add_argument("--out", default=".")
+        ch.add_argument("--report", action="store_true",
+                        help="also write the sharpness CSV for k'=1..k")
+        ch.set_defaults(func=cmd_chain)
+    if only in (None, "batch"):
+        ba = sub.add_parser("batch", help="bound + certificate sweep with CSV report")
+        ba.add_argument("--dir", help="directory of .el files to sweep")
+        ba.add_argument("--n", type=int)
+        ba.add_argument("--delta", type=int)
+        ba.add_argument("--g", type=int)
+        ba.add_argument("--count", type=int)
+        ba.add_argument("--seed", type=int, default=0)
+        ba.add_argument("--out", default=".")
+        ba.add_argument("--strict", action="store_true",
+                        help="exit 4 on a generation failure, 2 on a parse-error, "
+                             "disconnected, unreadable or not-certifiable row")
+        ba.set_defaults(func=cmd_batch)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if args.command == "batch" and not args.dir:
         missing = [f for f in ("n", "delta", "g", "count") if getattr(args, f) is None]

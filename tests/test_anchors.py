@@ -84,10 +84,11 @@ def _by_dist(dist):
 
 
 def _tree(g: eb.Graph, groups):
-    """``_anchor_tree`` on what the grower returns, followed by the grower's
-    distances to the anchors, as ``matching_tree_oracle`` returns them."""
+    """``_anchor_tree`` on what the grower returns, its tree's profile left
+    out, followed by the grower's distances to the anchors, as
+    ``matching_tree_oracle`` returns them."""
     grown = _grown(g, groups)
-    return (*_anchor_tree(g, *grown, _by_dist(grown[2])), grown[2])
+    return (*_anchor_tree(g, *grown, _by_dist(grown[2]))[:5], grown[2])
 
 
 def _unit_and_excess(constants, use_max_degree, odd):
@@ -106,7 +107,7 @@ def _checks_on_packing(case):
     distances in ``g``, and K (or K1 and K2 - K1) as unit and excess."""
     g, members, assignment, c, gi, constants, tree, use_max_degree = case
     msd = eb.multi_source_distances(g, members)
-    anchors = _Anchors(True, members, [(a,) for a in members], msd, _by_dist(msd), tree,
+    anchors = _Anchors(True, members, [(a,) for a in members], msd, _by_dist(msd), tree, None,
                        assignment, (), c, [c[a] for a in members])
     return _checks(g, anchors, gi, *_unit_and_excess(constants, use_max_degree, odd=True),
                    use_max_degree)
@@ -119,8 +120,8 @@ def _checks_on_matching(case):
     vertices ``vm``."""
     g, members, vm, msd, assignment, c, cbar, gi, constants, tree, use_max_degree = case
     assert list(c) == list(vm)
-    anchors = _Anchors(False, members, members, msd, _by_dist(msd), tree, assignment, (), c,
-                       [cbar[e] for e in members])
+    anchors = _Anchors(False, members, members, msd, _by_dist(msd), tree, None, assignment, (),
+                       c, [cbar[e] for e in members])
     return _checks(g, anchors, gi, *_unit_and_excess(constants, use_max_degree, odd=False),
                    use_max_degree)
 
@@ -246,7 +247,8 @@ def _checked_anchor_tree(mp) -> list:
 
     def checked(g, groups, connectors, dist, order):
         got = real(g, groups, connectors, dist, order)
-        assert got == anchor_tree_oracle(g, groups, connectors, dist)
+        assert got[:5] == anchor_tree_oracle(g, groups, connectors, dist)
+        assert got[5] == eb.eccentricity_profile(got[0])
         built.append(got)
         return got
 
@@ -609,6 +611,29 @@ def test_certify_measures_girth_once(monkeypatch):
     certify(eb.petersen_graph())
     certify(eb.heawood_graph(), use_max_degree=True)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("use_max_degree", [False, True], ids=["plain", "maxdeg"])
+@pytest.mark.parametrize("name", ["petersen", "heawood", "gen-n300-d3-g5-s1",
+                                  "gen-n300-d3-g6-s1"])
+def test_certify_sweeps_its_tree_from_vertex_0_once(name, use_max_degree, monkeypatch):
+    # _verify_tree tests connectivity with the first sweep of the tree's
+    # profile, which _chain reads: with the profile's two sweeps from the ends
+    # of a diameter and the anchor check, the tree is swept four times
+    graph_module = sys.modules["eccbounds.graph"]
+    real, sweeps = graph_module._sweep, []
+
+    def recording(adj, n, order):
+        sweeps.append((adj, list(order)))
+        return real(adj, n, order)
+
+    monkeypatch.setattr(graph_module, "_sweep", recording)
+    cert = certify(INSTANCES[name](), use_max_degree=use_max_degree)
+    on_tree = [order for adj, order in sweeps if adj is cert.tree.adj]
+    assert len(on_tree) == 4
+    # the anchor check sweeps from vertex 0 too where 0 is the only anchor
+    # vertex, as in the Petersen graph's one-member packing
+    assert on_tree.count([0]) == 1 + (sorted(set(cert.assignment)) == [0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Command-line surface: outputs, files, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -650,6 +654,61 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+COMMANDS = ("compute", "bound", "certify", "generate", "chain", "batch")
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "-h"] for command in COMMANDS),
+    [], ["frobnicate"], ["certify"], ["certify", "x", "y"], ["compute", "--bogus", "x"],
+    ["batch"],  # main's own parser.error, under the top-level usage line
+    ["chain", "--delta", "3", "--g", "5", "--k", "0"],
+], ids=[*(f"{command}-help" for command in COMMANDS), "no-command", "unknown-command",
+        "certify-no-input", "certify-two-inputs", "compute-unknown-option", "batch-no-spec",
+        "chain-k-0"])
+def test_one_command_parser_prints_what_the_full_parser_does(argv, monkeypatch, capsys):
+    # the parser builds only the subparser argv[0] names; an argv that names
+    # none builds all six, and each prints the same help, usage and errors
+    monkeypatch.setenv("COLUMNS", "80")
+    real = cli._build_parser
+    sub = next(action for action in real(argv)._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == ([argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS))
+
+    def run(builder_argv):
+        monkeypatch.setattr(cli, "_build_parser", lambda _: real(builder_argv))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    assert run(argv) == run([])
+
+
+def _console(*args, cwd):
+    """``python -m eccbounds.cli`` with ``args``, where ``main`` reads ``sys.argv``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    return subprocess.run([sys.executable, "-m", "eccbounds.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("graph_file", ["petersen_file", "k33_file"])
+def test_console_certify_writes_what_main_does(graph_file, tmp_path, request):
+    path = request.getfixturevalue(graph_file)
+    console = _console("certify", str(path), "--out", str(tmp_path / "console"), cwd=tmp_path)
+    assert console.returncode == 0, console.stderr
+    assert main(["certify", str(path), "--out", str(tmp_path / "main")]) == 0
+    name = f"{path.stem}.cert.json"
+    assert (tmp_path / "console" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_console_help_lists_every_command(tmp_path):
+    console = _console("-h", cwd=tmp_path)
+    assert console.returncode == 0, console.stderr
+    assert "{" + ",".join(COMMANDS) + "}" in console.stdout
+    assert all(f"\n    {command} " in console.stdout for command in COMMANDS)
 
 
 @pytest.mark.parametrize("command", ["certify", "generate", "chain", "batch"])
