@@ -9,11 +9,12 @@ field; the fields are listed in declaration order.
 from __future__ import annotations
 
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
 import eccbounds as eb
-from eccbounds.bounds import GraphParams
+from eccbounds.bounds import BoundResult, GraphParams
 from eccbounds.certify import ChainStep, StructuralCheck, _Certificate
 
 PATH2 = eb.Graph(n=2, edges=((0, 1),), adj=((1,), (0,)))
@@ -45,10 +46,17 @@ RECORDS = {
         eb.EccentricityProfile, dict(ecc=(1, 1), total=2, avec=F(1), radius=1, diameter=1),
         dict(ecc=(2, 1, 2), total=5, avec=F(5, 3), radius=0, diameter=2)),
     "WeightFunction": (eb.WeightFunction, dict(weights=(1, F(1, 2))), dict(weights=(2,))),
+    "GraphParams": (GraphParams, dict(n=12, delta=2, Delta=4, g=None),
+                    dict(n=10, delta=3, Delta=5, g=5)),
     "Measured": (
         eb.Measured,
         dict(graph=PATH2, profile=eb.eccentricity_profile(PATH2), params=GraphParams(2, 1, 1)),
         dict(graph=PATH3, profile=eb.eccentricity_profile(PATH3), params=GraphParams(3, 1, 2))),
+    "BoundResult": (
+        BoundResult, dict(bound=eb.BoundId.EQ1, value=F(7, 2), constants=MappingProxyType({"K": 4}),
+                          applicable=True, reason="", satisfied=True),
+        dict(bound=eb.BoundId.THM_GIRTH_ODD, value=None, constants=MappingProxyType({}),
+             applicable=False, reason="needs g", satisfied=None)),
     "ChainStep": (ChainStep, dict(name="a<=b", lhs=F(1), rhs=F(2), holds=True),
                   dict(name="b<=a", lhs=F(3), rhs=F(1, 2), holds=False)),
     "StructuralCheck": (StructuralCheck, dict(name="spacing", ok=True, detail=""),
@@ -84,7 +92,16 @@ RECORDS = {
         dict(config=eb.GeneratorConfig(n=10, delta=3, g=5, seed=2), restarts=1, attempts=3,
              reason="other")),
 }
-UNHASHABLE = {"PackingCertificate", "MatchingCertificate"}  # their dict fields
+# the certificates' dict fields, and BoundResult's mapping proxy of a dict
+UNHASHABLE = {"PackingCertificate", "MatchingCertificate", "BoundResult"}
+# name -> _field_defaults, for the records that have any
+DEFAULTS = {
+    "GraphParams": {"Delta": None, "g": None},
+    "BoundResult": {"constants": MappingProxyType({}), "applicable": True, "reason": "",
+                    "satisfied": None},
+    "StructuralCheck": {"detail": ""},
+    "GeneratorConfig": {"max_restarts": 50},
+}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -143,6 +160,8 @@ def test_repr_names_the_class_and_every_field(name):
 
 
 def test_defaults():
+    assert {name: cls._field_defaults for name, (cls, _, _) in RECORDS.items()
+            if cls._field_defaults} == DEFAULTS
     assert StructuralCheck("spacing", True).detail == ""
     assert StructuralCheck(name="spacing", ok=True) == StructuralCheck("spacing", True, "")
     assert eb.GeneratorConfig(n=10, delta=3, g=5, seed=1).max_restarts == 50
