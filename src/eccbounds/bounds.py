@@ -11,14 +11,13 @@ so an evaluator call is mostly its own arithmetic.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
-from .graph import EccentricityProfile, Graph, eccentricity_profile, girth
+from .graph import Graph, eccentricity_profile, girth
 
 
 class BoundId(str, Enum):
@@ -40,14 +39,7 @@ class BoundId(str, Enum):
 UPPER_BOUND_IDS = tuple(BoundId)
 
 
-class _GraphParamsFields(NamedTuple):
-    n: int
-    delta: int
-    Delta: int | None = None
-    g: int | None = None
-
-
-class GraphParams(_GraphParamsFields):
+class GraphParams(namedtuple("GraphParams", "n delta Delta g", defaults=(None, None))):
     """Measured parameters a bound is evaluated at, validated on construction.
 
     ``Delta`` may be omitted when the maximum degree was not recorded, and
@@ -72,12 +64,10 @@ class GraphParams(_GraphParamsFields):
         return cls(*iterable)
 
 
-class Measured(NamedTuple):
+class Measured(namedtuple("Measured", "graph profile params")):
     """A graph with its profile and parameters, measured once for every consumer."""
 
-    graph: Graph
-    profile: EccentricityProfile
-    params: GraphParams
+    __slots__ = ()
 
 
 def measure(g: Graph, girth_value: int | None = None) -> Measured:
@@ -88,16 +78,12 @@ def measure(g: Graph, girth_value: int | None = None) -> Measured:
         g=girth(g) if girth_value is None else girth_value))
 
 
-class BoundResult(NamedTuple):
+class BoundResult(namedtuple("BoundResult", "bound value constants applicable reason satisfied",
+                             defaults=(MappingProxyType({}), True, "", None))):
     """One evaluated bound: identity, exact value, the integer orders it
     used, verdicts."""
 
-    bound: BoundId
-    value: Fraction | None
-    constants: Mapping[str, int] = MappingProxyType({})
-    applicable: bool = True
-    reason: str = ""
-    satisfied: bool | None = None
+    __slots__ = ()
 
     def with_avec(self, avec: Fraction) -> "BoundResult":
         if not self.applicable or self.value is None:

@@ -33,7 +33,6 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
 
 from .bounds import (
     BoundId,
@@ -53,7 +52,6 @@ from .graph import (
     Graph,
     eccentricity_profile,
     girth,
-    is_connected,
     line_graph,
     multi_source_distances,
 )
@@ -63,13 +61,10 @@ class NotCertifiableError(ValueError):
     """The pipeline's hypotheses fail (minimum degree below 3, or no cycle)."""
 
 
-class ChainStep(NamedTuple):
+class ChainStep(namedtuple("ChainStep", "name lhs rhs holds")):
     """One recomputed inequality (or identity) from the argument chain."""
 
-    name: str
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,10 +75,11 @@ class ChainStep(NamedTuple):
         }
 
 
-class StructuralCheck(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
+class StructuralCheck(namedtuple("StructuralCheck", "name ok detail", defaults=("",))):
+    """One structural check of a certificate, with the measured values, if
+    any, in ``detail``."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
@@ -641,10 +637,11 @@ def _chain(measured: Measured, anchors: _Anchors, bound: _Bound):
         host, host_anchors = line, [line_id[e] for e in members]
         avec_host = Fraction(sum(w * _line_eccentricity(tree_prof.ecc, e)
                                  for w, e in zip(weights, members)), n)
-    power = _contracted_power(host, host_anchors, gi)
-    if not is_connected(power):  # it contains the connector tree: see _grow
-        raise RuntimeError("construction invariant violated: contracted power is disconnected")
-    pecc = eccentricity_profile(power).ecc
+    try:  # the power contains the connector tree (see _grow), so it is connected
+        pecc = eccentricity_profile(_contracted_power(host, host_anchors, gi)).ecc
+    except DisconnectedGraphError:
+        raise RuntimeError("construction invariant violated: "
+                           "contracted power is disconnected") from None
     avec_power = Fraction(sum(w * x for w, x in zip(weights, pecc)), n)
 
     host_key, power_key = ("avecC_T", "avecC_power") if odd else ("avecCbar_L", "avecCbar_power")

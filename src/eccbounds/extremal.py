@@ -6,9 +6,9 @@ construction can never contaminate a sharpness run.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .bounds import GraphParams, bound_thm_girth, lower_bound_chain, moore_order
 from .graph import Graph, eccentricity_profile, girth
@@ -22,25 +22,16 @@ from .generators import (
 )
 
 
-class MooreSpec(NamedTuple):
+class MooreSpec(namedtuple("MooreSpec", "delta g order diameter source")):
     """Provenance of a catalog graph: parameters, order, diameter, source."""
 
-    delta: int
-    g: int
-    order: int
-    diameter: int
-    source: str
+    __slots__ = ()
 
 
-class ChainSpec(NamedTuple):
+class ChainSpec(namedtuple("ChainSpec", "delta g k base_order link_edges deleted_edges")):
     """Parameters and surgery record of a chained construction."""
 
-    delta: int
-    g: int
-    k: int
-    base_order: int
-    link_edges: tuple[tuple[int, int], ...]
-    deleted_edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 _PLANE_ORDERS = (2, 3, 4, 5, 7, 8)
@@ -78,9 +69,7 @@ def moore_catalog(delta: int, g: int) -> tuple[Graph, MooreSpec] | None:
     if graph is None:
         return None
     order = g if delta == 2 else moore_order(delta, g)  # a cycle for delta=2
-    spec = MooreSpec(delta=delta, g=g, order=order,
-                     diameter=(g - 1) // 2 if g % 2 == 1 else g // 2,
-                     source=source)
+    spec = MooreSpec(delta=delta, g=g, order=order, diameter=g // 2, source=source)
     _verify_moore(graph, spec)
     return graph, spec
 
@@ -129,16 +118,10 @@ def chain_graph(delta: int, g: int, k: int) -> tuple[Graph, ChainSpec]:
                                                  link_edges=links, deleted_edges=deleted)
 
 
-class SharpnessRow(NamedTuple):
+class SharpnessRow(namedtuple("SharpnessRow", "k n avec lower upper gap_to_upper gap_ok")):
     """One chain length in a sharpness table, all values exact."""
 
-    k: int
-    n: int
-    avec: Fraction
-    lower: Fraction
-    upper: Fraction
-    gap_to_upper: Fraction
-    gap_ok: bool
+    __slots__ = ()
 
 
 def sharpness_report(delta: int, g: int, k_range) -> list[SharpnessRow]:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections import namedtuple
 from itertools import combinations, product
-from typing import NamedTuple
 
 from .graph import Graph, girth, is_connected
 
@@ -143,7 +143,8 @@ def projective_plane_incidence(q: int) -> Graph:
 # ---------------------------------------------------------------------------
 # randomized generation with degree and girth constraints
 
-class GeneratorConfig(NamedTuple):
+class GeneratorConfig(namedtuple("GeneratorConfig", "n delta g seed max_restarts",
+                                 defaults=(50,))):
     """Target order, minimum degree, girth floor, and search budgets.
 
     Each restart gets ``50 * n`` edge attempts.  The same seed always
@@ -153,23 +154,16 @@ class GeneratorConfig(NamedTuple):
     budgets and come back as failures.
     """
 
-    n: int
-    delta: int
-    g: int
-    seed: int
-    max_restarts: int = 50
+    __slots__ = ()
 
     def attempts_budget(self) -> int:
         return 50 * self.n
 
 
-class GenerationFailure(NamedTuple):
+class GenerationFailure(namedtuple("GenerationFailure", "config restarts attempts reason")):
     """All restarts exhausted; carries the attempt statistics."""
 
-    config: GeneratorConfig
-    restarts: int
-    attempts: int
-    reason: str
+    __slots__ = ()
 
 
 def _below(bits, size: int) -> int:

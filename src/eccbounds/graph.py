@@ -10,8 +10,8 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 UNREACHABLE = -1
 
@@ -28,7 +28,7 @@ class DisconnectedGraphError(ValueError):
     """Raised by operations whose value is undefined off connected graphs."""
 
 
-class Graph(NamedTuple):
+class Graph(namedtuple("Graph", "n edges adj")):
     """Simple undirected graph: no self-loops, no parallel edges.
 
     ``edges`` holds each edge once as a sorted pair, lexicographically
@@ -36,9 +36,7 @@ class Graph(NamedTuple):
     and safe to share between concurrent readers.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
@@ -101,7 +99,7 @@ class Graph(NamedTuple):
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
 
 
-class EccentricityProfile(NamedTuple):
+class EccentricityProfile(namedtuple("EccentricityProfile", "ecc total avec radius diameter")):
     """Per-vertex eccentricities plus the derived summary statistics.
 
     ``avec`` is the exact mean ``total / n``; the invariants
@@ -109,18 +107,10 @@ class EccentricityProfile(NamedTuple):
     every connected graph.
     """
 
-    ecc: tuple[int, ...]
-    total: int
-    avec: Fraction
-    radius: int
-    diameter: int
+    __slots__ = ()
 
 
-class _WeightFunctionFields(NamedTuple):
-    weights: tuple[int | Fraction, ...]
-
-
-class WeightFunction(_WeightFunctionFields):
+class WeightFunction(namedtuple("WeightFunction", "weights")):
     """Nonnegative exact weights (ints or :class:`Fraction` values) indexed
     by vertex id, checked on construction."""
 

@@ -3,9 +3,10 @@ file, and every module-level private function, class or constant of the
 library is referenced somewhere in the package.  Every public name is used
 by a library module other than ``__init__`` or by a demo, unless the
 benchmark's tracer wraps it: a name only tests call is code nothing needs.
-No library module imports ``dataclasses``: the records are named tuples,
-which generate no methods on import, and ``import eccbounds.cli`` loads
-neither ``dataclasses`` nor ``inspect``.
+No library module imports ``dataclasses`` or ``typing``: every record is a
+``collections.namedtuple`` subclass, which generates no methods on import
+and evaluates no annotations, and ``import eccbounds.cli`` loads none of
+``dataclasses``, ``inspect`` and ``typing``.
 
 An import kept only for other code to look up marks its line with
 ``# noqa: F401`` and says why in a comment, as ``cli`` does for the names
@@ -206,9 +207,14 @@ def test_module_does_not_import_dataclasses(module):
     assert "dataclasses" not in _imported_modules((SRC / module).read_text())
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+@pytest.mark.parametrize("module", PACKAGE)
+def test_module_does_not_import_typing(module):
+    assert "typing" not in _imported_modules((SRC / module).read_text())
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     probe = ("import sys; import eccbounds.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "[]"
