@@ -302,8 +302,8 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
       0 and ``b`` farthest from ``a``, the path ``a..b`` is a diameter and
       ``ecc(v) = max(d(a, v), d(b, v))``, so two more sweeps replace n;
     - other graphs with ``e0 > _BOUNDED_MIN_RUNS`` try the eccentricity
-      bounding of :func:`_bounded_eccentricities`, which closed every Moore
-      chain in 6-14 BFS runs where the bitset kernel needs at least ``e0``
+      bounding of :func:`_bounded_eccentricities`, which closes every Moore
+      chain in 4-14 BFS runs where the bitset kernel needs at least ``e0``
       rounds;
     - every other graph, and one whose bounds do not close within the run
       cap, takes the bit-parallel frontier expansion of
@@ -367,11 +367,15 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     Each run is one :func:`_sweep`, which also gives the run's eccentricity.
     By the triangle inequality a BFS from ``s`` with eccentricity ``e`` gives
     every vertex ``w`` the bounds ``max(e - d(s, w), d(s, w)) <= ecc(w) <=
-    e + d(s, w)``; ``first`` seeds them.  The runs then alternate between
-    the open vertex with the highest upper bound and the one with the lowest
-    lower bound, the lowest id on ties, and a vertex closes when its bounds
-    meet.  After ``max(_BOUNDED_MIN_RUNS, e0 // 8)`` runs with vertices
-    still open the work is discarded and ``None`` returned.
+    e + d(s, w)``; ``first`` seeds them.  Runs then alternate, high and low,
+    until every vertex's bounds meet.  A high run starts from the vertex
+    farthest from the last high run's source, the first from the one farthest
+    from vertex 0 (the double sweep of Magnien, Latapy and Habib, *Fast
+    computation of empirically tight bounds for the diameter of massive
+    graphs*, 2009); once that vertex has been swept, vertex 0 included, from
+    the open vertex with the highest upper bound.  A low run starts from the
+    open vertex with the lowest lower bound; ties go to the lowest id.  After ``max(_BOUNDED_MIN_RUNS, e0 // 8)`` runs
+    with vertices still open the work is discarded and ``None`` returned.
 
     It gives up after two runs when fewer than a fifth of the vertices are
     closed and both runs found an eccentricity within one of ``e0``.  If
@@ -387,7 +391,8 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     (3,6,1..45), and (3,5,300) and (3,6,151), closed 46-98% (least: (3,6,5)
     with 32 of 70).  grid-10x100, grid-3x70 and ladder-150 closed 3 vertices
     too, but their second run, from a central vertex, found 63, 37 and 76
-    against ``e0`` = 108, 71 and 150, and they close after 10, 6 and 8 runs.
+    against ``e0`` = 108, 71 and 150; they close after 10, 6 and 8 runs, and
+    the (3,5,k) and (3,6,k) chains after 4 runs for even k, 7 and 14 for odd.
     """
     adj, n = g.adj, g.n
     e0 = max(first)
@@ -398,17 +403,21 @@ def _bounded_eccentricities(g: Graph, first: list[int]) -> list[int] | None:
     runs = 0
     flat = True  # every run so far found an eccentricity within one of e0
     take_high = True
+    far, swept = first.index(e0), {0}
     while still_open:
         if runs == cap or (runs == 2 and flat and 5 * (n - len(still_open)) < n):
             return None
         runs += 1
         # max and min return the first extreme, and still_open is ascending
         if take_high:
-            s = max(still_open, key=hi.__getitem__)
+            s = far if far not in swept else max(still_open, key=hi.__getitem__)
         else:
             s = min(still_open, key=lo.__getitem__)
-        take_high = not take_high
+        swept.add(s)
         dist, e = _sweep(adj, n, [s])
+        if take_high:
+            far = dist.index(e)
+        take_high = not take_high
         flat = flat and abs(e - e0) <= 1
         remaining = []
         for w in still_open:

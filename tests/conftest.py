@@ -12,6 +12,7 @@ from collections import Counter, deque
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 import eccbounds as eb
 from eccbounds.bounds import GraphParams
@@ -279,6 +280,37 @@ def chain_graph_oracle(delta: int, g: int, k: int) -> tuple[eb.Graph, ChainSpec]
     graph = eb.Graph.from_edges(k * order, pairs)
     return graph, ChainSpec(delta=delta, g=g, k=k, base_order=order,
                             link_edges=links, deleted_edges=tuple(sorted(deleted)))
+
+
+def chain_ecc_oracle(delta: int, g: int, k: int) -> tuple[int, ...]:
+    """Eccentricities of ``chain_graph(delta, g, k)`` from four BFS tables of
+    one copy, with no BFS over the chain.
+
+    The links are bridges: copy ``i``'s ``b`` joins copy ``i + 1``'s ``a``.
+    The end copies are full, and each interior copy lacks the edge ``ab``
+    (the cut copy), so crossing one costs ``d_cut(a, b) + 1 = g`` with its
+    link.  A vertex ``v`` of interior copy ``i`` reaches farthest into an end
+    copy: ``max(d_cut(v, a) + 1 + g(i - 1) + ecc(b), d_cut(v, b) + 1 +
+    g(k - 2 - i) + ecc(a))``, where ``ecc`` is taken in the full copy.  An
+    end copy takes the one side with full-copy distances, and one copy alone
+    is the Moore graph.
+    """
+    base, spec = eb.moore_catalog(delta, g)
+    if k == 1:
+        return ecc_oracle(base)
+    order = spec.order
+    a, b = base.edges[0]
+    cut = eb.Graph.from_edges(order, [e for e in base.edges if e != (a, b)])
+    full_a, full_b = (multi_source_distances_oracle(base, (s,)) for s in (a, b))
+    cut_a, cut_b = (multi_source_distances_oracle(cut, (s,)) for s in (a, b))
+    ecc_a, ecc_b = max(full_a), max(full_b)
+    cross = cut_a[b] + 1
+    ecc = [full_b[v] + 1 + cross * (k - 2) + ecc_a for v in range(order)]
+    for i in range(1, k - 1):
+        ecc += [max(cut_a[v] + 1 + cross * (i - 1) + ecc_b,
+                    cut_b[v] + 1 + cross * (k - 2 - i) + ecc_a) for v in range(order)]
+    ecc += [full_a[v] + 1 + cross * (k - 2) + ecc_b for v in range(order)]
+    return tuple(ecc)
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +918,43 @@ def caterpillar(s: int) -> eb.Graph:
     hung on spine vertex ``i``."""
     return eb.Graph.from_edges(2 * s, [(i, i + 1) for i in range(s - 1)]
                                + [(i, s + i) for i in range(s)])
+
+
+def caterpillar_with_triangle(s: int, a: int) -> eb.Graph:
+    """``caterpillar(s)`` plus the edge from spine vertex ``a`` to the leaf of
+    spine vertex ``a + 1``, closing the triangle ``a, a + 1, s + a + 1``."""
+    c = caterpillar(s)
+    return eb.Graph.from_edges(c.n, c.edges + ((a, s + a + 1),))
+
+
+@st.composite
+def cored_graphs(draw, cycles: int = 3, scale: int = 1):
+    """Graphs on shuffled ids built from 1 to ``cycles`` cycles, joined by
+    chords, with pendant trees and paths hung on them: the cycles can sit
+    above long tree parts while ``m >= n``.  ``scale`` multiplies the longest
+    cycle (8), path (15) and tree (10 vertices); with ``cycles=1`` the graph
+    is connected."""
+    pairs, n = [], 0
+    for _ in range(draw(st.integers(1, cycles))):
+        k = draw(st.integers(3, 8 * scale))
+        pairs += [(n + i, n + (i + 1) % k) for i in range(k)]
+        n += k
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        pairs.append((u, v))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):  # a path hung at one vertex
+            length = draw(st.integers(1, 15 * scale))
+            pairs += [(at if i == 0 else n + i - 1, n + i) for i in range(length)]
+            n += length
+        else:  # a tree, each new vertex hung on an earlier one of it
+            size = draw(st.integers(1, 10 * scale))
+            pairs += [(draw(st.sampled_from([at] + list(range(n, n + i)))), n + i)
+                      for i in range(size)]
+            n += size
+    ids = draw(st.permutations(range(n)))
+    return eb.Graph.from_edges(n, [(ids[u], ids[v]) for u, v in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import eccbounds as eb
 from eccbounds.graph import _edge_list_pairs, _emitted_graph, _sweep
 from conftest import (
     caterpillar,
+    caterpillar_with_triangle,
+    cored_graphs,
     edge_list_pairs_oracle,
     floyd_warshall,
     girth_above_root_oracle,
@@ -521,44 +523,15 @@ def test_girth_of_a_large_tree_takes_one_pass():
 def test_girth_of_a_tree_below_a_high_triangle_takes_one_pass():
     # the caterpillar plus a triangle at its high end, m = n: every spine
     # root below the triangle is off the 2-core and runs no BFS
-    c = caterpillar(4000)
-    g = eb.Graph.from_edges(c.n, c.edges + ((3998, 7999),))
+    g = caterpillar_with_triangle(4000, 3998)
     start = time.perf_counter()
     assert eb.girth(g) == 3
     assert time.perf_counter() - start < 1.0
 
 
-@st.composite
-def cored_graphs(draw):
-    """Graphs on shuffled ids built from cycles, joined by chords, with
-    pendant trees and paths hung on them: the cycles can sit above long tree
-    parts while ``m >= n``."""
-    pairs, n = [], 0
-    for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(3, 8))
-        pairs += [(n + i, n + (i + 1) % k) for i in range(k)]
-        n += k
-    for _ in range(draw(st.integers(0, 3))):
-        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        pairs.append((u, v))
-    for _ in range(draw(st.integers(0, 4))):
-        at = draw(st.integers(0, n - 1))
-        if draw(st.booleans()):  # a path hung at one vertex
-            length = draw(st.integers(1, 15))
-            pairs += [(at if i == 0 else n + i - 1, n + i) for i in range(length)]
-            n += length
-        else:  # a tree, each new vertex hung on an earlier one of it
-            size = draw(st.integers(1, 10))
-            pairs += [(draw(st.sampled_from([at] + list(range(n, n + i)))), n + i)
-                      for i in range(size)]
-            n += size
-    ids = draw(st.permutations(range(n)))
-    return eb.Graph.from_edges(n, [(ids[u], ids[v]) for u, v in pairs])
-
-
 @settings(max_examples=200, deadline=None)
 @given(cored_graphs())
-@example(eb.Graph.from_edges(12, caterpillar(6).edges + ((4, 11),)))  # a high triangle
+@example(caterpillar_with_triangle(6, 4))  # a high triangle
 def test_property_girth_of_cored_graphs_equals_the_oracle(g):
     assert eb.girth(g) == girth_oracle(g)
 

@@ -3,16 +3,17 @@
 Trees take the double sweep, other graphs whose BFS from vertex 0 reaches
 past ``_BOUNDED_MIN_RUNS`` take eccentricity bounding, and the rest, or a
 graph the bounding gives up on, take the bit-parallel frontier expansion.
-Every kernel must reproduce the one-BFS-per-vertex oracle exactly, and an
-independent library where it is installed.
+Every kernel must reproduce the one-BFS-per-vertex oracle exactly, the Moore
+chains' closed form, and an independent library where it is installed.
 """
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eccbounds as eb
@@ -24,7 +25,14 @@ from eccbounds.graph import (
     _sweep,
     bfs_distances,
 )
-from conftest import ecc_oracle, named_small, random_connected
+from conftest import (
+    caterpillar_with_triangle,
+    chain_ecc_oracle,
+    cored_graphs,
+    ecc_oracle,
+    named_small,
+    random_connected,
+)
 from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
@@ -210,6 +218,38 @@ def test_uneven_cycles_give_up_at_the_run_cap(g, monkeypatch):
     assert taken == ["_bounded_eccentricities", "_bitset_eccentricities"]
 
 
+def test_caterpillar_below_a_high_triangle_is_profiled_fast():
+    # n = 8000, m = n and e0 = 3999: the high runs' double sweep closes every
+    # vertex in 3 runs.  High runs from the highest upper bound alone run to
+    # the cap of 499 runs, and the bitset kernel then takes about 4000 rounds
+    # over 8000-bit ints, over 10 s
+    g = caterpillar_with_triangle(4000, 3998)
+    start = time.perf_counter()
+    prof = eb.eccentricity_profile(g)
+    assert time.perf_counter() - start < 1.0
+    assert (prof.total, prof.radius, prof.diameter) == (24003999, 2000, 4000)
+
+
+@pytest.mark.parametrize("a", [298, 150, 1], ids=["a=298", "a=150", "a=1"])
+def test_caterpillars_with_a_triangle_take_the_bounding_kernel(a, monkeypatch):
+    g = caterpillar_with_triangle(300, a)
+    assert _kernels_taken(g, ecc_oracle(g), monkeypatch) == ["_bounded_eccentricities"]
+
+
+CATALOG_PAIRS = [(3, 5), (7, 5), (3, 6), (4, 6), (5, 6), (6, 6), (8, 6), (4, 3), (5, 3),
+                 (3, 4), (6, 4)]
+CHAIN_RUNS = ([(d, g, range(1, 13)) for d, g in CATALOG_PAIRS]
+              + [(3, 5, (59, 60)), (3, 6, (59, 60))])
+
+
+@pytest.mark.parametrize("delta,girth,ks", CHAIN_RUNS,
+                         ids=[f"{d}-{g}-{ks[0]}..{ks[-1]}" for d, g, ks in CHAIN_RUNS])
+def test_chain_profiles_equal_the_chain_formula(delta, girth, ks):
+    for k in ks:
+        prof = eb.eccentricity_profile(eb.chain_graph(delta, girth, k)[0])
+        assert prof.ecc == chain_ecc_oracle(delta, girth, k), k
+
+
 def _sweeps_run(call, monkeypatch) -> int:
     """The single-source sweeps ``call()`` runs."""
     sources = []
@@ -231,11 +271,14 @@ def _bounding_runs(g: eb.Graph, first: list[int], monkeypatch) -> int:
     return _sweeps_run(call, monkeypatch)
 
 
-@pytest.mark.parametrize("girth,ks,sweeps", [(5, range(1, 61), 564), (6, range(1, 46), 465)],
-                         ids=["3-5-1..60", "3-6-1..45"])
+@pytest.mark.parametrize("girth,ks,sweeps", [(5, range(1, 61), 368), (6, range(1, 46), 423),
+                                              (5, [300], 1 + 4), (6, [151], 1 + 14)],
+                         ids=["3-5-1..60", "3-6-1..45", "3-5-300", "3-6-151"])
 def test_benchmark_chains_keep_their_sweep_counts(girth, ks, sweeps, monkeypatch):
     # every single-source sweep the profile runs on the chain-sharpness
-    # workload's chains: the connectivity sweep, and any bounding runs
+    # workload's chains, and on two long ones: the connectivity sweep, and
+    # any bounding runs.  Of the chains that take bounding (e0 > 16), those
+    # with even k close in 4 runs, and with odd k (3,5,k) in 7 and (3,6,k) 14
     graphs = [eb.chain_graph(3, girth, k)[0] for k in ks]
 
     def call():
@@ -266,6 +309,18 @@ def long_diameter_graphs(draw):
 def test_property_long_diameter_kernels_equal_oracle(g):
     first = bfs_distances(g, 0)
     assert max(first) > _BOUNDED_MIN_RUNS
+    want = ecc_oracle(g)
+    bounded = _bounded_eccentricities(g, first)
+    assert bounded is None or tuple(bounded) == want
+    assert eb.eccentricity_profile(g).ecc == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(cored_graphs(cycles=1, scale=6))
+@example(caterpillar_with_triangle(40, 38))
+def test_property_cored_graph_kernels_equal_oracle(g):
+    # one cycle with chords, with pendant trees and paths hung on it
+    first = bfs_distances(g, 0)
     want = ecc_oracle(g)
     bounded = _bounded_eccentricities(g, first)
     assert bounded is None or tuple(bounded) == want
@@ -307,6 +362,14 @@ def test_property_kernel_equals_oracle(g):
     _assert_matches_oracle(g)
 
 
+def _networkx_ecc(nx, g: eb.Graph) -> tuple[int, ...]:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    want = nx.eccentricity(h)
+    return tuple(want[v] for v in range(g.n))
+
+
 def test_networkx_eccentricity():
     nx = pytest.importorskip("networkx")
     rng = random.Random(7)
@@ -316,8 +379,11 @@ def test_networkx_eccentricity():
     graphs += [random_connected(rng, rng.randint(2, 80), extra_edges=rng.randint(0, 60))
                for _ in range(30)]
     for g in graphs:
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        want = nx.eccentricity(h)
-        assert eb.eccentricity_profile(g).ecc == tuple(want[v] for v in range(g.n))
+        assert eb.eccentricity_profile(g).ecc == _networkx_ecc(nx, g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cored_graphs(cycles=1, scale=6))
+def test_networkx_eccentricity_of_cored_graphs(g):
+    nx = pytest.importorskip("networkx")
+    assert eb.eccentricity_profile(g).ecc == _networkx_ecc(nx, g)
