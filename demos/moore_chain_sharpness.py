@@ -5,7 +5,9 @@ Run:  python demos/moore_chain_sharpness.py
 Linking k copies of a minimum-order (delta, g)-graph into a chain produces a
 family whose average eccentricity grows like 3gn/(4K): the upper bound is
 met up to an additive constant of 5(g-1)/2 (one less for even girth),
-independent of k.
+independent of k.  The gap tends to 2(g-1), or 2(g-1) - 1/2 for even girth,
+as c/k with one c for even k and one for odd: 1 and 29/20 for the Petersen
+chains, 8/7 and 11/7 for the Heawood chains.
 """
 import eccbounds as eb
 

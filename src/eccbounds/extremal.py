@@ -130,7 +130,9 @@ def sharpness_report(delta: int, g: int, k_range) -> list[SharpnessRow]:
     ``lower`` is the chain family's lower bound, ``upper`` the
     girth-parameterized upper bound; their difference is ``5(g-1)/2`` for odd
     girth and one less for even, so ``gap_ok`` records whether the measured
-    gap stays within that for ``k >= 2``.
+    gap stays within that for ``k >= 2``.  On the catalog chains the gap
+    falls to ``2(g-1)``, or ``2(g-1) - 1/2`` for even girth, as ``c/k`` with
+    one ``c`` per parity of ``k``: 1 and 29/20 for (3,5), 8/7 and 11/7 for (3,6).
     """
     gap_cap = Fraction(5 * (g - 1), 2) - (0 if g % 2 == 1 else 1)
     rows = []

@@ -309,11 +309,11 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
       cap, takes the bit-parallel frontier expansion of
       :func:`_bitset_eccentricities`.
 
-    A bounding run with its bound update costs one to two bitset rounds
-    (1.2-1.7 of a mean round, measured on chains, cycles and n = 300 and
+    A bounding run with its bound update costs about two bitset rounds
+    (1.7-2.7 of a mean round, measured on chains, cycles and n = 300 and
     1000 expanders), so bounding is tried only where its floor of
-    ``_BOUNDED_MIN_RUNS`` runs costs about what the bitset kernel's least
-    work does.  A graph whose eccentricities lie within one of ``e0``, such
+    ``_BOUNDED_MIN_RUNS`` runs costs at most about twice the bitset kernel's
+    least work.  A graph whose eccentricities lie within one of ``e0``, such
     as a cycle, is given up after two runs; a cycle ``C34`` then takes about
     1.44 times as long as the bitset kernel alone (``C64`` 1.21 times,
     ``C129`` 1.11 times; with a pendant vertex 1.41, 1.21 and 1.10 times).
@@ -347,11 +347,11 @@ def eccentricity_profile(g: Graph) -> EccentricityProfile:
 # BFS runs the bounding kernel may spend before it gives up, and the e0
 # past which it is tried; the cap is max(_BOUNDED_MIN_RUNS, e0 // 8).  The
 # bitset kernel runs one round per unit of diameter, at least e0 rounds, and
-# a bounding run plus its bound update costs one to two bitset rounds, so
-# past this e0 the floor of runs costs about what the bitset kernel's least
-# work does.  Runs wasted up to the cap, on a graph the bounds cannot close,
-# cost up to about 1.5 times the fallback's own time at e0 = 17 and at most
-# about a fifth of it past e0 = 128 (measured on cycles run to the cap).
+# a bounding run plus its bound update costs about two bitset rounds, so
+# past this e0 the floor of runs costs at most about twice the bitset
+# kernel's least work.  Runs wasted up to the cap, on a graph the bounds
+# cannot close, cost up to about 1.5 times the fallback's own time at e0 =
+# 17 and at most about a fifth of it past e0 = 128 (measured on cycles).
 # The floor keeps the (3,6,k) chains with odd k, which need 14 runs, off the
 # fallback.  Every expander the benchmark profiles has e0 <= 12 and keeps
 # the bitset kernel.
@@ -443,7 +443,9 @@ def _bitset_eccentricities(g: Graph) -> list[int]:
     after round ``r``; a round ORs each vertex's set with its neighbours'
     sets from the round before.  ``ecc(v)`` is the first round at which
     ``reach[v]`` holds every vertex, and a full vertex leaves the active list
-    (its set stays full, as every later ball is).
+    (its set stays full, as every later ball is).  From round 2 on ``v`` lies
+    in each neighbour's ball, so ``B_{r+1}(v)`` is the union of the
+    neighbours' ``B_r`` alone: a degree-3 vertex takes three ORs, no loop.
     """
     n = g.n
     adj = g.adj
@@ -451,8 +453,9 @@ def _bitset_eccentricities(g: Graph) -> list[int]:
     reach = [1 << v for v in range(n)]
     ecc = [0] * n
     active = list(range(n))  # n >= 3 here: trees take the double sweep
+    cubic = []
     r = 0
-    while active:
+    while active or cubic:
         r += 1
         prev = reach.copy()
         still = []
@@ -465,7 +468,19 @@ def _bitset_eccentricities(g: Graph) -> list[int]:
                 ecc[v] = r
             else:
                 still.append(v)
-        active = still
+        stay = []
+        for v in cubic:
+            a, b, c = adj[v]
+            reach[v] = acc = prev[a] | prev[b] | prev[c]
+            if acc == full:
+                ecc[v] = r
+            else:
+                stay.append(v)
+        if r == 1:  # split the survivors of round 1 once, by degree
+            stay = [v for v in still if len(adj[v]) == 3]
+            if stay:
+                still = [v for v in still if len(adj[v]) != 3]
+        active, cubic = still, stay
     return ecc
 
 

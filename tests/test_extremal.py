@@ -9,7 +9,7 @@ import pytest
 import eccbounds as eb
 import eccbounds.extremal as extremal_module
 from eccbounds.bounds import GraphParams, bound_thm_girth, lower_bound_chain
-from conftest import chain_graph_oracle
+from conftest import chain_ecc_oracle, chain_graph_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,25 @@ def test_sharpness_gap_is_bounded_by_construction():
         assert r.upper - r.lower == F(5 * 4, 2)
     for r in eb.sharpness_report(3, 6, range(1, 5)):
         assert r.upper - r.lower == F(5 * 5, 2) - 1
+
+
+# k * (upper - avec - limit) for even and for odd k >= 2, where the limit of
+# upper - avec is 2(g - 1) for odd g and 2(g - 1) - 1/2 for even g
+CHAIN_GAP_TERMS = {(3, 5): (F(1), F(29, 20)), (3, 6): (F(8, 7), F(11, 7)),
+                   (7, 5): (F(9, 25), F(129, 100)), (4, 6): (F(10, 13), F(18, 13)),
+                   (3, 4): (F(2, 3), F(5, 6)), (4, 3): (F(2, 5), F(3, 4))}
+
+
+@pytest.mark.parametrize("delta,g", list(CHAIN_GAP_TERMS),
+                         ids=[f"{d}-{g}" for d, g in CHAIN_GAP_TERMS])
+def test_chain_gap_limits_per_parity(delta, g):
+    # the chain formula gives avec with no BFS over the chain, up to k = 200
+    limit = 2 * (g - 1) - (0 if g % 2 else F(1, 2))
+    order = eb.moore_catalog(delta, g)[1].order
+    for k in range(2, 201):
+        ecc = chain_ecc_oracle(delta, g, k)
+        upper = bound_thm_girth(GraphParams(n=k * order, delta=delta, g=g)).value
+        assert k * (upper - F(sum(ecc), len(ecc)) - limit) == CHAIN_GAP_TERMS[delta, g][k % 2], k
 
 
 def test_sharpness_csv_format():

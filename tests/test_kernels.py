@@ -101,6 +101,71 @@ def test_generated_corpora_and_certificate_trees(odd_corpus, even_corpus):
 
 
 # ---------------------------------------------------------------------------
+# the bitset kernel's degree-3 path: from round 2 on a degree-3 vertex's ball
+# is the union of its three neighbours' balls, its own set left out
+
+def cube_graph() -> eb.Graph:
+    """The cube Q3: vertices 0..7, adjacent when their bits differ in one place."""
+    return eb.Graph.from_edges(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)])
+
+
+def cubic_graphs():
+    """Named graphs of minimum degree 3, nearly all of whose vertices have
+    degree 3: a chain's links give its end copies a vertex of degree 4 each.
+    K4 is full after round 1, so its degree-3 list never runs."""
+    graphs = [("K4", eb.complete_graph(4)), ("K33", eb.complete_bipartite(3, 3)),
+              ("Q3", cube_graph()), ("Petersen", eb.petersen_graph()),
+              ("Heawood", eb.heawood_graph())]
+    graphs += [(f"chain-3-{girth}-{k}", eb.chain_graph(3, girth, k)[0])
+               for girth, ks in ((4, range(1, 5)), (5, range(1, 5)), (6, range(1, 4)))
+               for k in ks]
+    graphs += [(f"gen-n{n}-g{girth}", eb.random_min_degree_girth(
+                    eb.GeneratorConfig(n=n, delta=3, g=girth, seed=seed)))
+               for n, girth, seed in ((300, 5, 1), (400, 6, 2))]
+    return graphs
+
+
+CUBIC = cubic_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in CUBIC], ids=[name for name, _ in CUBIC])
+def test_bitset_kernel_on_cubic_graphs(g):
+    assert min(len(around) for around in g.adj) == 3
+    assert tuple(_bitset_eccentricities(g)) == ecc_oracle(g)
+
+
+def test_networkx_eccentricity_of_cubic_graphs():
+    nx = pytest.importorskip("networkx")
+    for _, g in CUBIC:
+        assert tuple(_bitset_eccentricities(g)) == _networkx_ecc(nx, g)
+
+
+@st.composite
+def near_cubic_graphs(draw):
+    """The cycle ``0..n-1`` plus a random partial matching of chords, so that
+    most vertices have degree 3.  The chord ``(0, c)`` is always drawn, and
+    vertex 0 also carries the pendant vertex ``n``: one vertex of degree 4
+    and one of degree 1.  Ids are shuffled."""
+    n = draw(st.integers(min_value=4, max_value=60))
+    c = draw(st.integers(min_value=2, max_value=n - 2))
+    pairs = [(v, (v + 1) % n) for v in range(n)] + [(0, c), (0, n)]
+    rest = draw(st.permutations([v for v in range(1, n) if v != c]))
+    for u, v in zip(rest[::2], rest[1::2]):
+        if (u - v) % n not in (1, n - 1) and draw(st.booleans()):
+            pairs.append((u, v))
+    ids = draw(st.permutations(range(n + 1)))
+    return eb.Graph.from_edges(n + 1, [(ids[u], ids[v]) for u, v in pairs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_cubic_graphs())
+def test_property_bitset_kernel_on_near_cubic_graphs(g):
+    degrees = sorted(len(around) for around in g.adj)
+    assert degrees[0] == 1 and degrees[-1] == 4 and degrees[-2] <= 3
+    assert tuple(_bitset_eccentricities(g)) == ecc_oracle(g)
+
+
+# ---------------------------------------------------------------------------
 # long diameters: eccentricity bounding, and the bitset kernel as its fallback
 
 def grid_graph(rows: int, cols: int) -> eb.Graph:
@@ -250,8 +315,8 @@ def test_chain_profiles_equal_the_chain_formula(delta, girth, ks):
         assert prof.ecc == chain_ecc_oracle(delta, girth, k), k
 
 
-def _sweeps_run(call, monkeypatch) -> int:
-    """The single-source sweeps ``call()`` runs."""
+def _sweep_sources(call, monkeypatch) -> list[int]:
+    """The sources of the single-source sweeps ``call()`` runs, in order."""
     sources = []
 
     def counted(adj, n, order):
@@ -261,7 +326,12 @@ def _sweeps_run(call, monkeypatch) -> int:
     with monkeypatch.context() as mp:
         mp.setattr(graph_module, "_sweep", counted)
         call()
-    return len(sources)
+    return sources
+
+
+def _sweeps_run(call, monkeypatch) -> int:
+    """The single-source sweeps ``call()`` runs."""
+    return len(_sweep_sources(call, monkeypatch))
 
 
 def _bounding_runs(g: eb.Graph, first: list[int], monkeypatch) -> int:
@@ -285,6 +355,23 @@ def test_benchmark_chains_keep_their_sweep_counts(girth, ks, sweeps, monkeypatch
         for g in graphs:
             eb.eccentricity_profile(g)
     assert _sweeps_run(call, monkeypatch) == sweeps
+
+
+@pytest.mark.parametrize("girth,k,centre", [(5, 59, 4), (5, 60, 2), (6, 44, 2), (6, 45, 8),
+                                              (6, 151, 8)],
+                         ids=["3-5-59", "3-5-60", "3-6-44", "3-6-45", "3-6-151"])
+def test_bounding_sweeps_every_centre_vertex(girth, k, centre, monkeypatch):
+    # a source s != w gives w the upper bound e_s + d(s, w) >= radius + 1, so
+    # a vertex whose eccentricity is the radius closes only as a run's source
+    # or as vertex 0: the 8 centre vertices of (3,6,k) with odd k are a floor
+    # of 8 runs under its 14
+    g = eb.chain_graph(3, girth, k)[0]
+    sources = _sweep_sources(lambda: eb.eccentricity_profile(g), monkeypatch)
+    assert sources[0] == 0 and len(sources) > 1  # the connectivity sweep, then bounding
+    prof = eb.eccentricity_profile(g)
+    centres = {v for v, e in enumerate(prof.ecc) if e == prof.radius}
+    assert len(centres) == centre
+    assert centres <= set(sources)
 
 
 @st.composite
